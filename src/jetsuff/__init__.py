@@ -2,19 +2,17 @@
 
 __version__ = "0.1.0"
 
-from .linmap import (ComplexLinearMap, LinearMap, MinorIndex,
-                     equivalence_constants_sample, g_prime, h_I, minor_M_I,
-                     nu, nu_complex, realify)
+from .linmap import (LinearMap, equivalence_constants_sample, g_prime,
+                     minor_table, nu, realify)
 from .poly import Poly
-from .germ import (GermPair, JetPoly, PolyGermMap, ZSpec, dist_to_Z,
-                   germ_from_json, germ_to_json, jet_at, load_germ, same_k_Z_jet,
-                   save_germ)
+from .germ import (GermPair, JetPoly, PolyGermMap, ZSpec, germ_from_json,
+                   germ_to_json, jet_at, load_germ, same_k_Z_jet, save_germ)
 from .lojasiewicz import (LojasiewiczReport, ViolationSequence,
                           check_corollary_hypotheses, estimate_condition,
                           find_violation_sequence, fit_exponent)
 from .trivializer import (DeformationF, IsotopyResult, TrivializationConstants,
-                          VectorFieldW, build_F, calibrate_constants, eval_W,
-                          flow, gronwall_check, isotopy)
+                          VectorFieldW, build_F, calibrate_constants, flow,
+                          gronwall_check, isotopy)
 from .bl_construct import (BumpFunction, PerturbationF, PerturbedGerm,
                            assemble_F, choose_lambdas, make_bump,
                            verify_construction)

@@ -1,11 +1,11 @@
 """Experiment driver.
 
-Loads germ definitions from JSON, runs one of the commands
-{check, exponent, trivialize, corollary, construct} and writes
+Loads germ definitions from JSON, runs one command (``--cmd``) and writes
 machine-readable reports into the output directory. Exit status: 0 when the
-checked property holds, 2 when it fails (a violation was found), 1 on
-errors. Reports embed a hash of the configuration and the package version;
-the timestamp field is the only nondeterministic entry.
+checked property holds, 2 when it fails (a violation was found, no minor is
+active off Z, or a trajectory left the ball), 1 on bad input. Reports embed
+a hash of the configuration and the package version; the timestamp field is
+the only nondeterministic entry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, bl_construct, lojasiewicz, trivializer
 from .errors import (CalibrationError, ConstructionError, ConvergenceError,
-                     InvalidInputError)
+                     CoveringViolationError, DomainExitError, InvalidInputError)
 from .germ import GermPair, load_germ, zspec_from_json
 from .sampling import ball_sample
 
@@ -47,8 +47,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tol_ode <= 0:
             raise InvalidInputError("tolerances must be positive")
-        if self.command not in ("check", "exponent", "trivialize", "corollary",
-                                "construct"):
+        if self.command not in COMMANDS:
             raise InvalidInputError(f"unknown command {self.command!r}")
 
     def hash(self) -> str:
@@ -57,7 +56,7 @@ class ExperimentConfig:
 
 
 def _radii(count: int, r0: float = 0.5) -> list[float]:
-    return [r0 * 0.5 ** i for i in range(max(count, 4))]
+    return [r0 * 0.5 ** i for i in range(count)]
 
 
 def _load(config: ExperimentConfig):
@@ -86,7 +85,7 @@ def _write_report(config: ExperimentConfig, payload: dict, outdir: Path):
         fh.write("\n")
 
 
-def _cmd_check(config: ExperimentConfig, outdir: Path) -> int:
+def _cmd_check(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     f, z = _load(config)
     report = lojasiewicz.estimate_condition(
         f, z, f.k, _radii(config.annuli), config.samples, config.seed)
@@ -101,7 +100,7 @@ def _cmd_check(config: ExperimentConfig, outdir: Path) -> int:
     return status
 
 
-def _cmd_exponent(config: ExperimentConfig, outdir: Path) -> int:
+def _cmd_exponent(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     f, z = _load(config)
     theta = lojasiewicz.fit_exponent(
         f, z, _radii(config.annuli), config.samples, config.seed)
@@ -121,7 +120,7 @@ def _load_pair(config: ExperimentConfig) -> GermPair:
     return GermPair(f=f, f1=f1, z=z)
 
 
-def _cmd_trivialize(config: ExperimentConfig, outdir: Path) -> int:
+def _cmd_trivialize(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     pair = _load_pair(config)
     est = lojasiewicz.estimate_condition(
         pair.f, pair.z, pair.f.k, _radii(config.annuli), config.samples, config.seed)
@@ -149,7 +148,7 @@ def _cmd_trivialize(config: ExperimentConfig, outdir: Path) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_corollary(config: ExperimentConfig, outdir: Path) -> int:
+def _cmd_corollary(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     pair = _load_pair(config)
     rep = lojasiewicz.check_corollary_hypotheses(
         pair, _radii(config.annuli, r0=0.25), config.samples, config.seed)
@@ -157,7 +156,7 @@ def _cmd_corollary(config: ExperimentConfig, outdir: Path) -> int:
     return EXIT_OK if rep.passes else EXIT_VIOLATION
 
 
-def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path=None) -> int:
+def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     f, z = _load(config)
     if seq_path is not None:
         with open(seq_path) as fh:
@@ -192,14 +191,24 @@ class _RawSequence:
     ratios: np.ndarray
 
 
+# Every handler takes (config, outdir, seq_path); only construct reads --seq,
+# which stays out of the config so that report.json's config block omits it.
+COMMANDS = {
+    "check": _cmd_check,
+    "exponent": _cmd_exponent,
+    "trivialize": _cmd_trivialize,
+    "corollary": _cmd_corollary,
+    "construct": _cmd_construct,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="jetsuff", description=__doc__)
     p.add_argument("--germ", required=True, help="germ JSON file")
     p.add_argument("--pair", help="second germ JSON file (same jet)")
     p.add_argument("--z", help="ZSpec JSON file overriding the germ file's block")
     p.add_argument("--k", type=int, help="override the jet order")
-    p.add_argument("--cmd", required=True,
-                   choices=["check", "exponent", "trivialize", "corollary", "construct"])
+    p.add_argument("--cmd", required=True, choices=list(COMMANDS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--annuli", type=int, default=4)
     p.add_argument("--samples", type=int, default=512)
@@ -212,29 +221,24 @@ def build_parser() -> argparse.ArgumentParser:
 def run(config: ExperimentConfig, seq_path=None) -> int:
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "check": _cmd_check,
-        "exponent": _cmd_exponent,
-        "trivialize": _cmd_trivialize,
-        "corollary": _cmd_corollary,
-    }
-    if config.command == "construct":
-        return _cmd_construct(config, outdir, seq_path=seq_path)
-    return dispatch[config.command](config, outdir)
+    return COMMANDS[config.command](config, outdir, seq_path)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        command=args.cmd, germ=args.germ, pair=args.pair, z=args.z, k=args.k,
-        seed=args.seed, annuli=args.annuli, samples=args.samples,
-        tol_ode=args.tol_ode, out=args.out)
     try:
+        config = ExperimentConfig(
+            command=args.cmd, germ=args.germ, pair=args.pair, z=args.z, k=args.k,
+            seed=args.seed, annuli=args.annuli, samples=args.samples,
+            tol_ode=args.tol_ode, out=args.out)
         return run(config, seq_path=args.seq)
     except (InvalidInputError, CalibrationError, ConstructionError,
             ConvergenceError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except (CoveringViolationError, DomainExitError) as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

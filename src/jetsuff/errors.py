@@ -27,3 +27,8 @@ class DomainExitError(RuntimeError):
 
 class ConstructionError(RuntimeError):
     """The perturbation construction violated one of its invariants."""
+
+
+class MinorIdentityError(RuntimeError):
+    """Computed minors broke an identity that holds exactly: a nonzero
+    maximal minor whose (m-1)-subminors all vanish, or g' = 0 with nu > 0."""

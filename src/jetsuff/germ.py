@@ -71,11 +71,7 @@ class PolyGermMap:
         if (self.n, self.m) != (other.n, other.m):
             raise InvalidInputError("germ shapes differ")
         diff = [p - q for p, q in zip(self.components, other.components)]
-        g = object.__new__(PolyGermMap)
-        g.n, g.m, g.k = self.n, self.m, self.k
-        g.components = diff
-        g._partials = [[p.deriv(i) for i in range(self.n)] for p in diff]
-        return g
+        return PolyGermMap(self.n, self.m, self.k, diff)
 
 
 @dataclass(frozen=True)
@@ -274,10 +270,6 @@ def same_k_Z_jet(pair: GermPair, validation_points=None, seed: int = 0,
             for c in d.terms.values():
                 worst = max(worst, abs(float(c)))
     return worst <= tol, worst
-
-
-def dist_to_Z(z: ZSpec, x) -> float:
-    return z.distance(x)
 
 
 # --------------------------------------------------------------------- JSON io

@@ -6,18 +6,17 @@ unit covectors phi, and the distance from A to the rank-deficient maps.
 ``g_prime(A)`` is the computable surrogate built from ratios of maximal
 minors to their largest subminors; the two are equivalent up to constants
 depending only on (m, n).
-
-Index sets are 1-based, matching the usual minor notation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MinorIdentityError
 
 
 @dataclass(frozen=True)
@@ -46,57 +45,6 @@ class LinearMap:
         return self.entries.shape[1]
 
 
-@dataclass(frozen=True)
-class ComplexLinearMap:
-    """Dense complex m x n matrix, m <= n, finite entries."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.entries, dtype=complex))
-        m, n = a.shape
-        if m > n:
-            raise InvalidInputError(f"need m <= n, got {m}x{n}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("entries must be finite")
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class MinorIndex:
-    """Columns I (1-based, strictly increasing); optionally a subset J of
-    size m-1 and a deleted row j for (m-1) x (m-1) subminors."""
-
-    I: tuple[int, ...]
-    J: tuple[int, ...] | None = None
-    j: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "I", tuple(int(i) for i in self.I))
-        if any(a >= b for a, b in zip(self.I, self.I[1:])):
-            raise InvalidInputError(f"I must be strictly increasing: {self.I}")
-        if self.J is not None:
-            object.__setattr__(self, "J", tuple(int(i) for i in self.J))
-            if not set(self.J) <= set(self.I):
-                raise InvalidInputError("J must be a subset of I")
-
-    def validate_for(self, A: LinearMap):
-        if len(self.I) != A.m:
-            raise InvalidInputError(f"|I|={len(self.I)} != m={A.m}")
-        if any(i < 1 or i > A.n for i in self.I):
-            raise InvalidInputError(f"column index out of range in {self.I}")
-        if self.j is not None and not 1 <= self.j <= A.m:
-            raise InvalidInputError(f"row index {self.j} out of range")
-
-
 def nu(A: LinearMap) -> float:
     """Smallest singular value of A; zero iff A is not surjective."""
     if A.m == 1:
@@ -104,78 +52,73 @@ def nu(A: LinearMap) -> float:
     return float(np.linalg.svd(A.entries, compute_uv=False)[-1])
 
 
-def nu_complex(A: ComplexLinearMap) -> float:
-    if A.m == 1:
-        return float(np.linalg.norm(A.entries[0]))
-    return float(np.linalg.svd(A.entries, compute_uv=False)[-1])
+@functools.lru_cache(maxsize=None)
+def _minor_plan(m: int, n: int):
+    """Index arrays for ``minor_table`` on m x n matrices (read-only, shared)."""
+    sets = list(itertools.combinations(range(n), m))
+    subsets = list(itertools.combinations(range(n), m - 1))
+    where = {J: s for s, J in enumerate(subsets)}
+    # drop[s, l]: index in ``subsets`` of column set s without its l-th column
+    drop = [[where[I[:l] + I[l + 1:]] for l in range(m)] for I in sets]
+    rows = [[r for r in range(m) if r != j] for j in range(m)]
+    sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    plan = (np.array(sets), np.array(subsets), np.array(drop), np.array(rows), sign)
+    for a in plan:
+        a.setflags(write=False)
+    return plan
 
 
-def minor_M_I(A: LinearMap, idx: MinorIndex) -> float:
-    """Determinant of the m x m submatrix with columns idx.I."""
-    idx.validate_for(A)
-    cols = [i - 1 for i in idx.I]
-    sub = A.entries[:, cols]
-    if A.m == 1:
-        return float(sub[0, 0])
-    return float(np.linalg.det(sub))
+def minor_table(a: np.ndarray):
+    """Maximal minors of an m x n array and the subminors inside them.
 
-
-def _subminor(a: np.ndarray, cols: tuple[int, ...], drop_row: int) -> float:
-    """(m-1) x (m-1) minor: columns ``cols`` (0-based), row ``drop_row`` deleted."""
-    m = a.shape[0]
+    Returns ``(cols, M, h, num)`` over the m-column sets I in lexicographic
+    order: ``cols[s]`` holds the 0-based columns of I, ``M[s] = det a[:, I]``,
+    ``h[s]`` is the largest |(m-1)-subminor| inside I (1 when m = 1) and
+    ``num[s, l, j] = (-1)^(l+j) det(a without row j, I without column l)``,
+    so that w_l = sum_j num[s, l, j] b_j / M[s] solves a[:, I] w = b by
+    Cramer's rule. Every (m-1)-subminor is computed once; 1 x 1 blocks are
+    the entries themselves.
+    """
+    m, n = a.shape
+    cols, subsets, drop, rows, sign = _minor_plan(m, n)
     if m == 1:
-        return 1.0
-    rows = [r for r in range(m) if r != drop_row]
-    sub = a[np.ix_(rows, cols)]
-    if sub.shape == (1, 1):
-        return float(sub[0, 0])
-    return float(np.linalg.det(sub))
-
-
-def h_I(A: LinearMap, idx: MinorIndex) -> float:
-    """max |M_J(j)| over (m-1)-subsets J of I and deleted rows j; 1 if m=1."""
-    idx.validate_for(A)
-    m = A.m
-    if m == 1:
-        return 1.0
-    best = 0.0
-    for J in itertools.combinations(idx.I, m - 1):
-        cols = tuple(i - 1 for i in J)
-        for j in range(m):
-            best = max(best, abs(_subminor(A.entries, cols, j)))
-    return best
-
-
-def all_minor_indices(m: int, n: int):
-    """All 1-based column index sets of size m."""
-    return [MinorIndex(I) for I in itertools.combinations(range(1, n + 1), m)]
+        return cols, a[0], np.ones(n), np.ones((n, 1, 1))
+    M = np.linalg.det(a[:, cols].transpose(1, 0, 2))
+    blocks = a[rows[:, None, :, None], subsets[None, :, None, :]]  # (j, J, m-1, m-1)
+    sub = blocks[..., 0, 0] if m == 2 else np.linalg.det(blocks)
+    num = sign * sub[:, drop].transpose(1, 2, 0)
+    return cols, M, np.abs(num).max(axis=(1, 2)), num
 
 
 def g_prime(A: LinearMap) -> float:
     """max over column sets I of |M_I| / h_I, with the convention 0/0 = 0."""
+    _, M, h, _ = minor_table(A.entries)
     best = 0.0
-    for idx in all_minor_indices(A.m, A.n):
-        num = abs(minor_M_I(A, idx))
-        if num == 0.0:
+    for M_I, h_I in zip(M.tolist(), h.tolist()):
+        if M_I == 0.0:
             continue
-        den = h_I(A, idx)
-        if den == 0.0:
+        if h_I == 0.0:
             # an m x m minor whose (m-1)-subminors all vanish is itself zero
-            # for m >= 2; for m = 1 the convention gives den = 1
-            raise AssertionError("nonzero minor with vanishing subminors")
-        best = max(best, num / den)
+            # for m >= 2; for m = 1 the convention gives h = 1
+            raise MinorIdentityError("nonzero minor with vanishing subminors")
+        best = max(best, abs(M_I) / h_I)
     return best
 
 
-def realify(A: ComplexLinearMap) -> LinearMap:
-    """2m x 2n real representation: a+bi -> [[a, -b], [b, a]] blocks.
+def realify(entries) -> LinearMap:
+    """2m x 2n real representation of a complex m x n matrix (m <= n,
+    finite entries): a+bi -> [[a, -b], [b, a]] blocks.
 
     The smallest singular value of the result equals the complex one, so
-    distance to the nonsurjective maps is preserved.
+    distance to the nonsurjective maps is preserved. Non-finite entries are
+    rejected by ``LinearMap`` on the result.
     """
-    m, n = A.m, A.n
+    a = np.atleast_2d(np.asarray(entries, dtype=complex))
+    m, n = a.shape
+    if m > n:
+        raise InvalidInputError(f"need m <= n, got {m}x{n}")
     out = np.zeros((2 * m, 2 * n))
-    re, im = A.entries.real, A.entries.imag
+    re, im = a.real, a.imag
     out[0::2, 0::2] = re
     out[0::2, 1::2] = -im
     out[1::2, 0::2] = im
@@ -187,7 +130,7 @@ def equivalence_constants_sample(dims: tuple[int, int], count: int, seed: int,
                                  scale: float = 1.0) -> tuple[float, float]:
     """Empirical band [c_low, c_high] of nu/g' over ``count`` random matrices.
 
-    Matrices with g' = 0 are skipped after asserting nu = 0 there (the two
+    Matrices with g' = 0 are skipped after checking nu = 0 there (the two
     vanish together).
     """
     if count < 1:
@@ -200,7 +143,8 @@ def equivalence_constants_sample(dims: tuple[int, int], count: int, seed: int,
         g = g_prime(A)
         v = nu(A)
         if g == 0.0:
-            assert v < 1e-12, "g' = 0 must force nu = 0"
+            if v >= 1e-12:
+                raise MinorIdentityError(f"g' = 0 but nu = {v:.3e} > 0")
             continue
         r = v / g
         c_low = min(c_low, r)

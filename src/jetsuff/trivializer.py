@@ -11,7 +11,6 @@ Integrating y' = W(t, y) yields the isotopy H and its inverse.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -21,7 +20,7 @@ from scipy.integrate import solve_ivp
 from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
                      InvalidInputError)
 from .germ import GermPair, same_k_Z_jet
-from .linmap import LinearMap, g_prime
+from .linmap import LinearMap, g_prime, minor_table
 from .sampling import ball_sample
 
 LINSYS_TOL = 1e-9      # residual budget for (d_xF) W^T + P^T
@@ -140,25 +139,6 @@ class VectorFieldW:
         self.F = F
         self.constants = constants
         self.z = F.pair.z
-        self._col_sets = list(itertools.combinations(range(F.n), F.m))
-
-    def _cramer(self, A: np.ndarray, negP: np.ndarray, cols: tuple[int, ...],
-                M_I: float) -> np.ndarray:
-        m, n = A.shape
-        w = np.zeros(n)
-        for l, col in enumerate(cols):
-            acc = 0.0
-            for j in range(m):
-                if m == 1:
-                    sub = 1.0
-                else:
-                    rows = [r for r in range(m) if r != j]
-                    keep = [c for c in cols if c != col]
-                    block = A[np.ix_(rows, keep)]
-                    sub = block[0, 0] if block.shape == (1, 1) else np.linalg.det(block)
-                acc += negP[j] * (-1.0) ** (l + j) * sub
-            w[col] = acc / M_I
-        return w
 
     def eval(self, xi: float, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -168,32 +148,22 @@ class VectorFieldW:
         A = self.F.d_x(xi, x).entries
         negP = -self.F.P.eval(x)
         thresh = self.constants.C_prime * d ** (self.F.k - 1)
-        weights, fields = [], []
-        for cols in self._col_sets:
-            sub = A[:, cols]
-            M_I = sub[0, 0] if self.F.m == 1 else np.linalg.det(sub)
-            if self.F.m == 1:
-                hI = 1.0
-            else:
-                hI = 0.0
-                for drop_col in cols:
-                    keep = [c for c in cols if c != drop_col]
-                    for j in range(self.F.m):
-                        rows = [r for r in range(self.F.m) if r != j]
-                        blk = A[np.ix_(rows, keep)]
-                        v = blk[0, 0] if blk.shape == (1, 1) else np.linalg.det(blk)
-                        hI = max(hI, abs(v))
-            ratio = 0.0 if (M_I == 0.0 and hI == 0.0) else abs(M_I) / max(hI, 1e-300)
-            w = _smoothstep(ratio / thresh)
+        cols, M_I, h_I, num = minor_table(A)
+        b = negP.tolist()
+        active = []  # (weight, field) per column set whose minor dominates
+        for I, M, h, rows in zip(cols.tolist(), M_I.tolist(), h_I.tolist(), num.tolist()):
+            w = _smoothstep(abs(M) / max(h, 1e-300) / thresh)
             if w > 0.0:
-                weights.append(w)
-                fields.append(self._cramer(A, negP, cols, M_I))
-        if not weights:
+                # Cramer's rule on I: w_l = sum_j num[l, j] (-P)_j / M_I
+                f = np.zeros(self.F.n)
+                f[I] = [sum(v * bj for v, bj in zip(row, b)) / M for row in rows]
+                active.append((w, f))
+        if not active:
             raise CoveringViolationError(
                 f"no active minor at xi={xi}, x={x.tolist()} (dist {d:.3e}); "
                 "the minor lower bound fails here")
-        total = sum(weights)
-        W = sum((w / total) * f for w, f in zip(weights, fields))
+        total = sum(w for w, _ in active)
+        W = sum((w / total) * f for w, f in active)
         resid = np.linalg.norm(A @ W + (-negP))
         if resid > LINSYS_TOL * (1.0 + np.linalg.norm(negP)):
             raise InvalidInputError(
@@ -204,10 +174,6 @@ class VectorFieldW:
                 f"field bound violated at x={x.tolist()}: |W|={np.linalg.norm(W):.3e} "
                 f"> C'' dist = {bound:.3e}")
         return W
-
-
-def eval_W(vf: VectorFieldW, xi: float, x) -> np.ndarray:
-    return vf.eval(xi, x)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ quasi-uniform sample, with a derivative-free polish in spherical angles for
 m = 3.
 """
 
+import itertools
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -59,3 +61,24 @@ def fd_hessian(value, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
             H[i, j] = (value(x + ei + ej) - value(x + ei - ej)
                        - value(x - ei + ej) + value(x - ei - ej)) / (4 * h * h)
     return H
+
+
+def minors_reference(A: np.ndarray, b: np.ndarray) -> list:
+    """(I, M_I, h_I, w_I) for every m-column set I of A, lexicographic.
+
+    Straight from the definitions: M_I = det A[:, I]; h_I is the largest
+    |det| of A[:, I] with one row and one column deleted (1 when m = 1);
+    w_I solves A[:, I] w = b, or is None when that block is singular or too
+    ill-conditioned for a solution to be compared.
+    """
+    m, n = A.shape
+    out = []
+    for I in itertools.combinations(range(n), m):
+        block = A[:, I]
+        M_I = float(np.linalg.det(block))
+        h_I = 1.0 if m == 1 else max(
+            abs(float(np.linalg.det(np.delete(np.delete(block, j, 0), l, 1))))
+            for j in range(m) for l in range(m))
+        solvable = M_I != 0.0 and np.linalg.cond(block) < 1e4
+        out.append((I, M_I, h_I, np.linalg.solve(block, b) if solvable else None))
+    return out

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from jetsuff import lojasiewicz
 from jetsuff.cli import main
+from jetsuff.errors import CoveringViolationError, DomainExitError
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -53,6 +55,29 @@ class TestExitCodes:
     def test_missing_pair(self, tmp_path):
         assert run_cli("--germ", GERMS / "x2.json", "--cmd", "corollary",
                        "--out", tmp_path) == 1
+
+
+class TestExitCodeTaxonomy:
+    """0: the property holds; 1: bad input; 2: the property failed."""
+
+    @pytest.mark.parametrize("extra, code", [
+        ((), 0),
+        (("--tol-ode", "-1"), 1),
+        (("--annuli", "3"), 1),  # fewer than 4 annuli is rejected, not raised
+    ])
+    def test_check_flags(self, tmp_path, extra, code):
+        assert run_cli("--germ", GERMS / "x2.json", "--cmd", "check", *extra,
+                       "--out", tmp_path) == code
+
+    @pytest.mark.parametrize("error", [CoveringViolationError, DomainExitError])
+    def test_runtime_violation(self, tmp_path, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error("no active minor")
+        monkeypatch.setattr(lojasiewicz, "estimate_condition", fail)
+        assert run_cli("--germ", GERMS / "x2.json", "--cmd", "check",
+                       "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no active minor" in err
 
 
 def _strip_timestamp(path: Path) -> str:

@@ -1,12 +1,13 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jetsuff.errors import InvalidInputError
-from jetsuff.germ import (GermPair, PolyGermMap, ZSpec, dist_to_Z,
-                          germ_from_json, germ_to_json, jet_at, same_k_Z_jet)
+from jetsuff.germ import (GermPair, PolyGermMap, ZSpec, germ_from_json,
+                          germ_to_json, jet_at, same_k_Z_jet)
 from jetsuff.poly import Poly
 from oracles import fd_jacobian
 
@@ -123,14 +124,14 @@ class TestSameJet:
 
 class TestDistance:
     def test_hyperplane(self):
-        assert dist_to_Z(Z_HYP, [0.3, -2.0]) == pytest.approx(0.3)
+        assert Z_HYP.distance([0.3, -2.0]) == pytest.approx(0.3)
 
     def test_origin(self):
-        assert dist_to_Z(Z_ORIGIN, [0.3, -0.4]) == pytest.approx(0.5)
+        assert Z_ORIGIN.distance([0.3, -0.4]) == pytest.approx(0.5)
 
     def test_union_of_axes(self):
         z = ZSpec(n=2, variant="analytic", form="union_hyperplanes", coords=(1, 2))
-        assert dist_to_Z(z, [0.2, 0.5]) == pytest.approx(0.2)
+        assert z.distance([0.2, 0.5]) == pytest.approx(0.2)
 
     def test_membership_iff_zero_distance(self):
         assert Z_HYP.is_member([0.0, 1.3])
@@ -141,12 +142,12 @@ class TestDistance:
         cloud = np.concatenate([np.stack([ts, np.zeros_like(ts)], axis=1),
                                 np.stack([np.zeros_like(ts), ts], axis=1)])
         z = ZSpec(n=2, variant="samples", points=cloud)
-        assert dist_to_Z(z, [0.2, 0.5]) == pytest.approx(0.2, abs=1e-3)
+        assert z.distance([0.2, 0.5]) == pytest.approx(0.2, abs=1e-3)
 
     def test_implicit_variant_recovers_hyperplane(self):
         f = germ_x2()
         z = ZSpec(n=2, variant="implicit", germ=f, tol=1e-8)
-        assert dist_to_Z(z, [0.3, -2.0]) == pytest.approx(0.3, abs=1e-4)
+        assert z.distance([0.3, -2.0]) == pytest.approx(0.3, abs=1e-4)
         assert z.is_member([0.0, 0.5])
 
 
@@ -167,3 +168,11 @@ class TestJson:
     def test_malformed_document(self):
         with pytest.raises(InvalidInputError):
             germ_from_json({"n": 2, "m": 1})
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        f, z = germ_from_json(json.loads(block))
+        assert (f.n, f.m, f.k) == (2, 1, 2)
+        assert f.components[0].terms == {(2, 0): Fraction(1)}
+        assert z.form == "subspace" and z.coords == (1,)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from jetsuff.errors import InvalidInputError
-from jetsuff.linmap import (ComplexLinearMap, LinearMap, MinorIndex,
-                            equivalence_constants_sample, g_prime, h_I,
-                            minor_M_I, nu, nu_complex, realify)
-from oracles import nu_bruteforce
+from jetsuff import linmap
+from jetsuff.errors import InvalidInputError, MinorIdentityError
+from jetsuff.linmap import (LinearMap, equivalence_constants_sample, g_prime,
+                            minor_table, nu, realify)
+from oracles import minors_reference, nu_bruteforce
 
 
 class TestNu:
@@ -39,37 +39,63 @@ class TestNu:
             LinearMap([[1.0], [2.0]])
 
 
+def minors_by_set(entries):
+    """{1-based column set I: (M_I, h_I)} from the minor engine."""
+    cols, M, h, _ = minor_table(LinearMap(entries).entries)
+    return {tuple(c + 1 for c in I): (M_I, h_I)
+            for I, M_I, h_I in zip(cols.tolist(), M, h)}
+
+
 class TestMinors:
     def test_diagonal_determinant(self):
-        A = LinearMap([[3.0, 0.0], [0.0, 4.0]])
-        assert minor_M_I(A, MinorIndex((1, 2))) == pytest.approx(12.0)
+        M_I, _ = minors_by_set([[3.0, 0.0], [0.0, 4.0]])[(1, 2)]
+        assert M_I == pytest.approx(12.0)
 
     def test_singular_column_pair(self):
-        A = LinearMap([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        assert minor_M_I(A, MinorIndex((1, 3))) == pytest.approx(0.0)
+        M_I, _ = minors_by_set([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])[(1, 3)]
+        assert M_I == pytest.approx(0.0)
 
     def test_one_by_one(self):
-        A = LinearMap([[5.0, -2.0]])
-        assert minor_M_I(A, MinorIndex((2,))) == pytest.approx(-2.0)
-
-    def test_bad_index(self):
-        A = LinearMap([[5.0, -2.0]])
-        with pytest.raises(InvalidInputError):
-            minor_M_I(A, MinorIndex((3,)))
-        with pytest.raises(InvalidInputError):
-            minor_M_I(A, MinorIndex((1, 2)))
+        M_I, _ = minors_by_set([[5.0, -2.0]])[(2,)]
+        assert M_I == pytest.approx(-2.0)
 
     def test_h_I_enumerates_subminors(self):
         # 1x1 subminors of [[3,0],[0,4]] are {3, 0, 0, 4}
-        A = LinearMap([[3.0, 0.0], [0.0, 4.0]])
-        assert h_I(A, MinorIndex((1, 2))) == pytest.approx(4.0)
+        _, h_I = minors_by_set([[3.0, 0.0], [0.0, 4.0]])[(1, 2)]
+        assert h_I == pytest.approx(4.0)
 
     def test_h_I_m1_convention(self):
-        assert h_I(LinearMap([[7.0, 1.0]]), MinorIndex((1,))) == 1.0
+        assert minors_by_set([[7.0, 1.0]])[(1,)][1] == 1.0
 
     def test_h_I_zero_matrix(self):
-        A = LinearMap(np.zeros((2, 3)))
-        assert h_I(A, MinorIndex((1, 2))) == 0.0
+        assert minors_by_set(np.zeros((2, 3)))[(1, 2)][1] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_definitions(self, data):
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(m, 6))
+        # hundredths in [-10, 10]: exact zeros and repeats, no underflow
+        entries = st.integers(-1000, 1000).map(lambda v: v / 100)
+        A = data.draw(arrays(np.float64, (m, n), elements=entries))
+        b = data.draw(arrays(np.float64, (m,), elements=entries))
+        cols, M, h, num = minor_table(A)
+        ref = minors_reference(A, b)
+        assert [tuple(I) for I in cols.tolist()] == [I for I, *_ in ref]
+        scale = 1.0 + np.max(np.abs(A)) ** m
+        for s, (I, M_ref, h_ref, w_ref) in enumerate(ref):
+            assert M[s] == pytest.approx(M_ref, rel=1e-12, abs=1e-12 * scale)
+            assert h[s] == pytest.approx(h_ref, rel=1e-12, abs=1e-12 * scale)
+            if w_ref is not None:
+                w = num[s] @ b / M[s]
+                np.testing.assert_allclose(
+                    w, w_ref, rtol=1e-6, atol=1e-6 * np.linalg.norm(w_ref))
+
+    def test_nonzero_minor_with_vanishing_subminors_raises(self, monkeypatch):
+        monkeypatch.setattr(linmap, "minor_table", lambda a: (
+            None, np.array([1.0]), np.array([0.0]), None))
+        with pytest.raises(MinorIdentityError):
+            g_prime(LinearMap([[1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestGPrime:
@@ -121,21 +147,27 @@ class TestNuProperties:
 
 class TestRealify:
     def test_imaginary_unit(self):
-        R = realify(ComplexLinearMap([[1j]]))
+        R = realify([[1j]])
         np.testing.assert_allclose(R.entries, [[0.0, -1.0], [1.0, 0.0]])
         assert nu(R) == pytest.approx(1.0)
 
     def test_real_scalar(self):
-        R = realify(ComplexLinearMap([[3.0 + 0j]]))
+        R = realify([[3.0 + 0j]])
         np.testing.assert_allclose(R.entries, [[3.0, 0.0], [0.0, 3.0]])
         assert nu(R) == pytest.approx(3.0)
 
     def test_preserves_smallest_singular_value(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
-            A = ComplexLinearMap(rng.standard_normal((2, 3))
-                                 + 1j * rng.standard_normal((2, 3)))
-            assert nu(realify(A)) == pytest.approx(nu_complex(A), abs=1e-10)
+            A = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+            assert nu(realify(A)) == pytest.approx(
+                np.linalg.svd(A, compute_uv=False)[-1], abs=1e-10)
+
+    def test_rejects_tall_and_nonfinite(self):
+        with pytest.raises(InvalidInputError):
+            realify([[1j], [2.0]])
+        with pytest.raises(InvalidInputError):
+            realify([[np.inf * 1j, 1.0]])
 
 
 class TestEquivalenceBand:
@@ -156,6 +188,11 @@ class TestEquivalenceBand:
         # asserted internally and the draw is skipped, leaving an empty band
         lo, hi = equivalence_constants_sample((2, 3), 5, 0, scale=0.0)
         assert lo == np.inf and hi == 0.0
+
+    def test_zero_g_prime_with_positive_nu_raises(self, monkeypatch):
+        monkeypatch.setattr(linmap, "nu", lambda A: 1.0)
+        with pytest.raises(MinorIdentityError):
+            equivalence_constants_sample((2, 3), 5, 0, scale=0.0)
 
     def test_sandwich_zero_iff_zero(self):
         rng = np.random.default_rng(23)

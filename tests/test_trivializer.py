@@ -10,7 +10,7 @@ from jetsuff.lojasiewicz import estimate_condition
 from jetsuff.poly import Poly
 from jetsuff.sampling import ball_sample
 from jetsuff.trivializer import (TrivializationConstants, VectorFieldW,
-                                 build_F, calibrate_constants, eval_W, flow,
+                                 build_F, calibrate_constants, flow,
                                  gronwall_check, isotopy)
 
 Z_HYP = ZSpec(n=2, variant="analytic", form="subspace", coords=(1,))
@@ -77,13 +77,13 @@ class TestVectorField:
         # m = 1: (2a + 3 xi a^2) w = -a^3 along the x-axis
         _, _, _, vf = cubic_setup
         for xi, a in [(0.0, 0.1), (1.0, 0.05), (-1.5, -0.08)]:
-            w = eval_W(vf, xi, [a, 0.0])
+            w = vf.eval(xi, [a, 0.0])
             assert w[1] == 0.0
             assert w[0] == pytest.approx(-a ** 3 / (2 * a + 3 * xi * a ** 2), rel=1e-12)
 
     def test_zero_on_Z(self, cubic_setup):
         _, _, _, vf = cubic_setup
-        np.testing.assert_array_equal(eval_W(vf, 0.7, [0.0, 0.12]), [0.0, 0.0])
+        np.testing.assert_array_equal(vf.eval(0.7, [0.0, 0.12]), [0.0, 0.0])
 
     def test_field_bound_on_samples(self, cubic_setup):
         _, _, consts, vf = cubic_setup
@@ -94,16 +94,16 @@ class TestVectorField:
             if d < 1e-12:
                 continue
             xi = rng.uniform(0.0, 1.0)
-            w = eval_W(vf, xi, x)
+            w = vf.eval(xi, x)
             assert np.linalg.norm(w) <= consts.C_dprime * d * (1 + 1e-6)
 
     def test_linear_system_residual(self, cubic_setup):
-        # eval_W guards this internally; check the residual directly too
+        # VectorFieldW.eval guards this internally; check the residual directly too
         pair, _, _, vf = cubic_setup
         F = vf.F
         for x in ([0.1, 0.03], [-0.05, 0.1], [0.02, -0.14]):
             for xi in (0.0, 0.5, 1.0):
-                w = eval_W(vf, xi, x)
+                w = vf.eval(xi, x)
                 resid = F.d_x(xi, x).entries @ w + F.P.eval(x)
                 assert np.linalg.norm(resid) <= 1e-9 * (1 + np.linalg.norm(F.P.eval(x)))
 
