@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .linmap import (LinearMap, equivalence_constants_sample, g_prime,
-                     minor_table, nu, realify)
+                     g_prime_many, minor_table, nu, realify)
 from .poly import Poly
 from .germ import (GermPair, JetPoly, PolyGermMap, ZSpec, germ_from_json,
                    germ_to_json, jet_at, load_germ, same_k_Z_jet, save_germ)

@@ -3,7 +3,8 @@
 Loads germ definitions from JSON, runs one command (``--cmd``) and writes
 machine-readable reports into the output directory. Exit status: 0 when the
 checked property holds, 2 when it fails (a violation was found, no minor is
-active off Z, or a trajectory left the ball), 1 on bad input. Reports embed
+active off Z, the field broke its bound, or a trajectory left the ball), 1
+on bad input or a broken minor identity. Reports embed
 a hash of the configuration and the package version; the timestamp field is
 the only nondeterministic entry.
 """
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import __version__, bl_construct, lojasiewicz, trivializer
 from .errors import (CalibrationError, ConstructionError, ConvergenceError,
-                     CoveringViolationError, DomainExitError, InvalidInputError)
+                     CoveringViolationError, DomainExitError, InvalidInputError,
+                     MinorIdentityError)
 from .germ import GermPair, load_germ, zspec_from_json
 from .sampling import ball_sample
 
@@ -233,7 +235,8 @@ def main(argv=None) -> int:
             tol_ode=args.tol_ode, out=args.out)
         return run(config, seq_path=args.seq)
     except (InvalidInputError, CalibrationError, ConstructionError,
-            ConvergenceError, OSError, json.JSONDecodeError, KeyError) as exc:
+            ConvergenceError, MinorIdentityError, OSError, json.JSONDecodeError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (CoveringViolationError, DomainExitError) as exc:

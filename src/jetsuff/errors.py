@@ -21,6 +21,10 @@ class CoveringViolationError(RuntimeError):
     """
 
 
+class FieldBoundError(CoveringViolationError):
+    """The trivializing field broke its bound |W| <= C'' dist(x, Z) at a point."""
+
+
 class DomainExitError(RuntimeError):
     """A trajectory left the working ball during integration."""
 

@@ -60,6 +60,25 @@ class PolyGermMap:
             raise InvalidInputError(f"point dimension {x.shape} != ({self.n},)")
         return LinearMap(np.array([[d.eval(x) for d in row] for row in self._partials]))
 
+    def eval_many(self, X) -> np.ndarray:
+        """Values at the rows of ``X`` (shape (N, n)), shape (N, m)."""
+        X = self._points(X)
+        return np.stack([p.eval_many(X) for p in self.components], axis=1)
+
+    def jacobian_many(self, X) -> np.ndarray:
+        """Jacobians at the rows of ``X`` (shape (N, n)), shape (N, m, n)."""
+        X = self._points(X)
+        J = np.array([[d.eval_many(X) for d in row] for row in self._partials])
+        if not np.all(np.isfinite(J)):
+            raise InvalidInputError("Jacobian entries must be finite")
+        return np.moveaxis(J, -1, 0)
+
+    def _points(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise InvalidInputError(f"points shape {X.shape} != (N, {self.n})")
+        return X
+
     def hessian(self, i: int, x) -> np.ndarray:
         """Hessian of component ``i`` at ``x``."""
         x = np.asarray(x, dtype=float)

@@ -69,40 +69,48 @@ def _minor_plan(m: int, n: int):
 
 
 def minor_table(a: np.ndarray):
-    """Maximal minors of an m x n array and the subminors inside them.
+    """Maximal minors of m x n arrays and the subminors inside them.
 
-    Returns ``(cols, M, h, num)`` over the m-column sets I in lexicographic
-    order: ``cols[s]`` holds the 0-based columns of I, ``M[s] = det a[:, I]``,
-    ``h[s]`` is the largest |(m-1)-subminor| inside I (1 when m = 1) and
-    ``num[s, l, j] = (-1)^(l+j) det(a without row j, I without column l)``,
+    ``a`` has shape (..., m, n): one matrix, or a stack of them along any
+    leading batch axes. Returns ``(cols, M, h, num)`` over the m-column sets
+    I in lexicographic order: ``cols[s]`` holds the 0-based columns of I,
+    ``M[..., s] = det a[..., :, I]``, ``h[..., s]`` is the largest
+    |(m-1)-subminor| inside I (1 when m = 1) and
+    ``num[..., s, l, j] = (-1)^(l+j) det(a without row j, I without column l)``,
     so that w_l = sum_j num[s, l, j] b_j / M[s] solves a[:, I] w = b by
-    Cramer's rule. Every (m-1)-subminor is computed once; 1 x 1 blocks are
-    the entries themselves.
+    Cramer's rule. Every (m-1)-subminor is computed once per matrix; 1 x 1
+    blocks are the entries themselves. Each matrix of a stack gets the same
+    arithmetic as on its own, so stacked results equal per-matrix ones bit
+    for bit.
     """
-    m, n = a.shape
+    *batch, m, n = a.shape
     cols, subsets, drop, rows, sign = _minor_plan(m, n)
     if m == 1:
-        return cols, a[0], np.ones(n), np.ones((n, 1, 1))
-    M = np.linalg.det(a[:, cols].transpose(1, 0, 2))
-    blocks = a[rows[:, None, :, None], subsets[None, :, None, :]]  # (j, J, m-1, m-1)
+        return cols, a[..., 0, :], np.ones((*batch, n)), np.ones((*batch, n, 1, 1))
+    M = np.linalg.det(np.moveaxis(a[..., cols], -3, -2))
+    # (..., j, J, m-1, m-1): a without row j, restricted to the columns of J
+    blocks = a[..., rows[:, None, :, None], subsets[None, :, None, :]]
     sub = blocks[..., 0, 0] if m == 2 else np.linalg.det(blocks)
-    num = sign * sub[:, drop].transpose(1, 2, 0)
-    return cols, M, np.abs(num).max(axis=(1, 2)), num
+    num = sign * np.moveaxis(sub[..., drop], -3, -1)
+    return cols, M, np.abs(num).max(axis=(-2, -1)), num
+
+
+def g_prime_many(a: np.ndarray) -> np.ndarray:
+    """g' of each m x n matrix in ``a`` (shape (..., m, n)): the max over
+    column sets I of |M_I| / h_I, with the convention 0/0 = 0."""
+    _, M, h, _ = minor_table(a)
+    nonzero = M != 0.0
+    # an m x m minor whose (m-1)-subminors all vanish is itself zero for
+    # m >= 2; for m = 1 the convention gives h = 1
+    if np.any(nonzero & (h == 0.0)):
+        raise MinorIdentityError("nonzero minor with vanishing subminors")
+    ratio = np.divide(np.abs(M), h, out=np.zeros(np.shape(M)), where=nonzero)
+    return ratio.max(axis=-1)
 
 
 def g_prime(A: LinearMap) -> float:
     """max over column sets I of |M_I| / h_I, with the convention 0/0 = 0."""
-    _, M, h, _ = minor_table(A.entries)
-    best = 0.0
-    for M_I, h_I in zip(M.tolist(), h.tolist()):
-        if M_I == 0.0:
-            continue
-        if h_I == 0.0:
-            # an m x m minor whose (m-1)-subminors all vanish is itself zero
-            # for m >= 2; for m = 1 the convention gives h = 1
-            raise MinorIdentityError("nonzero minor with vanishing subminors")
-        best = max(best, abs(M_I) / h_I)
-    return best
+    return float(g_prime_many(A.entries))
 
 
 def realify(entries) -> LinearMap:

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
-                     InvalidInputError)
+                     FieldBoundError, InvalidInputError)
 from .germ import GermPair, same_k_Z_jet
-from .linmap import LinearMap, g_prime, minor_table
+from .linmap import LinearMap, g_prime_many, minor_table
 from .sampling import ball_sample
 
 LINSYS_TOL = 1e-9      # residual budget for (d_xF) W^T + P^T
@@ -76,43 +76,37 @@ def calibrate_constants(pair: GermPair, report, initial_radius: float = 1.0,
                         shrink: float = 0.9, seed: int = 0) -> TrivializationConstants:
     """Shrink the working ball until |P| <= (C/3) dist^k and
     ||dP|| <= (C/3) dist^(k-1) hold on a dense sample, then bound the
-    minor ratio from below to get C' and the field constant C''."""
+    minor ratio from below to get C' and the field constant C''.
+
+    Both stages work on stacks of sample points. Each shrink step checks
+    the P bounds in sample order, in chunks of 32, 64, 128, ... points,
+    and stops at the first chunk holding an offender, so a failing step
+    costs about as much as the offender's position in the sample. C' is
+    the minimum of g'(Jf + xi JP) / dist^(k-1) with Jf and JP evaluated
+    once per point, and g' taken over the whole stack once per xi.
+    Distances stay point by point (``ZSpec.distance``).
+    """
     if report.verdict != "holds":
         raise InvalidInputError("calibration requires a 'holds' estimator verdict")
     C = report.C_hat
-    F = DeformationF(pair)
     k = pair.f.k
-    z = pair.z
+    P = pair.P
     unit = ball_sample(pair.f.n, sample_count, seed)
     radius = initial_radius
-    worst_point = None
     for _ in range(200):
-        ok = True
-        for x in radius * unit:
-            d = z.distance(x)
-            if d < 1e-12:
-                continue
-            if (np.linalg.norm(F.P.eval(x)) > C / 3 * d ** k or
-                    np.linalg.norm(F.P.jacobian(x).entries, ord=2) > C / 3 * d ** (k - 1)):
-                ok = False
-                worst_point = x
-                break
-        if ok:
+        X, scale, offender = _p_bounds_check(P, pair.z, radius * unit, C, k)
+        if offender is None:
             break
         radius *= shrink
     else:
         raise CalibrationError(
             f"no radius <= {initial_radius} satisfies the P bounds; "
-            f"last offender {worst_point.tolist()}")
+            f"last offender {offender.tolist()}")
 
+    Jf, JP = pair.f.jacobian_many(X), P.jacobian_many(X)
     xis = np.linspace(-1.95, 1.95, xi_count)
-    C_prime = np.inf
-    for x in radius * unit:
-        d = z.distance(x)
-        if d < 1e-12:
-            continue
-        for xi in xis:
-            C_prime = min(C_prime, g_prime(F.d_x(xi, x)) / d ** (k - 1))
+    ratios = np.array([g_prime_many(Jf + xi * JP) / scale for xi in xis])
+    C_prime = ratios.min(initial=np.inf)
     if not np.isfinite(C_prime) or C_prime <= 0:
         raise CalibrationError("minor ratio lower bound vanished on the sample")
     m, n = pair.f.m, pair.f.n
@@ -120,6 +114,34 @@ def calibrate_constants(pair: GermPair, report, initial_radius: float = 1.0,
     return TrivializationConstants(
         C=float(C), C_prime=float(C_prime), C_dprime=float(C_dprime),
         U_radius=float(radius), r0=float(radius * np.exp(-C_dprime)))
+
+
+def _p_bounds_check(P, z, X, C, k):
+    """The P bounds of ``calibrate_constants`` on the rows of X, in order.
+
+    Rows within 1e-12 of Z are dropped. Returns the remaining rows and
+    their dist^(k-1), or the first row breaking a bound as the third item.
+    """
+    kept, scales = [X[:0]], [np.zeros(0)]
+    start, size = 0, 32
+    while start < len(X):
+        rows = X[start:start + size]
+        start, size = start + size, 2 * size
+        d = np.array([z.distance(x) for x in rows])
+        far = ~(d < 1e-12)
+        rows, d = rows[far], d[far].tolist()
+        # scalar powers and per-row dot products keep each comparison
+        # bit-identical to d ** k and np.linalg.norm on a single point
+        dk = np.array([v ** k for v in d])
+        dk1 = np.array([v ** (k - 1) for v in d])
+        norm_P = np.sqrt([v.dot(v) for v in P.eval_many(rows)])
+        norm_dP = np.linalg.norm(P.jacobian_many(rows), ord=2, axis=(1, 2))
+        bad = (norm_P > C / 3 * dk) | (norm_dP > C / 3 * dk1)
+        if bad.any():
+            return None, None, rows[np.argmax(bad)]
+        kept.append(rows)
+        scales.append(dk1)
+    return np.concatenate(kept), np.concatenate(scales), None
 
 
 def _smoothstep(s: float) -> float:
@@ -170,7 +192,7 @@ class VectorFieldW:
                 f"linear system residual {resid:.3e} out of budget at x={x.tolist()}")
         bound = self.constants.C_dprime * d * (1.0 + FIELD_BOUND_SLACK)
         if np.linalg.norm(W) > bound:
-            raise InvalidInputError(
+            raise FieldBoundError(
                 f"field bound violated at x={x.tolist()}: |W|={np.linalg.norm(W):.3e} "
                 f"> C'' dist = {bound:.3e}")
         return W

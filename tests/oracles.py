@@ -3,7 +3,8 @@
 The sphere-sampling minimizer below deliberately avoids any matrix
 decomposition: it estimates inf |A^T phi| over unit phi by brute force on a
 quasi-uniform sample, with a derivative-free polish in spherical angles for
-m = 3.
+m = 3. ``calibrate_constants_scalar`` is the point-by-point calibration
+that the stacked ``trivializer.calibrate_constants`` replaced.
 """
 
 import itertools
@@ -11,7 +12,10 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize
 
-from jetsuff.sampling import sphere_sample
+from jetsuff.errors import CalibrationError, InvalidInputError
+from jetsuff.linmap import g_prime
+from jetsuff.sampling import ball_sample, sphere_sample
+from jetsuff.trivializer import DeformationF, TrivializationConstants
 
 
 def nu_bruteforce(entries: np.ndarray, count: int = 100_000, seed: int = 0) -> float:
@@ -82,3 +86,54 @@ def minors_reference(A: np.ndarray, b: np.ndarray) -> list:
         solvable = M_I != 0.0 and np.linalg.cond(block) < 1e4
         out.append((I, M_I, h_I, np.linalg.solve(block, b) if solvable else None))
     return out
+
+
+def calibrate_constants_scalar(pair, report, initial_radius: float = 1.0,
+                               sample_count: int = 2048, xi_count: int = 17,
+                               shrink: float = 0.9,
+                               seed: int = 0) -> TrivializationConstants:
+    """Point-by-point calibration: one bound check and, per xi, one
+    ``g_prime(F.d_x(xi, x))`` call for each sample point."""
+    if report.verdict != "holds":
+        raise InvalidInputError("calibration requires a 'holds' estimator verdict")
+    C = report.C_hat
+    F = DeformationF(pair)
+    k = pair.f.k
+    z = pair.z
+    unit = ball_sample(pair.f.n, sample_count, seed)
+    radius = initial_radius
+    worst_point = None
+    for _ in range(200):
+        ok = True
+        for x in radius * unit:
+            d = z.distance(x)
+            if d < 1e-12:
+                continue
+            if (np.linalg.norm(F.P.eval(x)) > C / 3 * d ** k or
+                    np.linalg.norm(F.P.jacobian(x).entries, ord=2) > C / 3 * d ** (k - 1)):
+                ok = False
+                worst_point = x
+                break
+        if ok:
+            break
+        radius *= shrink
+    else:
+        raise CalibrationError(
+            f"no radius <= {initial_radius} satisfies the P bounds; "
+            f"last offender {worst_point.tolist()}")
+
+    xis = np.linspace(-1.95, 1.95, xi_count)
+    C_prime = np.inf
+    for x in radius * unit:
+        d = z.distance(x)
+        if d < 1e-12:
+            continue
+        for xi in xis:
+            C_prime = min(C_prime, g_prime(F.d_x(xi, x)) / d ** (k - 1))
+    if not np.isfinite(C_prime) or C_prime <= 0:
+        raise CalibrationError("minor ratio lower bound vanished on the sample")
+    m, n = pair.f.m, pair.f.n
+    C_dprime = 2 * m * C * np.sqrt(n) / (3 * C_prime)
+    return TrivializationConstants(
+        C=float(C), C_prime=float(C_prime), C_dprime=float(C_dprime),
+        U_radius=float(radius), r0=float(radius * np.exp(-C_dprime)))

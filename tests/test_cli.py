@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from jetsuff import lojasiewicz
+from jetsuff import linmap, lojasiewicz, trivializer
 from jetsuff.cli import main
 from jetsuff.errors import CoveringViolationError, DomainExitError
 
@@ -78,6 +79,27 @@ class TestExitCodeTaxonomy:
                        "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "no active minor" in err
+
+    def test_field_bound_violation(self, tmp_path, monkeypatch, capsys):
+        tiny = trivializer.TrivializationConstants(
+            C=2.0, C_prime=1.0, C_dprime=1e-3, U_radius=0.2, r0=0.2 * np.exp(-1e-3))
+        monkeypatch.setattr(trivializer, "calibrate_constants",
+                            lambda *args, **kwargs: tiny)
+        assert run_cli("--germ", GERMS / "x2.json", "--pair", GERMS / "x2_plus_x3.json",
+                       "--cmd", "trivialize", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "field bound violated" in err
+
+    def test_minor_identity_error(self, tmp_path, monkeypatch, capsys):
+        # every maximal minor nonzero with all its subminors zero
+        def broken(a):
+            batch = a.shape[:-2]
+            return None, np.ones((*batch, 1)), np.zeros((*batch, 1)), None
+        monkeypatch.setattr(linmap, "minor_table", broken)
+        assert run_cli("--germ", GERMS / "x2.json", "--pair", GERMS / "x2_plus_x3.json",
+                       "--cmd", "trivialize", "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == "error: nonzero minor with vanishing subminors\n"
 
 
 def _strip_timestamp(path: Path) -> str:

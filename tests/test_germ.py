@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import (GermPair, PolyGermMap, ZSpec, germ_from_json,
@@ -66,6 +69,59 @@ class TestJacobian:
             J = f.jacobian(x).entries
             ref = fd_jacobian(f, x)
             assert np.linalg.norm(J - ref) <= 1e-6 * max(1.0, np.linalg.norm(ref))
+
+
+@st.composite
+def germs_with_points(draw, terms_per_component):
+    """A germ with the given number of terms per component and up to 16
+    points in [-1, 1]^n."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, n))
+    exponent = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) > 0)
+    coeff = st.integers(-20, 20).filter(bool).map(lambda v: Fraction(v, 4))
+    terms = st.dictionaries(exponent, coeff, min_size=1,
+                            max_size=terms_per_component)
+    f = germ([draw(terms) for _ in range(m)], n=n, m=m)
+    X = draw(arrays(np.float64, (draw(st.integers(1, 16)), n),
+                    elements=st.floats(-1, 1, allow_subnormal=False)))
+    return f, X
+
+
+def abs_sum(p: Poly, X) -> np.ndarray:
+    """sum over the terms of p of |term| at each row of X."""
+    return Poly(p.n, {e: abs(c) for e, c in p.terms.items()}).eval_many(np.abs(X))
+
+
+class TestManyPoints:
+    @settings(max_examples=100, deadline=None)
+    @given(germs_with_points(1))
+    def test_single_term_partials_exact(self, case):
+        f, X = case
+        assert np.array_equal(f.jacobian_many(X),
+                              np.stack([f.jacobian(x).entries for x in X]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(germs_with_points(5))
+    def test_matches_pointwise(self, case):
+        # eval_many sums the terms in another order than eval, so the two
+        # agree to rounding in the sum of the terms' magnitudes
+        f, X = case
+        J = f.jacobian_many(X)
+        ref = np.stack([f.jacobian(x).entries for x in X])
+        bound = np.array([[abs_sum(d, X) for d in row] for row in f._partials])
+        assert np.all(np.abs(J - ref) <= 1e-14 * np.moveaxis(bound, -1, 0))
+        values = f.eval_many(X)
+        ref = np.stack([f.eval(x) for x in X])
+        bound = np.stack([abs_sum(p, X) for p in f.components], axis=1)
+        assert np.all(np.abs(values - ref) <= 1e-14 * bound)
+
+    def test_rejects_bad_shapes_and_nonfinite(self):
+        with pytest.raises(InvalidInputError):
+            germ_x2().jacobian_many([0.1, 0.2])
+        with pytest.raises(InvalidInputError):
+            germ_x2().eval_many(np.zeros((3, 3)))
+        with pytest.raises(InvalidInputError):
+            germ([{(3, 0): 1}]).jacobian_many([[1e200, 0.0]])
 
 
 class TestJets:

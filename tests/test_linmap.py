@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from jetsuff import linmap
 from jetsuff.errors import InvalidInputError, MinorIdentityError
 from jetsuff.linmap import (LinearMap, equivalence_constants_sample, g_prime,
-                            minor_table, nu, realify)
+                            g_prime_many, minor_table, nu, realify)
 from oracles import minors_reference, nu_bruteforce
 
 
@@ -44,6 +44,21 @@ def minors_by_set(entries):
     cols, M, h, _ = minor_table(LinearMap(entries).entries)
     return {tuple(c + 1 for c in I): (M_I, h_I)
             for I, M_I, h_I in zip(cols.tolist(), M, h)}
+
+
+@st.composite
+def stacks(draw):
+    """(N, m, n) stacks with m <= 3, n <= 6 at scales 1e-6 to 1e3, holding
+    exact zeros, zero columns and whole zero matrices."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    N = draw(st.integers(1, 8))
+    entries = st.integers(-1000, 1000).map(lambda v: v / 100)
+    A = draw(arrays(np.float64, (N, m, n), elements=entries))
+    A *= 10.0 ** draw(st.integers(-6, 3))
+    A[:, :, draw(arrays(np.bool_, (n,)))] = 0.0
+    A[draw(arrays(np.bool_, (N,)))] = 0.0
+    return A
 
 
 class TestMinors:
@@ -91,6 +106,16 @@ class TestMinors:
                 np.testing.assert_allclose(
                     w, w_ref, rtol=1e-6, atol=1e-6 * np.linalg.norm(w_ref))
 
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_stacked_matches_per_matrix(self, A):
+        cols, M, h, num = minor_table(A)
+        for a, M_a, h_a, num_a in zip(A, M, h, num):
+            cols_a, *per_matrix = minor_table(a)
+            assert np.array_equal(cols, cols_a)
+            for got, want in zip((M_a, h_a, num_a), per_matrix):
+                assert np.array_equal(got, want)
+
     def test_nonzero_minor_with_vanishing_subminors_raises(self, monkeypatch):
         monkeypatch.setattr(linmap, "minor_table", lambda a: (
             None, np.array([1.0]), np.array([0.0]), None))
@@ -99,6 +124,11 @@ class TestMinors:
 
 
 class TestGPrime:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_stacked_matches_scalar(self, A):
+        assert g_prime_many(A).tolist() == [g_prime(LinearMap(a)) for a in A]
+
     def test_zero_matrix(self):
         assert g_prime(LinearMap(np.zeros((2, 3)))) == 0.0
 

@@ -1,17 +1,23 @@
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from jetsuff.errors import (CoveringViolationError, InvalidInputError)
-from jetsuff.germ import GermPair, PolyGermMap, ZSpec
+from jetsuff.errors import (CalibrationError, CoveringViolationError,
+                            FieldBoundError, InvalidInputError)
+from jetsuff.germ import GermPair, PolyGermMap, ZSpec, load_germ
 from jetsuff.lojasiewicz import estimate_condition
 from jetsuff.poly import Poly
 from jetsuff.sampling import ball_sample
 from jetsuff.trivializer import (TrivializationConstants, VectorFieldW,
                                  build_F, calibrate_constants, flow,
                                  gronwall_check, isotopy)
+from oracles import calibrate_constants_scalar
+
+GERMS = Path(__file__).resolve().parent.parent / "germs"
 
 Z_HYP = ZSpec(n=2, variant="analytic", form="subspace", coords=(1,))
 RADII = [0.5, 0.25, 0.125, 0.0625]
@@ -72,6 +78,55 @@ class TestCalibration:
             calibrate_constants(pair, rep)
 
 
+def bundled_pair(name, pair_name):
+    f, z = load_germ(GERMS / f"{name}.json")
+    return GermPair(f=f, f1=load_germ(GERMS / f"{pair_name}.json")[0], z=z)
+
+
+def z2_pair_on_R3():
+    # (x1^2 - x2^2, 2 x1 x2) + (x1^3, x2^3) over Z = {x1 = x2 = 0}
+    f = PolyGermMap(3, 2, 2, [Poly(3, {(2, 0, 0): 1, (0, 2, 0): -1}),
+                              Poly(3, {(1, 1, 0): 2})])
+    f1 = PolyGermMap(3, 2, 2, [Poly(3, {(2, 0, 0): 1, (0, 2, 0): -1, (3, 0, 0): 1}),
+                               Poly(3, {(1, 1, 0): 2, (0, 3, 0): 1})])
+    return GermPair(f=f, f1=f1, z=ZSpec(n=3, variant="analytic", form="subspace",
+                                        coords=(1, 2)))
+
+
+ORACLE_PAIRS = {
+    "x2/x2_plus_x3": lambda: bundled_pair("x2", "x2_plus_x3"),
+    "x2/x2_plus_x4": lambda: bundled_pair("x2", "x2_plus_x4"),
+    "x2/x2_plus_x": lambda: bundled_pair("x2", "x2_plus_x"),
+    "z2/z2_plus_cubes on R^3": z2_pair_on_R3,
+}
+
+
+@lru_cache(maxsize=None)
+def pair_with_report(name):
+    pair = ORACLE_PAIRS[name]()
+    return pair, estimate_condition(pair.f, pair.z, pair.f.k, RADII, 512, 0)
+
+
+class TestCalibrationOracle:
+    """The stacked calibration against the point-by-point loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ["x2/x2_plus_x3", "x2/x2_plus_x4",
+                                      "z2/z2_plus_cubes on R^3"])
+    def test_constants_equal(self, name, seed):
+        pair, rep = pair_with_report(name)
+        assert (calibrate_constants(pair, rep, seed=seed)
+                == calibrate_constants_scalar(pair, rep, seed=seed))
+
+    def test_failure_message_equal(self):
+        pair, rep = pair_with_report("x2/x2_plus_x")
+        with pytest.raises(CalibrationError) as want:
+            calibrate_constants_scalar(pair, rep)
+        with pytest.raises(CalibrationError) as got:
+            calibrate_constants(pair, rep)
+        assert str(got.value) == str(want.value)
+
+
 class TestVectorField:
     def test_hand_cramer_single_minor(self, cubic_setup):
         # m = 1: (2a + 3 xi a^2) w = -a^3 along the x-axis
@@ -106,6 +161,16 @@ class TestVectorField:
                 w = vf.eval(xi, x)
                 resid = F.d_x(xi, x).entries @ w + F.P.eval(x)
                 assert np.linalg.norm(resid) <= 1e-9 * (1 + np.linalg.norm(F.P.eval(x)))
+
+    def test_field_bound_violation_is_a_property_failure(self, cubic_setup):
+        pair, _, consts, _ = cubic_setup
+        tiny = TrivializationConstants(
+            C=consts.C, C_prime=consts.C_prime, C_dprime=1e-3,
+            U_radius=consts.U_radius, r0=consts.r0)
+        vf_tiny = VectorFieldW(build_F(pair, check_jets=False), tiny)
+        with pytest.raises(FieldBoundError, match="field bound violated"):
+            vf_tiny.eval(1.0, [0.1, 0.0])
+        assert issubclass(FieldBoundError, CoveringViolationError)
 
     def test_covering_violation_reported(self, cubic_setup):
         pair, _, consts, _ = cubic_setup
