@@ -9,14 +9,15 @@ nondegenerate critical point at every a_v.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, InvalidInputError
-from .germ import PolyGermMap, ZSpec, jet_at
+from .germ import PolyGermMap, ZSpec, jet_at, scalar_powers
+from .linmap import LinearMap
+from .report import Report
 from .sampling import ball_sample
 
 
@@ -54,7 +55,6 @@ class BumpFunction:
 
     rho_in: float = 0.125
     rho_out: float = 0.25
-    bound_M: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.rho_in < self.rho_out:
@@ -203,10 +203,7 @@ class PerturbationF:
 
 
 class PerturbedGerm:
-    """Black-box germ f - F exposing eval / jacobian / hessian.
-
-    Shaped like a scalar germ map so the condition estimators can consume it.
-    """
+    """Black-box germ f - F exposing eval / jacobian / hessian at one point."""
 
     def __init__(self, pf: PerturbationF):
         self.pf = pf
@@ -217,13 +214,13 @@ class PerturbedGerm:
     def eval(self, x) -> np.ndarray:
         return self.pf.f.eval(x) - np.array([self.pf.value(x)])
 
-    def jacobian(self, x):
-        from .linmap import LinearMap
+    def jacobian(self, x) -> LinearMap:
         row = self.pf.f.jacobian(x).entries[0] - self.pf.gradient(x)
         return LinearMap(row[None, :])
 
     def hessian(self, i: int, x) -> np.ndarray:
-        assert i == 0
+        if i != 0:
+            raise InvalidInputError(f"a scalar germ has only component 0, not {i}")
         return self.pf.f.hessian(0, x) - self.pf.hessian(x)
 
 
@@ -251,28 +248,13 @@ def assemble_F(f: PolyGermMap, seq, lambdas, bump: BumpFunction,
 # ----------------------------------------------------------------- verification
 
 @dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(Report):
     value_residuals: tuple[float, ...]
     gradient_residuals: tuple[float, ...]
     hessian_dets: tuple[float, ...]
     decay: tuple[float, ...]          # per-ball max |F| / dist^k
     ok: bool
     failures: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "value_residuals": list(self.value_residuals),
-            "gradient_residuals": list(self.gradient_residuals),
-            "hessian_dets": list(self.hessian_dets),
-            "decay": list(self.decay),
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def verify_construction(pf: PerturbationF, k: int, z: ZSpec,
@@ -301,14 +283,11 @@ def verify_construction(pf: PerturbationF, k: int, z: ZSpec,
             failures.append(f"gradient residual {rg:.3e} at center {i}")
         if abs(det) <= 1e-10 * scale:
             failures.append(f"degenerate Hessian at center {i} (det {det:.3e})")
-        best = 0.0
-        for u in offsets:
-            x = a + d * u
-            dz = z.distance(x)
-            if dz <= 0.0:
-                continue
-            best = max(best, abs(pf.value(x)) / dz ** k)
-        decay.append(best)
+        X = a + d * offsets
+        dz = z.distance_many(X)
+        X, dz = X[dz > 0.0], dz[dz > 0.0]
+        F = np.array([abs(pf.value(x)) for x in X])
+        decay.append(float((F / scalar_powers(dz, k)).max(initial=0.0)))
     for i in range(1, len(decay)):
         if not decay[i] < decay[i - 1]:
             failures.append(f"decay not strict between balls {i - 1} and {i}")

@@ -164,7 +164,7 @@ def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
         with open(seq_path) as fh:
             doc = json.load(fh)
         points = np.asarray(doc["points"], dtype=float)
-        dists = np.array([z.distance(p) for p in points])
+        dists = z.distance_many(points)
         ratios = np.array([float(np.linalg.norm(f.jacobian(p).entries)) / d ** (f.k - 1)
                            for p, d in zip(points, dists)])
         seq = _RawSequence(points=points, dists=dists, ratios=ratios)

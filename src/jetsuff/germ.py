@@ -2,13 +2,14 @@
 
 Germs are lists of exact polynomials (see :mod:`jetsuff.poly`); Taylor
 truncation and differentiation are symbolic, so jet comparisons can be made
-exactly when coefficients are rational. The singular set is described by a
-:class:`ZSpec` in one of three variants:
+exactly when coefficients are rational. The singular set is a
+:class:`ZSpec`, one of three classes (JSON ``variant`` in brackets):
 
-* ``analytic``  -- closed-form distance (coordinate subspaces and unions of
-  coordinate hyperplanes);
-* ``samples``   -- a point cloud, optionally refinable;
-* ``implicit``  -- Z = {nu(df) = 0} located by local minimization.
+* :class:`AnalyticZ` (``analytic``) -- closed-form distance (coordinate
+  subspaces and unions of coordinate hyperplanes);
+* :class:`SampledZ` (``samples``) -- a point cloud;
+* :class:`ImplicitZ` (``implicit``) -- Z = {nu(df) = 0} located by local
+  minimization.
 """
 
 from __future__ import annotations
@@ -21,10 +22,24 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ConvergenceError, InvalidInputError
-from .linmap import LinearMap, nu
-from .poly import Poly
+from .linmap import LinearMap, nu, row_norms
+from .poly import Poly, PolyStack
 
 MEMBERSHIP_TOL = 1e-12
+
+
+def _point(x, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise InvalidInputError(f"point dimension {x.shape} != ({n},)")
+    return x
+
+
+def _rows(X, n: int) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise InvalidInputError(f"points shape {X.shape} != (N, {n})")
+    return X
 
 
 class PolyGermMap:
@@ -47,37 +62,25 @@ class PolyGermMap:
         self.k = k
         self.components = list(components)
         self._partials = [[p.deriv(i) for i in range(n)] for p in components]
+        self._values = PolyStack(n, self.components)
+        self._jacobian = PolyStack(n, [d for row in self._partials for d in row])
 
     def eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InvalidInputError(f"point dimension {x.shape} != ({self.n},)")
-        return np.array([p.eval(x) for p in self.components])
+        return self.eval_many(_point(x, self.n)[None, :])[0]
 
     def jacobian(self, x) -> LinearMap:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InvalidInputError(f"point dimension {x.shape} != ({self.n},)")
-        return LinearMap(np.array([[d.eval(x) for d in row] for row in self._partials]))
+        return LinearMap(self.jacobian_many(_point(x, self.n)[None, :])[0])
 
     def eval_many(self, X) -> np.ndarray:
         """Values at the rows of ``X`` (shape (N, n)), shape (N, m)."""
-        X = self._points(X)
-        return np.stack([p.eval_many(X) for p in self.components], axis=1)
+        return self._values.eval_many(_rows(X, self.n))
 
     def jacobian_many(self, X) -> np.ndarray:
         """Jacobians at the rows of ``X`` (shape (N, n)), shape (N, m, n)."""
-        X = self._points(X)
-        J = np.array([[d.eval_many(X) for d in row] for row in self._partials])
+        J = self._jacobian.eval_many(_rows(X, self.n)).reshape(-1, self.m, self.n)
         if not np.all(np.isfinite(J)):
             raise InvalidInputError("Jacobian entries must be finite")
-        return np.moveaxis(J, -1, 0)
-
-    def _points(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise InvalidInputError(f"points shape {X.shape} != (N, {self.n})")
-        return X
+        return J
 
     def hessian(self, i: int, x) -> np.ndarray:
         """Hessian of component ``i`` at ``x``."""
@@ -116,83 +119,135 @@ def jet_at(f: PolyGermMap, a, k: int) -> JetPoly:
 
 # --------------------------------------------------------------------- ZSpec
 
-@dataclass(frozen=True)
-class ZSpec:
-    """Description of Z. Exactly one variant is populated.
+SAMPLE_BLOCK = 1 << 15  # floats per temporary in SampledZ.distance_many
 
-    analytic forms (coords are 1-based):
-      * ``subspace``: Z = {x_i = 0 for i in coords}; dist is the norm of the
-        listed coordinates.  coords = all of 1..n gives Z = {0}.
-      * ``union_hyperplanes``: Z = union of {x_i = 0}; dist = min_i |x_i|.
+
+class ZSpec:
+    """Z, a closed set in R^n containing 0. Each subclass gives
+    ``distance_many`` on the rows of an (N, n) array; ``distance`` is a
+    one-row call into it, so a point gets the same bits alone and among N."""
+
+    def distance_many(self, X) -> np.ndarray:
+        raise NotImplementedError
+
+    def distance(self, x) -> float:
+        return float(self.distance_many(_point(x, self.n)[None, :])[0])
+
+    def is_member(self, x) -> bool:
+        return self.distance(x) <= MEMBERSHIP_TOL
+
+
+@dataclass(frozen=True)
+class AnalyticZ(ZSpec):
+    """Closed-form Z over the listed coordinates (1-based, no repeats).
+
+    * ``subspace``: Z = {x_i = 0 for i in coords}; dist is the norm of the
+      listed coordinates.  coords = all of 1..n gives Z = {0}.
+    * ``union_hyperplanes``: Z = union of {x_i = 0 : i in coords}; dist = min |x_i|.
     """
 
     n: int
-    variant: str
-    form: str | None = None
-    coords: tuple[int, ...] | None = None
-    points: np.ndarray | None = field(default=None, repr=False)
-    refine: object | None = field(default=None, repr=False)
-    germ: object | None = field(default=None, repr=False)
+    form: str
+    coords: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.form not in ("subspace", "union_hyperplanes"):
+            raise InvalidInputError(f"unknown analytic form {self.form!r}")
+        coords = tuple(sorted(self.coords or ()))
+        if (not coords or any(not 1 <= c <= self.n for c in coords)
+                or len(set(coords)) != len(coords)):
+            raise InvalidInputError(f"bad coordinate list {self.coords!r}")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_cols", np.array(coords) - 1)
+
+    def distance_many(self, X) -> np.ndarray:
+        S = np.take(_rows(X, self.n), self._cols, axis=1)
+        if self.form == "subspace":
+            return row_norms(S)
+        return np.abs(S).min(axis=1)
+
+    def sample_points(self, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
+        """Deterministic sample of points on Z inside the ball of ``radius``."""
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-radius, radius, size=(count, self.n))
+        pts *= radius / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), radius)
+        if self.form == "subspace":
+            pts[:, self._cols] = 0.0
+        else:
+            which = self._cols[rng.integers(0, len(self._cols), size=count)]
+            pts[np.arange(count), which] = 0.0
+        return pts
+
+    def to_json(self) -> dict:
+        return {"variant": "analytic", "form": self.form, "coords": list(self.coords)}
+
+
+@dataclass(frozen=True)
+class SampledZ(ZSpec):
+    """Z given by a finite point cloud that contains the origin."""
+
+    n: int
+    points: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.n:
+            raise InvalidInputError("sample cloud must be (N, n)")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidInputError("sample cloud points must be finite")
+        object.__setattr__(self, "points", pts)
+        # 0 in Z is required; the cloud must witness it
+        if float(np.min(np.linalg.norm(pts, axis=1))) > MEMBERSHIP_TOL:
+            raise InvalidInputError("sample cloud must contain the origin")
+
+    def distance_many(self, X) -> np.ndarray:
+        X = _rows(X, self.n)
+        out = np.empty(len(X))
+        # row blocks keep the (rows, cloud, n) temporaries to SAMPLE_BLOCK floats
+        step = max(1, SAMPLE_BLOCK // self.points.size)
+        for s in range(0, len(X), step):
+            gaps = self.points - X[s:s + step, None, :]
+            out[s:s + step] = np.linalg.norm(gaps, axis=2).min(axis=1)
+        return out
+
+    def sample_points(self, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
+        """Deterministic sample of cloud points inside the ball of ``radius``."""
+        rng = np.random.default_rng(seed)
+        inside = self.points[np.linalg.norm(self.points, axis=1) <= radius]
+        if len(inside) == 0:
+            raise InvalidInputError("no cloud points inside the requested ball")
+        return inside[rng.integers(0, len(inside), size=count)]
+
+    def to_json(self) -> dict:
+        return {"variant": "samples", "points": self.points.tolist()}
+
+
+@dataclass(frozen=True)
+class ImplicitZ(ZSpec):
+    """Z = {nu(df) <= tol} for a germ f, located by local minimization."""
+
+    n: int
+    germ: PolyGermMap = field(repr=False, compare=False)
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.variant not in ("analytic", "samples", "implicit"):
-            raise InvalidInputError(f"unknown variant {self.variant!r}")
-        if self.variant == "analytic":
-            if self.form not in ("subspace", "union_hyperplanes"):
-                raise InvalidInputError(f"unknown analytic form {self.form!r}")
-            if not self.coords or any(not 1 <= c <= self.n for c in self.coords):
-                raise InvalidInputError("bad coordinate list")
-            object.__setattr__(self, "coords", tuple(sorted(self.coords)))
-        elif self.variant == "samples":
-            pts = np.asarray(self.points, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != self.n:
-                raise InvalidInputError("sample cloud must be (N, n)")
-            object.__setattr__(self, "points", pts)
-            # 0 in Z is required; the cloud must witness it
-            if float(np.min(np.linalg.norm(pts, axis=1))) > MEMBERSHIP_TOL:
-                raise InvalidInputError("sample cloud must contain the origin")
+        if self.germ is None or self.germ.n != self.n:
+            raise InvalidInputError(f"implicit Z needs a germ in {self.n} variables")
 
-    # ---------------------------------------------------------------- distance
+    def _cost(self, y) -> float:
+        return nu(self.germ.jacobian(y)) ** 2
 
-    def distance(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InvalidInputError(f"point dimension {x.shape} != ({self.n},)")
-        if self.variant == "analytic":
-            if self.form == "subspace":
-                sel = [c - 1 for c in self.coords]
-                return float(np.linalg.norm(x[sel]))
-            return float(np.min(np.abs(x)))
-        if self.variant == "samples":
-            d = float(np.min(np.linalg.norm(self.points - x[None, :], axis=1)))
-            cloud = self.points
-            level = 0
-            while self.refine is not None and level < 12:
-                level += 1
-                cloud = np.asarray(self.refine(level), dtype=float)
-                d_new = float(np.min(np.linalg.norm(cloud - x[None, :], axis=1)))
-                if d - d_new <= 1e-3 * max(d_new, 1e-30):
-                    return d_new
-                d = d_new
-            return d
-        return self._implicit_distance(x)
+    def distance_many(self, X) -> np.ndarray:
+        return np.array([self._distance(x) for x in _rows(X, self.n)])
 
-    def _implicit_distance(self, x) -> float:
-        germ = self.germ
-        if germ is None:
-            raise InvalidInputError("implicit variant needs a germ")
-
-        def cost(y):
-            return nu(germ.jacobian(y)) ** 2
-
-        if cost(x) <= self.tol ** 2:
+    def _distance(self, x) -> float:
+        if self._cost(x) <= self.tol ** 2:
             return 0.0
         best = None
         rng = np.random.default_rng(0)
         for trial in range(8):
             start = x if trial == 0 else x * (1 + 0.3 * rng.standard_normal(self.n))
-            res = optimize.minimize(cost, start, method="Powell",
+            res = optimize.minimize(self._cost, start, method="Powell",
                                     options={"xtol": 1e-12, "ftol": 1e-16,
                                              "maxiter": 4000})
             if res.fun <= self.tol ** 2:
@@ -204,44 +259,32 @@ class ZSpec:
         return best
 
     def is_member(self, x) -> bool:
-        if self.variant == "implicit":
-            return nu(self.germ.jacobian(np.asarray(x, dtype=float))) <= self.tol
-        return self.distance(x) <= MEMBERSHIP_TOL
-
-    # ---------------------------------------------------------------- sampling
+        return nu(self.germ.jacobian(x)) <= self.tol
 
     def sample_points(self, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
-        """Deterministic sample of points on Z inside the ball of ``radius``."""
+        """Deterministic sample of minimizers of nu(df)^2 inside the ball."""
         rng = np.random.default_rng(seed)
-        if self.variant == "analytic":
-            pts = rng.uniform(-radius, radius, size=(count, self.n))
-            pts *= radius / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), radius)
-            if self.form == "subspace":
-                for c in self.coords:
-                    pts[:, c - 1] = 0.0
-            else:
-                which = rng.integers(0, self.n, size=count)
-                pts[np.arange(count), which] = 0.0
-            return pts
-        if self.variant == "samples":
-            inside = self.points[np.linalg.norm(self.points, axis=1) <= radius]
-            if len(inside) == 0:
-                raise InvalidInputError("no cloud points inside the requested ball")
-            idx = rng.integers(0, len(inside), size=count)
-            return inside[idx]
         out = []
         attempts = 0
         while len(out) < count and attempts < 20 * count:
             attempts += 1
             start = rng.uniform(-radius, radius, size=self.n)
-            res = optimize.minimize(
-                lambda y: nu(self.germ.jacobian(y)) ** 2, start,
-                method="Powell", options={"xtol": 1e-12, "maxiter": 4000})
+            res = optimize.minimize(self._cost, start, method="Powell",
+                                    options={"xtol": 1e-12, "maxiter": 4000})
             if res.fun <= self.tol ** 2 and np.linalg.norm(res.x) <= radius:
                 out.append(res.x)
         if len(out) < count:
             raise ConvergenceError("could not sample enough implicit Z points")
         return np.array(out)
+
+    def to_json(self) -> dict:
+        return {"variant": "implicit", "tol": self.tol}
+
+
+def scalar_powers(values, p: int) -> np.ndarray:
+    """``v ** p`` for each entry in Python float arithmetic (C ``pow``), which
+    NumPy's array ``**`` does not reproduce bit for bit for squares and cubes."""
+    return np.array([v ** p for v in np.asarray(values, dtype=float).tolist()])
 
 
 @dataclass(frozen=True)
@@ -311,28 +354,18 @@ def germ_to_json(f: PolyGermMap, z: ZSpec | None = None) -> dict:
         ],
     }
     if z is not None:
-        doc["z"] = zspec_to_json(z)
+        doc["z"] = z.to_json()
     return doc
-
-
-def zspec_to_json(z: ZSpec) -> dict:
-    if z.variant == "analytic":
-        return {"variant": "analytic", "form": z.form, "coords": list(z.coords)}
-    if z.variant == "samples":
-        return {"variant": "samples", "points": z.points.tolist()}
-    return {"variant": "implicit", "tol": z.tol}
 
 
 def zspec_from_json(doc: dict, n: int, germ: PolyGermMap | None = None) -> ZSpec:
     variant = doc.get("variant")
     if variant == "analytic":
-        return ZSpec(n=n, variant="analytic", form=doc["form"],
-                     coords=tuple(doc["coords"]))
+        return AnalyticZ(n=n, form=doc["form"], coords=tuple(doc["coords"]))
     if variant == "samples":
-        return ZSpec(n=n, variant="samples", points=np.asarray(doc["points"]))
+        return SampledZ(n=n, points=np.asarray(doc["points"]))
     if variant == "implicit":
-        return ZSpec(n=n, variant="implicit", germ=germ,
-                     tol=float(doc.get("tol", 1e-8)))
+        return ImplicitZ(n=n, germ=germ, tol=float(doc.get("tol", 1e-8)))
     raise InvalidInputError(f"unknown ZSpec variant {variant!r}")
 
 

@@ -36,20 +36,25 @@ class LinearMap:
             raise InvalidInputError("entries must be finite")
         object.__setattr__(self, "entries", a)
 
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
+def row_norms(a) -> np.ndarray:
+    """|row| for each row of ``a``: one dot per contiguous row, the bits of
+    np.linalg.norm(row) on that row alone, which norm(axis=-1) is not."""
+    a = np.ascontiguousarray(a)
+    return np.sqrt(np.vecdot(a, a))
+
+
+def nu_many(a: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each matrix in ``a`` (shape (..., m, n)),
+    matrix by matrix: the row norm when m = 1, else a stacked SVD."""
+    if a.shape[-2] == 1:
+        return row_norms(a[..., 0, :])
+    return np.linalg.svd(a, compute_uv=False)[..., -1]
 
 
 def nu(A: LinearMap) -> float:
     """Smallest singular value of A; zero iff A is not surjective."""
-    if A.m == 1:
-        return float(np.linalg.norm(A.entries[0]))
-    return float(np.linalg.svd(A.entries, compute_uv=False)[-1])
+    return float(nu_many(A.entries))
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,22 +14,22 @@ factor >= 2; anything else is ``inconclusive``.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
 from .errors import ConvergenceError, InvalidInputError
-from .germ import GermPair, ZSpec
-from .linmap import nu
+from .germ import GermPair, ZSpec, scalar_powers
+from .linmap import nu, nu_many, row_norms
+from .report import Report
 from .sampling import unit_shell_sample
 
 DIST_FLOOR = 1e-9  # points closer to Z are excluded from ratio statistics
 
 
 @dataclass(frozen=True)
-class LojasiewiczReport:
+class LojasiewiczReport(Report):
     radii: tuple[float, ...]
     minima: tuple[float, ...]
     argmins: tuple[tuple[float, ...], ...]
@@ -40,24 +40,6 @@ class LojasiewiczReport:
     samples_per_annulus: int
     skipped: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "minima": list(self.minima),
-            "argmins": [list(a) for a in self.argmins],
-            "C_hat": self.C_hat,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "k": self.k,
-            "samples_per_annulus": self.samples_per_annulus,
-            "skipped": self.skipped,
-        }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -67,7 +49,7 @@ class LojasiewiczReport:
 
 
 @dataclass(frozen=True)
-class ViolationSequence:
+class ViolationSequence(Report):
     """Points off Z approaching 0 whose condition ratios decay to 0."""
 
     points: tuple[tuple[float, ...], ...]
@@ -86,30 +68,18 @@ class ViolationSequence:
             if r > r1 / i + 1e-15:
                 raise InvalidInputError("ratios must decay at least like 1/nu")
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [list(p) for p in self.points],
-            "ratios": list(self.ratios),
-            "dists": list(self.dists),
-        }
-
 
 def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray):
     """(min ratio, argmin, min nu, skipped) over sample rows, or None."""
-    best, arg, nu_min, skipped = np.inf, None, np.inf, 0
-    for x in X:
-        d = z.distance(x)
-        if d < DIST_FLOOR:
-            skipped += 1
-            continue
-        v = nu(f.jacobian(x))
-        nu_min = min(nu_min, v)
-        r = v / d ** (k - 1)
-        if r < best:
-            best, arg = r, x
-    if arg is None:
+    d = z.distance_many(X)
+    far = ~(d < DIST_FLOOR)
+    if not far.any():
         return None
-    return best, arg, nu_min, skipped
+    X, d = X[far], d[far]
+    v = nu_many(f.jacobian_many(X))
+    r = v / scalar_powers(d, k - 1)
+    i = int(np.argmin(r))
+    return float(r[i]), X[i], float(v.min()), len(far) - len(X)
 
 
 def _check_sampling_args(radii, samples_per_annulus):
@@ -121,20 +91,24 @@ def _check_sampling_args(radii, samples_per_annulus):
     return radii
 
 
+def _annuli(f, z: ZSpec, k: int, radii, samples_per_annulus: int, seed: int):
+    """The radii as floats and ``_ratio_stats`` on each annulus."""
+    radii = _check_sampling_args(radii, samples_per_annulus)
+    shell = unit_shell_sample(f.n, samples_per_annulus, seed)
+    stats = [_ratio_stats(f, z, k, r * shell) for r in radii]
+    for r, s in zip(radii, stats):
+        if s is None:
+            raise InvalidInputError(f"all samples at radius {r} fell into Z")
+    return radii, stats
+
+
 def estimate_condition(f, z: ZSpec, k: int, radii, samples_per_annulus: int,
                        seed: int) -> LojasiewiczReport:
     """Per-annulus minima of nu(df)/dist^(k-1) and a verdict."""
-    radii = _check_sampling_args(radii, samples_per_annulus)
-    shell = unit_shell_sample(f.n, samples_per_annulus, seed)
-    minima, argmins, skipped = [], [], 0
-    for r in radii:
-        stats = _ratio_stats(f, z, k, r * shell)
-        if stats is None:
-            raise InvalidInputError(f"all samples at radius {r} fell into Z")
-        m, a, _, sk = stats
-        minima.append(m)
-        argmins.append(tuple(float(v) for v in a))
-        skipped += sk
+    radii, stats = _annuli(f, z, k, radii, samples_per_annulus, seed)
+    minima = [s[0] for s in stats]
+    argmins = [tuple(float(v) for v in s[1]) for s in stats]
+    skipped = sum(s[3] for s in stats)
     C_hat = float(min(minima))
     hi = max(minima)
     if C_hat > 0 and C_hat >= 0.5 * hi:
@@ -155,14 +129,8 @@ def fit_exponent(f, z: ZSpec, radii, samples_per_annulus: int, seed: int) -> flo
     A condition with exponent k-1 is plausible iff the slope is at most
     k - 1 + 0.1.
     """
-    radii = _check_sampling_args(radii, samples_per_annulus)
-    shell = unit_shell_sample(f.n, samples_per_annulus, seed)
-    mins = []
-    for r in radii:
-        stats = _ratio_stats(f, z, 2, r * shell)
-        if stats is None:
-            raise InvalidInputError(f"all samples at radius {r} fell into Z")
-        mins.append(stats[2])
+    radii, stats = _annuli(f, z, 2, radii, samples_per_annulus, seed)
+    mins = [s[2] for s in stats]
     if max(mins) < 1e-14:
         raise ConvergenceError("nu vanished on every annulus; regression degenerate")
     slope = np.polyfit(np.log(radii), np.log(mins), 1)[0]
@@ -233,7 +201,7 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int,
 
 
 @dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(Report):
     """Empirical constants for the Lipschitz-differential hypotheses."""
 
     C: float            # inf nu(df)/dist
@@ -244,14 +212,6 @@ class CorollaryReport:
     diverges: bool      # C2 annulus suprema grow as radius shrinks
     skipped: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "C": self.C, "C1": self.C1, "C2": self.C2,
-            "C2_per_annulus": list(self.C2_per_annulus),
-            "passes": self.passes, "diverges": self.diverges,
-            "skipped": self.skipped, "seed": self.seed,
-        }
 
 
 def check_corollary_hypotheses(pair: GermPair, radii, samples_per_annulus: int,
@@ -265,21 +225,18 @@ def check_corollary_hypotheses(pair: GermPair, radii, samples_per_annulus: int,
     c2_annuli = []
     skipped = 0
     for r in radii:
-        c2_here = 0.0
-        for x in r * shell:
-            d = pair.z.distance(x)
-            if d < DIST_FLOOR:
-                skipped += 1
-                continue
-            v = nu(pair.f.jacobian(x))
-            if v < DIST_FLOOR:
-                skipped += 1
-                continue
-            C = min(C, v / d)
-            C1 = max(C1, float(np.linalg.norm(P.eval(x))) / v ** 2)
-            dP = float(np.linalg.norm(P.jacobian(x).entries, ord=2))
-            c2_here = max(c2_here, dP / v)
-        c2_annuli.append(c2_here)
+        X = r * shell
+        d = pair.z.distance_many(X)
+        far = ~(d < DIST_FLOOR)
+        X, d = X[far], d[far]
+        v = nu_many(pair.f.jacobian_many(X))
+        regular = ~(v < DIST_FLOOR)
+        X, d, v = X[regular], d[regular], v[regular]
+        skipped += len(far) - len(X)
+        C = min(C, (v / d).min(initial=np.inf))
+        C1 = max(C1, (row_norms(P.eval_many(X)) / scalar_powers(v, 2)).max(initial=0.0))
+        dP = np.linalg.norm(P.jacobian_many(X), ord=2, axis=(1, 2))
+        c2_annuli.append(float((dP / v).max(initial=0.0)))
     C2 = max(c2_annuli)
     grow = [b > 1.5 * a for a, b in zip(c2_annuli, c2_annuli[1:])]
     diverges = all(grow) and len(grow) >= 2 and c2_annuli[0] > 0

@@ -29,7 +29,7 @@ def _as_coeff(c):
 class Poly:
     """Immutable dense-exponent sparse-term polynomial in ``n`` variables."""
 
-    __slots__ = ("n", "terms", "_fast")
+    __slots__ = ("n", "terms", "_stack")
 
     def __init__(self, n: int, terms: dict[Exponents, object] | None = None):
         if n < 1:
@@ -44,7 +44,7 @@ class Poly:
                 clean[e] = clean.get(e, 0) + c if e in clean else c
         self.n = n
         self.terms = {e: c for e, c in clean.items() if c != 0}
-        self._fast = None
+        self._stack = None
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
@@ -141,33 +141,17 @@ class Poly:
 
     # ------------------------------------------------------------------ evaluation
 
-    def _fast_arrays(self):
-        if self._fast is None:
-            if self.terms:
-                exps = np.array(list(self.terms.keys()), dtype=np.int64)
-                coeffs = np.array([float(c) for c in self.terms.values()])
-            else:
-                exps = np.zeros((0, self.n), dtype=np.int64)
-                coeffs = np.zeros(0)
-            self._fast = (exps, coeffs)
-        return self._fast
-
     def eval(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point dimension {x.shape} != ({self.n},)")
-        exps, coeffs = self._fast_arrays()
-        if exps.shape[0] == 0:
-            return 0.0
-        return float(np.prod(x[None, :] ** exps, axis=1) @ coeffs)
+        return float(self.eval_many(x[None, :])[0])
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at rows of ``X`` (shape (N, n))."""
-        X = np.asarray(X, dtype=float)
-        exps, coeffs = self._fast_arrays()
-        if exps.shape[0] == 0:
-            return np.zeros(X.shape[0])
-        return np.prod(X[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
+        """Values at the rows of ``X`` (shape (N, n)), shape (N,)."""
+        if self._stack is None:
+            self._stack = PolyStack(self.n, [self])
+        return self._stack.eval_many(np.asarray(X, dtype=float))[:, 0]
 
     def eval_exact(self, x):
         """Evaluate with Fraction arithmetic (x entries coerced to Fraction)."""
@@ -180,3 +164,30 @@ class Poly:
                     v = v * xi ** ei
             total = total + v
         return total
+
+
+class PolyStack:
+    """Polynomials in n variables, evaluated together at the rows of X.
+
+    One power table ``prod(X[:, None, :] ** E, axis=2)`` covers the terms of
+    every polynomial; each polynomial is the ``np.vecdot`` of its own block
+    of columns with its coefficients, one dot product per row, so a point
+    gets the same bits alone (a one-row stack) as among N points.
+    """
+
+    def __init__(self, n: int, polys):
+        exps, self.blocks = [], []
+        for p in polys:
+            start = len(exps)
+            exps.extend(p.terms)
+            coeffs = np.array([float(c) for c in p.terms.values()])
+            self.blocks.append((start, len(exps), coeffs))
+        self.exps = np.array(exps, dtype=np.int64).reshape(-1, n)
+
+    def eval_many(self, X: np.ndarray) -> np.ndarray:
+        """Values at the rows of ``X`` (shape (N, n)), one column per polynomial."""
+        table = np.prod(X[:, None, :] ** self.exps, axis=2)
+        out = np.empty((X.shape[0], len(self.blocks)))
+        for i, (start, stop, coeffs) in enumerate(self.blocks):
+            out[:, i] = np.vecdot(table[:, start:stop], coeffs)
+        return out

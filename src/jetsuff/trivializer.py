@@ -11,7 +11,6 @@ Integrating y' = W(t, y) yields the isotopy H and its inverse.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,10 @@ from scipy.integrate import solve_ivp
 
 from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
                      FieldBoundError, InvalidInputError)
-from .germ import GermPair, same_k_Z_jet
-from .linmap import LinearMap, g_prime_many, minor_table
+from .germ import GermPair, same_k_Z_jet, scalar_powers
+from .linmap import g_prime_many, minor_table, row_norms
+from .poly import PolyStack
+from .report import Report
 from .sampling import ball_sample
 
 LINSYS_TOL = 1e-9      # residual budget for (d_xF) W^T + P^T
@@ -28,7 +29,7 @@ FIELD_BOUND_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
-class TrivializationConstants:
+class TrivializationConstants(Report):
     C: float           # condition constant from the estimator report
     C_prime: float     # minor-level lower bound constant
     C_dprime: float    # field bound constant, 2mC sqrt(n) / (3 C')
@@ -38,10 +39,6 @@ class TrivializationConstants:
     def __post_init__(self):
         if min(self.C, self.C_prime, self.C_dprime, self.U_radius) <= 0:
             raise InvalidInputError("constants must be positive")
-
-    def to_dict(self) -> dict:
-        return {"C": self.C, "C_prime": self.C_prime, "C_dprime": self.C_dprime,
-                "U_radius": self.U_radius, "r0": self.r0}
 
 
 class DeformationF:
@@ -54,12 +51,22 @@ class DeformationF:
         self.n = pair.f.n
         self.m = pair.f.m
         self.k = pair.f.k
+        # P's components, then the partials of f and of P, row by row
+        self._stack = PolyStack(self.n, self.P.components + [
+            d for g in (self.f, self.P) for row in g._partials for d in row])
 
     def eval(self, xi: float, x) -> np.ndarray:
         return self.f.eval(x) + xi * self.P.eval(x)
 
-    def d_x(self, xi: float, x) -> LinearMap:
-        return LinearMap(self.f.jacobian(x).entries + xi * self.P.jacobian(x).entries)
+    def P_and_d_x(self, xi: float, x) -> tuple[np.ndarray, np.ndarray]:
+        """P(x) and the m x n matrix d_xF(xi, x) = Jf(x) + xi JP(x), read
+        from one power table at x."""
+        v = self._stack.eval_many(np.asarray(x, dtype=float)[None, :])[0]
+        Jf, JP = v[self.m:].reshape(2, self.m, self.n)
+        A = Jf + xi * JP
+        if not np.all(np.isfinite(A)):
+            raise InvalidInputError("entries must be finite")
+        return v[:self.m], A
 
 
 def build_F(pair: GermPair, check_jets: bool = True, seed: int = 0) -> DeformationF:
@@ -84,7 +91,6 @@ def calibrate_constants(pair: GermPair, report, initial_radius: float = 1.0,
     costs about as much as the offender's position in the sample. C' is
     the minimum of g'(Jf + xi JP) / dist^(k-1) with Jf and JP evaluated
     once per point, and g' taken over the whole stack once per xi.
-    Distances stay point by point (``ZSpec.distance``).
     """
     if report.verdict != "holds":
         raise InvalidInputError("calibration requires a 'holds' estimator verdict")
@@ -127,14 +133,11 @@ def _p_bounds_check(P, z, X, C, k):
     while start < len(X):
         rows = X[start:start + size]
         start, size = start + size, 2 * size
-        d = np.array([z.distance(x) for x in rows])
+        d = z.distance_many(rows)
         far = ~(d < 1e-12)
-        rows, d = rows[far], d[far].tolist()
-        # scalar powers and per-row dot products keep each comparison
-        # bit-identical to d ** k and np.linalg.norm on a single point
-        dk = np.array([v ** k for v in d])
-        dk1 = np.array([v ** (k - 1) for v in d])
-        norm_P = np.sqrt([v.dot(v) for v in P.eval_many(rows)])
+        rows, d = rows[far], d[far]
+        dk, dk1 = scalar_powers(d, k), scalar_powers(d, k - 1)
+        norm_P = row_norms(P.eval_many(rows))
         norm_dP = np.linalg.norm(P.jacobian_many(rows), ord=2, axis=(1, 2))
         bad = (norm_P > C / 3 * dk) | (norm_dP > C / 3 * dk1)
         if bad.any():
@@ -167,8 +170,8 @@ class VectorFieldW:
         d = self.z.distance(x)
         if d <= 1e-14:
             return np.zeros(self.F.n)
-        A = self.F.d_x(xi, x).entries
-        negP = -self.F.P.eval(x)
+        P, A = self.F.P_and_d_x(xi, x)
+        negP = -P
         thresh = self.constants.C_prime * d ** (self.F.k - 1)
         cols, M_I, h_I, num = minor_table(A)
         b = negP.tolist()
@@ -221,10 +224,7 @@ def flow(vf: VectorFieldW, x0, t_span=(0.0, 1.0), tol: float = 1e-9,
     r1 = vf.constants.U_radius
     max_step = min(0.5, 0.1 / vf.constants.C_dprime) if vf.constants.C_dprime > 0 else 0.5
 
-    def rhs(t, y):
-        return vf.eval(t, y)
-
-    sol = solve_ivp(rhs, t_span, x0, method="RK45", rtol=tol, atol=tol,
+    sol = solve_ivp(vf.eval, t_span, x0, method="RK45", rtol=tol, atol=tol,
                     max_step=max_step, t_eval=times, dense_output=False)
     if not sol.success:
         raise DomainExitError(f"integration failed: {sol.message}")
@@ -235,7 +235,7 @@ def flow(vf: VectorFieldW, x0, t_span=(0.0, 1.0), tol: float = 1e-9,
 
 
 @dataclass(frozen=True)
-class IsotopyResult:
+class IsotopyResult(Report):
     grid: np.ndarray = field(repr=False)
     times: np.ndarray = field(repr=False)
     forward: np.ndarray = field(repr=False)      # (N, T, n): H(x, t)
@@ -262,11 +262,6 @@ class IsotopyResult:
             "constants": self.constants.to_dict() if self.constants else None,
             "nfev_total": self.nfev_total,
         }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -319,14 +314,10 @@ def isotopy(vf: VectorFieldW, grid, tol: float = 1e-9,
 
 
 @dataclass(frozen=True)
-class GronwallReport:
+class GronwallReport(Report):
     ok: bool
     worst_margin: float
     violations: tuple
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "worst_margin": self.worst_margin,
-                "violations": [list(v) for v in self.violations]}
 
 
 def gronwall_check(result: IsotopyResult, constants: TrivializationConstants,
@@ -336,22 +327,17 @@ def gronwall_check(result: IsotopyResult, constants: TrivializationConstants,
     Consequence of |d/dt dist| <= |W| <= C'' dist along trajectories.
     """
     c = constants.C_dprime
-    violations = []
-    worst = np.inf
-    for p in range(result.grid.shape[0]):
-        d0 = z.distance(result.grid[p])
-        for j, t in enumerate(result.times):
-            d = z.distance(result.forward[p, j])
-            lo = d0 * np.exp(-c * t) * (1 - eps)
-            hi = d0 * np.exp(c * t) * (1 + eps)
-            if d0 == 0.0:
-                ok_here = d == 0.0
-                margin = 0.0 if ok_here else -d
-            else:
-                ok_here = lo <= d <= hi
-                margin = min(d - lo, hi - d)
-            worst = min(worst, margin)
-            if not ok_here:
-                violations.append((p, float(t), float(d), float(lo), float(hi)))
-    return GronwallReport(ok=not violations, worst_margin=float(worst),
-                          violations=tuple(violations))
+    N, T, n = result.forward.shape
+    d0 = z.distance_many(result.grid)[:, None]
+    d = z.distance_many(result.forward.reshape(N * T, n)).reshape(N, T)
+    # one scalar exp per time, as for a single trajectory
+    lo = d0 * np.array([np.exp(-c * t) for t in result.times]) * (1 - eps)
+    hi = d0 * np.array([np.exp(c * t) for t in result.times]) * (1 + eps)
+    on_Z = d0 == 0.0
+    ok = np.where(on_Z, d == 0.0, (lo <= d) & (d <= hi))
+    margin = np.where(on_Z, np.where(ok, 0.0, -d), np.minimum(d - lo, hi - d))
+    violations = tuple((int(p), float(result.times[j]), float(d[p, j]),
+                        float(lo[p, j]), float(hi[p, j]))
+                       for p, j in zip(*np.nonzero(~ok)))
+    return GronwallReport(ok=not violations, worst_margin=float(margin.min(initial=np.inf)),
+                          violations=violations)

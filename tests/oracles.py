@@ -5,6 +5,11 @@ decomposition: it estimates inf |A^T phi| over unit phi by brute force on a
 quasi-uniform sample, with a derivative-free polish in spherical angles for
 m = 3. ``calibrate_constants_scalar`` is the point-by-point calibration
 that the stacked ``trivializer.calibrate_constants`` replaced.
+
+The ``*_reference`` functions are the one-point formulas that jetsuff used
+before every quantity got one stacked implementation (polynomial values,
+Jacobians, nu, dist(x, Z)), and the per-point loops built on them. The
+stacked code must reproduce them bit for bit.
 """
 
 import itertools
@@ -13,8 +18,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from jetsuff.errors import CalibrationError, InvalidInputError
-from jetsuff.linmap import g_prime
-from jetsuff.sampling import ball_sample, sphere_sample
+from jetsuff.germ import SampledZ
+from jetsuff.linmap import LinearMap, g_prime
+from jetsuff.lojasiewicz import DIST_FLOOR
+from jetsuff.sampling import ball_sample, sphere_sample, unit_shell_sample
 from jetsuff.trivializer import DeformationF, TrivializationConstants
 
 
@@ -93,7 +100,7 @@ def calibrate_constants_scalar(pair, report, initial_radius: float = 1.0,
                                shrink: float = 0.9,
                                seed: int = 0) -> TrivializationConstants:
     """Point-by-point calibration: one bound check and, per xi, one
-    ``g_prime(F.d_x(xi, x))`` call for each sample point."""
+    ``g_prime`` call on d_xF(xi, x) for each sample point."""
     if report.verdict != "holds":
         raise InvalidInputError("calibration requires a 'holds' estimator verdict")
     C = report.C_hat
@@ -129,7 +136,8 @@ def calibrate_constants_scalar(pair, report, initial_radius: float = 1.0,
         if d < 1e-12:
             continue
         for xi in xis:
-            C_prime = min(C_prime, g_prime(F.d_x(xi, x)) / d ** (k - 1))
+            d_x = LinearMap(F.f.jacobian(x).entries + xi * F.P.jacobian(x).entries)
+            C_prime = min(C_prime, g_prime(d_x) / d ** (k - 1))
     if not np.isfinite(C_prime) or C_prime <= 0:
         raise CalibrationError("minor ratio lower bound vanished on the sample")
     m, n = pair.f.m, pair.f.n
@@ -137,3 +145,106 @@ def calibrate_constants_scalar(pair, report, initial_radius: float = 1.0,
     return TrivializationConstants(
         C=float(C), C_prime=float(C_prime), C_dprime=float(C_dprime),
         U_radius=float(radius), r0=float(radius * np.exp(-C_dprime)))
+
+
+def poly_eval_reference(p, x) -> float:
+    """p(x) from a power table of p's own terms and one ``@``."""
+    x = np.asarray(x, dtype=float)
+    if not p.terms:
+        return 0.0
+    exps = np.array(list(p.terms), dtype=np.int64)
+    coeffs = np.array([float(c) for c in p.terms.values()])
+    return float(np.prod(x[None, :] ** exps, axis=1) @ coeffs)
+
+
+def eval_reference(f, x) -> np.ndarray:
+    return np.array([poly_eval_reference(p, x) for p in f.components])
+
+
+def jacobian_reference(f, x) -> np.ndarray:
+    return np.array([[poly_eval_reference(d, x) for d in row] for row in f._partials])
+
+
+def nu_reference(A) -> float:
+    """np.linalg.norm of the row when m = 1, else the last singular value."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] == 1:
+        return float(np.linalg.norm(A[0]))
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
+
+
+def distance_reference(z, x) -> float:
+    """dist(x, Z) for an AnalyticZ or SampledZ, one point at a time."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(z, SampledZ):
+        return float(np.min(np.linalg.norm(z.points - x[None, :], axis=1)))
+    sel = [c - 1 for c in z.coords]
+    if z.form == "subspace":
+        return float(np.linalg.norm(x[sel]))
+    return float(np.min(np.abs(x[sel])))
+
+
+def ratio_stats_reference(f, z, k, X):
+    """(min ratio, argmin, min nu, skipped) over the rows of X, point by point."""
+    best, arg, nu_min, skipped = np.inf, None, np.inf, 0
+    for x in X:
+        d = distance_reference(z, x)
+        if d < DIST_FLOOR:
+            skipped += 1
+            continue
+        v = nu_reference(jacobian_reference(f, x))
+        nu_min = min(nu_min, v)
+        r = v / d ** (k - 1)
+        if r < best:
+            best, arg = r, x
+    if arg is None:
+        return None
+    return best, arg, nu_min, skipped
+
+
+def corollary_reference(pair, radii, samples_per_annulus, seed):
+    """(C, C1, C2 per annulus, skipped) of ``check_corollary_hypotheses``,
+    point by point."""
+    shell = unit_shell_sample(pair.f.n, samples_per_annulus, seed)
+    P = pair.P
+    C, C1, c2_annuli, skipped = np.inf, 0.0, [], 0
+    for r in radii:
+        c2_here = 0.0
+        for x in r * shell:
+            d = distance_reference(pair.z, x)
+            if d < DIST_FLOOR:
+                skipped += 1
+                continue
+            v = nu_reference(jacobian_reference(pair.f, x))
+            if v < DIST_FLOOR:
+                skipped += 1
+                continue
+            C = min(C, v / d)
+            C1 = max(C1, float(np.linalg.norm(eval_reference(P, x))) / v ** 2)
+            dP = float(np.linalg.norm(jacobian_reference(P, x), ord=2))
+            c2_here = max(c2_here, dP / v)
+        c2_annuli.append(c2_here)
+    return C, C1, c2_annuli, skipped
+
+
+def gronwall_reference(result, constants, z, eps: float = 0.05):
+    """(ok, worst margin, violations) of ``gronwall_check``, point by point."""
+    c = constants.C_dprime
+    violations = []
+    worst = np.inf
+    for p in range(result.grid.shape[0]):
+        d0 = distance_reference(z, result.grid[p])
+        for j, t in enumerate(result.times):
+            d = distance_reference(z, result.forward[p, j])
+            lo = d0 * np.exp(-c * t) * (1 - eps)
+            hi = d0 * np.exp(c * t) * (1 + eps)
+            if d0 == 0.0:
+                ok_here = d == 0.0
+                margin = 0.0 if ok_here else -d
+            else:
+                ok_here = lo <= d <= hi
+                margin = min(d - lo, hi - d)
+            worst = min(worst, margin)
+            if not ok_here:
+                violations.append((p, float(t), float(d), float(lo), float(hi)))
+    return not violations, float(worst), tuple(violations)

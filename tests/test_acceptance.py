@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from jetsuff.germ import GermPair, PolyGermMap, ZSpec
+from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap
 from jetsuff.linmap import (LinearMap, equivalence_constants_sample, g_prime,
                             nu, realify)
 from jetsuff.lojasiewicz import (check_corollary_hypotheses, estimate_condition,
@@ -31,8 +31,8 @@ from oracles import nu_bruteforce
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
-Z_LINE = ZSpec(n=2, variant="analytic", form="subspace", coords=(1,))
-Z_AXES = ZSpec(n=2, variant="analytic", form="union_hyperplanes", coords=(1, 2))
+Z_LINE = AnalyticZ(n=2, form="subspace", coords=(1,))
+Z_AXES = AnalyticZ(n=2, form="union_hyperplanes", coords=(1, 2))
 RADII = [0.5, 0.25, 0.125, 0.0625]
 
 # regression fixtures: empirical nu/g' bands per (m, n), count=200, seed=7
@@ -139,7 +139,7 @@ def test_criterion_04_realification():
 def test_criterion_05_estimator_closed_forms():
     t0 = time.monotonic()
     x = Poly(1, {(1,): Fraction(1)})
-    z0 = ZSpec(n=1, variant="analytic", form="subspace", coords=(1,))
+    z0 = AnalyticZ(n=1, form="subspace", coords=(1,))
     f2 = PolyGermMap(1, 1, 2, [x * x])
     f3 = PolyGermMap(1, 1, 2, [x * x * x])
     r2 = estimate_condition(f2, z0, 2, RADII, 512, 0)
@@ -218,7 +218,7 @@ def test_criterion_08_counterexample_construction():
 
 def test_criterion_09_corollary_checker():
     x = Poly(1, {(1,): Fraction(1)})
-    z0 = ZSpec(n=1, variant="analytic", form="subspace", coords=(1,))
+    z0 = AnalyticZ(n=1, form="subspace", coords=(1,))
     f = PolyGermMap(1, 1, 2, [x * x])
     radii = [0.25, 0.125, 0.0625, 0.03125]
 

@@ -7,11 +7,11 @@ from jetsuff.bl_construct import (PerturbationF, PerturbedGerm, assemble_F,
                                   choose_lambdas, make_bump,
                                   verify_construction)
 from jetsuff.errors import ConstructionError, InvalidInputError
-from jetsuff.germ import PolyGermMap, ZSpec
+from jetsuff.germ import AnalyticZ, PolyGermMap
 from jetsuff.poly import Poly
 from oracles import fd_hessian
 
-Z_AXES = ZSpec(n=2, variant="analytic", form="union_hyperplanes", coords=(1, 2))
+Z_AXES = AnalyticZ(n=2, form="union_hyperplanes", coords=(1, 2))
 
 
 def x2y2_germ():
@@ -84,7 +84,7 @@ class TestChooseLambdas:
         # Hessian of x^2 + 3y^2 is diag(2, 6); dist to {x=0} at (2,5) is 2,
         # so the k=2 default lambda = 2 collides with the eigenvalue 2
         f = PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1, (0, 2): 3})])
-        z = ZSpec(n=2, variant="analytic", form="subspace", coords=(1,))
+        z = AnalyticZ(n=2, form="subspace", coords=(1,))
         lam, = choose_lambdas(f, [[2.0, 5.0]], 2, z)
         assert lam == pytest.approx(2.002, rel=1e-9)
 
@@ -130,6 +130,10 @@ class TestAssembly:
             fd = fd_hessian(lambda x: float(g.eval(x)[0]), a, h=1e-5)
             assert np.max(np.abs(fd - want)) <= 1e-7
 
+    def test_hessian_of_a_missing_component_rejected(self, pf):
+        with pytest.raises(InvalidInputError):
+            PerturbedGerm(pf).hessian(1, pf.centers[0])
+
     def test_overlapping_balls_rejected(self):
         f = x2y2_germ()
         pts = np.array([[0.3, 0.3], [0.31, 0.31], [0.05, 0.05]])
@@ -150,7 +154,7 @@ class TestAssembly:
     def test_nonvanishing_jet_rejected(self):
         # x + x^2 has a nonzero 1-jet at 0, so the k = 2 hypothesis fails
         f = PolyGermMap(2, 1, 2, [Poly(2, {(1, 0): 1, (2, 0): 1})])
-        z = ZSpec(n=2, variant="analytic", form="subspace", coords=(1,))
+        z = AnalyticZ(n=2, form="subspace", coords=(1,))
         seq = diagonal_sequence()
         with pytest.raises(InvalidInputError):
             assemble_F(f, seq, [0.1] * 5, make_bump(), z)

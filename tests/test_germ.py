@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jetsuff import germ as germ_module
 from jetsuff.errors import InvalidInputError
-from jetsuff.germ import (GermPair, PolyGermMap, ZSpec, germ_from_json,
-                          germ_to_json, jet_at, same_k_Z_jet)
+from jetsuff.germ import (AnalyticZ, GermPair, ImplicitZ, PolyGermMap, SampledZ,
+                          germ_from_json, germ_to_json, jet_at, same_k_Z_jet,
+                          scalar_powers)
 from jetsuff.poly import Poly
-from oracles import fd_jacobian
+from oracles import (distance_reference, eval_reference, fd_jacobian,
+                     jacobian_reference)
 
 
 def germ_x2(k=2):
@@ -24,8 +28,8 @@ def germ(terms, n=2, m=1, k=2):
     return PolyGermMap(n, m, k, comps)
 
 
-Z_HYP = ZSpec(n=2, variant="analytic", form="subspace", coords=(1,))
-Z_ORIGIN = ZSpec(n=2, variant="analytic", form="subspace", coords=(1, 2))
+Z_HYP = AnalyticZ(n=2, form="subspace", coords=(1,))
+Z_ORIGIN = AnalyticZ(n=2, form="subspace", coords=(1, 2))
 
 
 class TestEval:
@@ -87,11 +91,6 @@ def germs_with_points(draw, terms_per_component):
     return f, X
 
 
-def abs_sum(p: Poly, X) -> np.ndarray:
-    """sum over the terms of p of |term| at each row of X."""
-    return Poly(p.n, {e: abs(c) for e, c in p.terms.items()}).eval_many(np.abs(X))
-
-
 class TestManyPoints:
     @settings(max_examples=100, deadline=None)
     @given(germs_with_points(1))
@@ -103,17 +102,15 @@ class TestManyPoints:
     @settings(max_examples=100, deadline=None)
     @given(germs_with_points(5))
     def test_matches_pointwise(self, case):
-        # eval_many sums the terms in another order than eval, so the two
-        # agree to rounding in the sum of the terms' magnitudes
+        # one power table and one dot product per row: a stack gives each
+        # row the bits of that row alone and of the per-point formula
         f, X = case
         J = f.jacobian_many(X)
-        ref = np.stack([f.jacobian(x).entries for x in X])
-        bound = np.array([[abs_sum(d, X) for d in row] for row in f._partials])
-        assert np.all(np.abs(J - ref) <= 1e-14 * np.moveaxis(bound, -1, 0))
+        assert np.array_equal(J, np.stack([f.jacobian(x).entries for x in X]))
+        assert np.array_equal(J, np.stack([jacobian_reference(f, x) for x in X]))
         values = f.eval_many(X)
-        ref = np.stack([f.eval(x) for x in X])
-        bound = np.stack([abs_sum(p, X) for p in f.components], axis=1)
-        assert np.all(np.abs(values - ref) <= 1e-14 * bound)
+        assert np.array_equal(values, np.stack([f.eval(x) for x in X]))
+        assert np.array_equal(values, np.stack([eval_reference(f, x) for x in X]))
 
     def test_rejects_bad_shapes_and_nonfinite(self):
         with pytest.raises(InvalidInputError):
@@ -186,7 +183,7 @@ class TestDistance:
         assert Z_ORIGIN.distance([0.3, -0.4]) == pytest.approx(0.5)
 
     def test_union_of_axes(self):
-        z = ZSpec(n=2, variant="analytic", form="union_hyperplanes", coords=(1, 2))
+        z = AnalyticZ(n=2, form="union_hyperplanes", coords=(1, 2))
         assert z.distance([0.2, 0.5]) == pytest.approx(0.2)
 
     def test_membership_iff_zero_distance(self):
@@ -197,14 +194,94 @@ class TestDistance:
         ts = np.linspace(-1, 1, 2001)
         cloud = np.concatenate([np.stack([ts, np.zeros_like(ts)], axis=1),
                                 np.stack([np.zeros_like(ts), ts], axis=1)])
-        z = ZSpec(n=2, variant="samples", points=cloud)
+        z = SampledZ(n=2, points=cloud)
         assert z.distance([0.2, 0.5]) == pytest.approx(0.2, abs=1e-3)
 
     def test_implicit_variant_recovers_hyperplane(self):
         f = germ_x2()
-        z = ZSpec(n=2, variant="implicit", germ=f, tol=1e-8)
+        z = ImplicitZ(n=2, germ=f, tol=1e-8)
         assert z.distance([0.3, -2.0]) == pytest.approx(0.3, abs=1e-4)
         assert z.is_member([0.0, 0.5])
+
+    def test_hyperplane_union_uses_only_listed_coords(self):
+        z = AnalyticZ(n=2, form="union_hyperplanes", coords=(1,))
+        assert z.distance([0.3, 0.1]) == 0.3
+        pts = z.sample_points(16, 0)
+        assert np.all(pts[:, 0] == 0.0) and np.all(pts[:, 1] != 0.0)
+
+
+class TestBadZ:
+    def test_duplicate_coords_rejected(self):
+        # {x1 = 0} listed twice used to give dist sqrt(2) |x1|
+        with pytest.raises(InvalidInputError):
+            germ_module.zspec_from_json(
+                {"variant": "analytic", "form": "subspace", "coords": [1, 1]}, 2)
+
+    def test_nonfinite_cloud_rejected(self):
+        with pytest.raises(InvalidInputError):
+            germ_module.zspec_from_json(
+                {"variant": "samples", "points": [[0.0, 0.0], [float("nan"), 1.0]]}, 2)
+
+    def test_implicit_without_germ_rejected(self):
+        with pytest.raises(InvalidInputError):
+            germ_module.zspec_from_json({"variant": "implicit"}, 2)
+
+
+def check_rows(z, X):
+    """distance_many(X)[i] == distance(X[i]) for every row, bit for bit."""
+    D = z.distance_many(X)
+    assert D.shape == (len(X),)
+    for x, d in zip(X, D):
+        assert z.distance(x) == d
+    return D
+
+
+coords_in = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(1, n), min_size=1)))
+scaled_points = st.integers(-20, 20).map(lambda e: 10.0 ** e)
+
+
+def point_rows(n, max_rows=16):
+    return arrays(np.float64, st.tuples(st.integers(1, max_rows), st.just(n)),
+                  elements=st.floats(-1e3, 1e3))
+
+
+class TestDistanceMany:
+    @settings(max_examples=200, deadline=None)
+    @given(coords_in, st.sampled_from(["subspace", "union_hyperplanes"]),
+           scaled_points, st.data())
+    def test_analytic_rows(self, n_coords, form, scale, data):
+        n, coords = n_coords
+        z = AnalyticZ(n=n, form=form, coords=tuple(coords))
+        X = data.draw(point_rows(n)) * scale
+        D = check_rows(z, X)
+        assert D.tolist() == [distance_reference(z, x) for x in X]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        arrays(np.float64, st.tuples(st.integers(0, 40), st.just(n)),
+               elements=st.floats(-10, 10)),
+        point_rows(n, 40))), st.integers(1, 200))
+    def test_sampled_rows_across_blocks(self, cloud_X, block):
+        cloud, X = cloud_X
+        z = SampledZ(n=X.shape[1], points=np.vstack([np.zeros(X.shape[1]), cloud]))
+        with mock.patch.object(germ_module, "SAMPLE_BLOCK", block):
+            D = check_rows(z, X)
+        assert D.tolist() == [distance_reference(z, x) for x in X]
+
+    @settings(max_examples=3, deadline=None)
+    @given(point_rows(2, 3))
+    def test_implicit_rows(self, X):
+        check_rows(ImplicitZ(n=2, germ=germ_x2(), tol=1e-8), X / 1e3)
+
+
+def test_scalar_powers_are_python_float_powers():
+    # NumPy's array ** rounds some squares and cubes differently from
+    # Python's float ** (C pow); distance powers take the latter
+    rng = np.random.default_rng(0)
+    v = rng.uniform(0, 1, 20000) * 10.0 ** rng.uniform(-6, 1, 20000)
+    for p in (1, 2, 3, 4):
+        assert scalar_powers(v, p).tolist() == [x ** p for x in v.tolist()]
 
 
 class TestJson:

@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 from jetsuff import linmap
 from jetsuff.errors import InvalidInputError, MinorIdentityError
 from jetsuff.linmap import (LinearMap, equivalence_constants_sample, g_prime,
-                            g_prime_many, minor_table, nu, realify)
-from oracles import minors_reference, nu_bruteforce
+                            g_prime_many, minor_table, nu, nu_many, realify)
+from oracles import minors_reference, nu_bruteforce, nu_reference
 
 
 class TestNu:
@@ -121,6 +121,16 @@ class TestMinors:
             None, np.array([1.0]), np.array([0.0]), None))
         with pytest.raises(MinorIdentityError):
             g_prime(LinearMap([[1.0, 0.0], [0.0, 1.0]]))
+
+
+class TestNuMany:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks())
+    def test_stacked_matches_per_matrix(self, A):
+        v = nu_many(A)
+        assert v.shape == A.shape[:1]
+        assert v.tolist() == [nu_reference(a) for a in A]
+        assert v.tolist() == [nu(LinearMap(a)) for a in A]
 
 
 class TestGPrime:

@@ -1,18 +1,23 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetsuff.errors import InvalidInputError
-from jetsuff.germ import GermPair, PolyGermMap, ZSpec
-from jetsuff.lojasiewicz import (LojasiewiczReport, ViolationSequence,
+from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
+from jetsuff.lojasiewicz import (LojasiewiczReport, ViolationSequence, _ratio_stats,
                                  check_corollary_hypotheses, estimate_condition,
                                  find_violation_sequence, fit_exponent)
 from jetsuff.poly import Poly
+from jetsuff.sampling import unit_shell_sample
+from oracles import corollary_reference, ratio_stats_reference
 
 RADII = [0.5, 0.25, 0.125, 0.0625]
-Z_HYP = ZSpec(n=2, variant="analytic", form="subspace", coords=(1,))
-Z_ORIGIN = ZSpec(n=2, variant="analytic", form="subspace", coords=(1, 2))
+Z_HYP = AnalyticZ(n=2, form="subspace", coords=(1,))
+Z_ORIGIN = AnalyticZ(n=2, form="subspace", coords=(1, 2))
 
 
 def power_germ(p, k=2):
@@ -123,3 +128,96 @@ class TestCorollary:
                                          RADII, 512, 0)
         assert not rep.passes
         assert rep.diverges
+
+
+GERMS = Path(__file__).resolve().parent.parent / "germs"
+Z_R3 = AnalyticZ(n=3, form="subspace", coords=(1, 2))
+# multi-term partials with non-dyadic coefficients, so the order of the
+# floating-point sums matters
+MULTI = PolyGermMap(2, 1, 2, [Poly(2, {
+    (2, 0): 1, (3, 1): Fraction(3, 2), (2, 2): Fraction(-1, 3), (4, 0): 0.1,
+    (1, 3): Fraction(-2, 7)})])
+MULTI_R3 = PolyGermMap(3, 2, 2, [
+    Poly(3, {(2, 0, 0): 1, (0, 2, 0): -1, (3, 0, 0): Fraction(1, 3), (1, 1, 1): -0.1}),
+    Poly(3, {(1, 1, 0): 2, (0, 3, 0): Fraction(2, 7), (2, 0, 1): 1})])
+Z2 = PolyGermMap(3, 2, 2, [Poly(3, {(2, 0, 0): 1, (0, 2, 0): -1}),
+                           Poly(3, {(1, 1, 0): 2})])
+
+
+def bundled(name):
+    return load_germ(GERMS / f"{name}.json")
+
+
+def axis_cloud():
+    """The x2 axis of R^2 from 1 down to 2^-30, 8 points per octave, and 0."""
+    mags = 2.0 ** -np.linspace(0, 30, 241)
+    return np.vstack([[0.0, 0.0], np.stack([0 * mags, mags], axis=1),
+                      np.stack([0 * mags, -mags], axis=1)])
+
+
+ANNULUS_CASES = {
+    **{name: lambda name=name: bundled(name)
+       for name in ("x2", "sum_of_squares", "x2y2", "x3")},
+    "x2 over an axis cloud": lambda: (bundled("x2")[0],
+                                      SampledZ(n=2, points=axis_cloud())),
+    "z2 on R^3": lambda: (Z2, Z_R3),
+    "multi-term": lambda: (MULTI, Z_HYP),
+    "multi-term on R^3": lambda: (MULTI_R3, Z_R3),
+}
+
+
+def plus(f, terms):
+    """f with the given terms added, one dict per component."""
+    comps = [p + Poly(f.n, t) for p, t in zip(f.components, terms)]
+    return PolyGermMap(f.n, f.m, f.k, comps)
+
+
+def bundled_pair(name, extra):
+    f = bundled(name)[0]
+    return GermPair(f=f, f1=plus(f, extra), z=Z_HYP)
+
+
+COROLLARY_PAIRS = {
+    "x2/x2_plus_x4": lambda: bundled_pair("x2", [{(4, 0): 1}]),
+    "x2/x2_plus_x3": lambda: bundled_pair("x2", [{(3, 0): 1}]),
+    "x3/x3_plus_x4": lambda: bundled_pair("x3", [{(4, 0): 1}]),
+    "z2/z2_plus_cubes on R^3": lambda: GermPair(
+        f=Z2, f1=plus(Z2, [{(3, 0, 0): 1}, {(0, 3, 0): 1}]), z=Z_R3),
+    "multi-term": lambda: GermPair(
+        f=MULTI, f1=plus(MULTI, [{(3, 2): Fraction(1, 5), (4, 0): Fraction(1, 3)}]),
+        z=Z_HYP),
+    "multi-term on R^3": lambda: GermPair(
+        f=MULTI_R3, f1=plus(MULTI_R3, [{(3, 0, 0): 0.3}, {(1, 2, 0): Fraction(-1, 3)}]),
+        z=Z_R3),
+}
+
+
+class TestBatchedAgainstPointwise:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(ANNULUS_CASES)), st.integers(0, 7),
+           st.sampled_from([256, 512]), st.floats(1e-4, 1.0), st.integers(0, 3),
+           st.booleans())
+    def test_ratio_stats(self, name, seed, count, r, k_extra, only_Z):
+        f, z = ANNULUS_CASES[name]()
+        k = f.k + k_extra
+        X = z.sample_points(8, seed, radius=r)
+        if not only_Z:
+            X = np.vstack([r * unit_shell_sample(f.n, count, seed), X])
+        got, want = _ratio_stats(f, z, k, X), ratio_stats_reference(f, z, k, X)
+        if want is None:
+            assert got is None
+            return
+        assert type(got[0]) is float and type(got[2]) is float
+        assert (got[0], got[2], got[3]) == (want[0], want[2], want[3])
+        assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(COROLLARY_PAIRS)), st.integers(0, 7),
+           st.floats(1e-4, 0.5))
+    def test_corollary(self, name, seed, r0):
+        pair = COROLLARY_PAIRS[name]()
+        radii = [r0 * 0.5 ** i for i in range(4)]
+        rep = check_corollary_hypotheses(pair, radii, 256, seed)
+        C, C1, c2, skipped = corollary_reference(pair, radii, 256, seed)
+        assert ((rep.C, rep.C1, rep.C2_per_annulus, rep.skipped)
+                == (C, C1, tuple(c2), skipped))

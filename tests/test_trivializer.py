@@ -8,18 +8,19 @@ from scipy.optimize import brentq
 
 from jetsuff.errors import (CalibrationError, CoveringViolationError,
                             FieldBoundError, InvalidInputError)
-from jetsuff.germ import GermPair, PolyGermMap, ZSpec, load_germ
+from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, load_germ
 from jetsuff.lojasiewicz import estimate_condition
 from jetsuff.poly import Poly
 from jetsuff.sampling import ball_sample
-from jetsuff.trivializer import (TrivializationConstants, VectorFieldW,
+from jetsuff.trivializer import (IsotopyResult, TrivializationConstants, VectorFieldW,
                                  build_F, calibrate_constants, flow,
                                  gronwall_check, isotopy)
-from oracles import calibrate_constants_scalar
+from oracles import (calibrate_constants_scalar, eval_reference, gronwall_reference,
+                     jacobian_reference)
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
-Z_HYP = ZSpec(n=2, variant="analytic", form="subspace", coords=(1,))
+Z_HYP = AnalyticZ(n=2, form="subspace", coords=(1,))
 RADII = [0.5, 0.25, 0.125, 0.0625]
 
 
@@ -44,7 +45,16 @@ class TestBuildF:
         F = build_F(pair)
         assert F.eval(1.0, [0.1, 0.0]) == pytest.approx([0.011])
         assert F.eval(0.0, [0.1, 0.0]) == pytest.approx(pair.f.eval([0.1, 0.0]))
-        np.testing.assert_allclose(F.d_x(1.0, [0.1, 0.0]).entries, [[0.23, 0.0]])
+        np.testing.assert_allclose(F.P_and_d_x(1.0, [0.1, 0.0])[1], [[0.23, 0.0]])
+
+    def test_one_power_table_matches_pointwise(self):
+        F = build_F(z2_pair_on_R3())
+        rng = np.random.default_rng(3)
+        for x, xi in zip(rng.uniform(-1, 1, size=(200, 3)), rng.uniform(-2, 2, size=200)):
+            P, A = F.P_and_d_x(xi, x)
+            assert np.array_equal(P, eval_reference(F.P, x))
+            assert np.array_equal(
+                A, jacobian_reference(F.f, x) + xi * jacobian_reference(F.P, x))
 
     def test_rejects_distinct_jets(self):
         bad = make_pair({(2, 1): Fraction(1)})  # x^2 y changes the 2-jet on Z
@@ -89,8 +99,7 @@ def z2_pair_on_R3():
                               Poly(3, {(1, 1, 0): 2})])
     f1 = PolyGermMap(3, 2, 2, [Poly(3, {(2, 0, 0): 1, (0, 2, 0): -1, (3, 0, 0): 1}),
                                Poly(3, {(1, 1, 0): 2, (0, 3, 0): 1})])
-    return GermPair(f=f, f1=f1, z=ZSpec(n=3, variant="analytic", form="subspace",
-                                        coords=(1, 2)))
+    return GermPair(f=f, f1=f1, z=AnalyticZ(n=3, form="subspace", coords=(1, 2)))
 
 
 ORACLE_PAIRS = {
@@ -159,7 +168,7 @@ class TestVectorField:
         for x in ([0.1, 0.03], [-0.05, 0.1], [0.02, -0.14]):
             for xi in (0.0, 0.5, 1.0):
                 w = vf.eval(xi, x)
-                resid = F.d_x(xi, x).entries @ w + F.P.eval(x)
+                resid = F.P_and_d_x(xi, x)[1] @ w + F.P.eval(x)
                 assert np.linalg.norm(resid) <= 1e-9 * (1 + np.linalg.norm(F.P.eval(x)))
 
     def test_field_bound_violation_is_a_property_failure(self, cubic_setup):
@@ -240,6 +249,20 @@ class TestIsotopy:
         _, res = result
         rep = gronwall_check(res, consts, Z_HYP)
         assert rep.ok
+
+    def test_gronwall_matches_pointwise(self, result, cubic_setup):
+        _, _, consts, _ = cubic_setup
+        _, res = result
+        # reversed trajectories move the two points on Z off it
+        swapped = IsotopyResult(grid=res.grid, times=res.times,
+                                forward=res.forward[::-1].copy(),
+                                conservation=res.conservation,
+                                inverse_residuals=res.inverse_residuals)
+        for r in (res, swapped):
+            for eps in (0.05, 0.0, -0.5):
+                rep = gronwall_check(r, consts, Z_HYP, eps=eps)
+                assert ((rep.ok, rep.worst_margin, rep.violations)
+                        == gronwall_reference(r, consts, Z_HYP, eps))
 
     def test_serialization(self, result, tmp_path):
         _, res = result
