@@ -14,6 +14,5 @@ from .lojasiewicz import (LojasiewiczReport, ViolationSequence,
 from .trivializer import (DeformationF, IsotopyResult, TrivializationConstants,
                           VectorFieldW, build_F, calibrate_constants, flow,
                           gronwall_check, isotopy)
-from .bl_construct import (BumpFunction, PerturbationF, PerturbedGerm,
-                           assemble_F, choose_lambdas, make_bump,
-                           verify_construction)
+from .bl_construct import (BumpFunction, PerturbationF, assemble_F,
+                           choose_lambdas, verify_construction)

@@ -16,9 +16,13 @@ import numpy as np
 
 from .errors import ConstructionError, InvalidInputError
 from .germ import PolyGermMap, ZSpec, jet_at, scalar_powers
-from .linmap import LinearMap
 from .report import Report
 from .sampling import ball_sample
+
+RHO_IN, RHO_OUT = 0.125, 0.25  # bump plateau and support radii, in units of dist
+EIG_GAP = 1e-8                  # least gap between lambda and a Hessian eigenvalue
+MAX_RETRIES = 50                # lambda nudges before giving up
+SAMPLES_PER_BALL = 512          # decay samples per ball
 
 
 # ----------------------------------------------------------------- bump
@@ -49,20 +53,12 @@ def _transition(u: float) -> tuple[float, float, float]:
     return psi, dpsi, d2psi
 
 
-@dataclass(frozen=True)
 class BumpFunction:
-    """Radially symmetric C-infinity cutoff: 1 inside rho_in, 0 outside 1/4."""
-
-    rho_in: float = 0.125
-    rho_out: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 < self.rho_in < self.rho_out:
-            raise InvalidInputError("need 0 < rho_in < rho_out")
+    """Radially symmetric C-infinity cutoff: 1 inside RHO_IN, 0 outside RHO_OUT."""
 
     def _radial(self, s: float) -> tuple[float, float, float]:
         """alpha and its first two radial derivatives at |x| = s."""
-        a, b = self.rho_in, self.rho_out
+        a, b = RHO_IN, RHO_OUT
         if s <= a:
             return 1.0, 0.0, 0.0
         if s >= b:
@@ -93,33 +89,27 @@ class BumpFunction:
         return d2a * outer / s ** 2 + da * (np.eye(n) / s - outer / s ** 3)
 
 
-def make_bump(rho_in: float = 0.125) -> BumpFunction:
-    if not 0.0 < rho_in < 0.25:
-        raise InvalidInputError("need 0 < rho_in < 1/4")
-    return BumpFunction(rho_in=rho_in)
+BUMP = BumpFunction()
 
 
 # ----------------------------------------------------------------- lambdas
 
-def choose_lambdas(f: PolyGermMap, a_list, k: int, z: ZSpec,
-                   eig_gap: float = 1e-8, max_retries: int = 50) -> list[float]:
+def choose_lambdas(f: PolyGermMap, a_list, z: ZSpec) -> list[float]:
     """lambda_v = dist(a_v, Z)^(k-1), nudged off Hessian eigenvalues.
 
     The default makes lambda_v / dist^(k-2) = dist -> 0, and a multiplicative
     nudge (1 + 1e-3) resolves collisions with the Hessian spectrum of f.
     """
-    if k <= 1:
-        raise InvalidInputError("k must exceed 1")
     out = []
     for a in a_list:
         a = np.asarray(a, dtype=float)
         d = z.distance(a)
         if d <= 0.0:
             raise InvalidInputError(f"sequence point {a.tolist()} lies on Z")
-        lam = d ** (k - 1)
+        lam = d ** (f.k - 1)
         eigs = np.linalg.eigvalsh(f.hessian(0, a))
-        for _ in range(max_retries):
-            if np.min(np.abs(eigs - lam)) > eig_gap:
+        for _ in range(MAX_RETRIES):
+            if np.min(np.abs(eigs - lam)) > EIG_GAP:
                 break
             lam *= 1.001
         else:
@@ -135,15 +125,13 @@ class PerturbationF:
     """The assembled perturbation: bump-localized quadratics in balls B_v."""
 
     def __init__(self, f: PolyGermMap, centers: np.ndarray, dists: np.ndarray,
-                 lambdas: list[float], bump: BumpFunction, z: ZSpec):
+                 lambdas: list[float]):
         if f.m != 1:
             raise InvalidInputError("construction applies to scalar germs")
         self.f = f
-        self.z = z
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.dists = np.asarray(dists, dtype=float)
         self.lambdas = [float(v) for v in lambdas]
-        self.bump = bump
         self.n = f.n
         N = self.centers.shape[0]
         if not (len(self.lambdas) == len(self.dists) == N):
@@ -155,8 +143,8 @@ class PerturbationF:
                 if gap <= (self.dists[i] + self.dists[j]) / 4.0:
                     raise ConstructionError(
                         f"balls {i} and {j} overlap (centers {gap:.3e} apart)")
-        self._values = [float(f.eval(c)[0]) for c in self.centers]
-        self._grads = [f.jacobian(c).entries[0].copy() for c in self.centers]
+        self._values = f.eval_many(self.centers)[:, 0]
+        self._grads = f.jacobian_many(self.centers)[:, 0, :]
 
     def _ball_index(self, x: np.ndarray) -> int | None:
         for i, (c, d) in enumerate(zip(self.centers, self.dists)):
@@ -164,76 +152,52 @@ class PerturbationF:
                 return i
         return None
 
-    def value(self, x) -> float:
+    def _local(self, x):
+        """(u / d, d, lambda, quadratic, its gradient) of the ball holding x,
+        with u = x - a_v; None outside every ball."""
         x = np.asarray(x, dtype=float)
         i = self._ball_index(x)
         if i is None:
-            return 0.0
-        c, d, lam = self.centers[i], self.dists[i], self.lambdas[i]
-        u = x - c
+            return None
+        d, lam = self.dists[i], self.lambdas[i]
+        u = x - self.centers[i]
         quad = self._values[i] + self._grads[i] @ u + 0.5 * lam * (u @ u)
-        return self.bump.value(u / d) * quad
+        return u / d, d, lam, quad, self._grads[i] + lam * u
+
+    def value(self, x) -> float:
+        local = self._local(x)
+        if local is None:
+            return 0.0
+        s, _, _, quad, _ = local
+        return BUMP.value(s) * quad
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        i = self._ball_index(x)
-        if i is None:
+        local = self._local(x)
+        if local is None:
             return np.zeros(self.n)
-        c, d, lam = self.centers[i], self.dists[i], self.lambdas[i]
-        u = x - c
-        quad = self._values[i] + self._grads[i] @ u + 0.5 * lam * (u @ u)
-        dquad = self._grads[i] + lam * u
-        a = self.bump.value(u / d)
-        da = self.bump.gradient(u / d) / d
-        return da * quad + a * dquad
+        s, d, _, quad, dquad = local
+        return BUMP.gradient(s) / d * quad + BUMP.value(s) * dquad
 
     def hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        i = self._ball_index(x)
-        if i is None:
+        local = self._local(x)
+        if local is None:
             return np.zeros((self.n, self.n))
-        c, d, lam = self.centers[i], self.dists[i], self.lambdas[i]
-        u = x - c
-        quad = self._values[i] + self._grads[i] @ u + 0.5 * lam * (u @ u)
-        dquad = self._grads[i] + lam * u
-        a = self.bump.value(u / d)
-        da = self.bump.gradient(u / d) / d
-        d2a = self.bump.hessian(u / d) / d ** 2
+        s, d, lam, quad, dquad = local
+        a = BUMP.value(s)
+        da = BUMP.gradient(s) / d
+        d2a = BUMP.hessian(s) / d ** 2
         return d2a * quad + np.outer(da, dquad) + np.outer(dquad, da) + a * lam * np.eye(self.n)
 
 
-class PerturbedGerm:
-    """Black-box germ f - F exposing eval / jacobian / hessian at one point."""
+def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
+    """Build F from a violation-style sequence (finite prefix, length >= 3):
+    the rows of ``points`` and their distances to Z.
 
-    def __init__(self, pf: PerturbationF):
-        self.pf = pf
-        self.n = pf.n
-        self.m = 1
-        self.k = pf.f.k
-
-    def eval(self, x) -> np.ndarray:
-        return self.pf.f.eval(x) - np.array([self.pf.value(x)])
-
-    def jacobian(self, x) -> LinearMap:
-        row = self.pf.f.jacobian(x).entries[0] - self.pf.gradient(x)
-        return LinearMap(row[None, :])
-
-    def hessian(self, i: int, x) -> np.ndarray:
-        if i != 0:
-            raise InvalidInputError(f"a scalar germ has only component 0, not {i}")
-        return self.pf.f.hessian(0, x) - self.pf.hessian(x)
-
-
-def assemble_F(f: PolyGermMap, seq, lambdas, bump: BumpFunction,
-               z: ZSpec) -> PerturbationF:
-    """Build F from a violation-style sequence (finite prefix, length >= 3).
-
-    ``seq`` may be a ViolationSequence or any object with ``points`` and
-    ``dists``. The hypothesis that the (k-1)-jet of f at 0 vanishes is
-    validated exactly before assembly.
+    The hypothesis that the (k-1)-jet of f at 0 vanishes is validated
+    exactly before assembly.
     """
-    points = np.atleast_2d(np.asarray(seq.points, dtype=float))
-    dists = np.asarray(seq.dists, dtype=float)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    dists = np.asarray(dists, dtype=float)
     if points.shape[0] < 3:
         raise InvalidInputError("need a prefix of at least 3 sequence points")
     jet = jet_at(f, (0.0,) * f.n, f.k - 1)
@@ -242,7 +206,7 @@ def assemble_F(f: PolyGermMap, seq, lambdas, bump: BumpFunction,
     for d0, d1 in zip(dists, dists[1:]):
         if not d1 < 0.5 * d0:
             raise InvalidInputError("sequence distances must at least halve")
-    return PerturbationF(f, points, dists, lambdas, bump, z)
+    return PerturbationF(f, points, dists, lambdas)
 
 
 # ----------------------------------------------------------------- verification
@@ -257,21 +221,22 @@ class ConstructionReport(Report):
     failures: tuple[str, ...]
 
 
-def verify_construction(pf: PerturbationF, k: int, z: ZSpec,
-                        samples_per_ball: int = 512, seed: int = 0) -> ConstructionReport:
-    """Check the per-center identities, Morse nondegeneracy and decay.
+def verify_construction(pf: PerturbationF, z: ZSpec, seed: int = 0) -> ConstructionReport:
+    """Check the per-center identities of f - F, Morse nondegeneracy and decay.
 
     Decay sampling uses one fixed set of relative offsets scaled into each
     ball, so the per-ball maxima are directly comparable across scales.
     """
-    g = PerturbedGerm(pf)
+    f, k = pf.f, pf.f.k
     failures = []
     vals, grads, dets, decay = [], [], [], []
-    offsets = ball_sample(pf.n, samples_per_ball, seed, radius=0.25)
+    offsets = ball_sample(pf.n, SAMPLES_PER_BALL, seed, radius=RHO_OUT)
+    f_vals = f.eval_many(pf.centers)[:, 0]
+    f_grads = f.jacobian_many(pf.centers)[:, 0, :]
     for i, (a, d, lam) in enumerate(zip(pf.centers, pf.dists, pf.lambdas)):
-        rv = abs(float(g.eval(a)[0]))
-        rg = float(np.linalg.norm(g.jacobian(a).entries[0]))
-        H = g.hessian(0, a)
+        rv = abs(float(f_vals[i] - pf.value(a)))
+        rg = float(np.linalg.norm(f_grads[i] - pf.gradient(a)))
+        H = f.hessian(0, a) - pf.hessian(a)
         det = float(np.linalg.det(H))
         scale = max(1.0, float(np.linalg.norm(H, ord=2)) ** pf.n)
         vals.append(rv)

@@ -163,34 +163,26 @@ def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     if seq_path is not None:
         with open(seq_path) as fh:
             doc = json.load(fh)
-        points = np.asarray(doc["points"], dtype=float)
+        try:
+            points = np.asarray(doc["points"], dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError("--seq points must be a list of coordinate lists") from None
+        if not np.all(np.isfinite(points)):
+            raise InvalidInputError("--seq points must be finite")
         dists = z.distance_many(points)
-        ratios = np.array([float(np.linalg.norm(f.jacobian(p).entries)) / d ** (f.k - 1)
-                           for p, d in zip(points, dists)])
-        seq = _RawSequence(points=points, dists=dists, ratios=ratios)
     else:
         seq = lojasiewicz.find_violation_sequence(f, z, f.k, config.seed)
         if seq is None:
             raise ConvergenceError("no violating sequence found; supply --seq")
-        seq = _RawSequence(points=np.asarray(seq.points),
-                           dists=np.asarray(seq.dists),
-                           ratios=np.asarray(seq.ratios))
-    lambdas = bl_construct.choose_lambdas(f, seq.points, f.k, z)
-    bump = bl_construct.make_bump()
-    pf = bl_construct.assemble_F(f, seq, lambdas, bump, z)
-    rep = bl_construct.verify_construction(pf, f.k, z, seed=config.seed)
+        points, dists = np.asarray(seq.points), np.asarray(seq.dists)
+    lambdas = bl_construct.choose_lambdas(f, points, z)
+    pf = bl_construct.assemble_F(f, points, dists, lambdas)
+    rep = bl_construct.verify_construction(pf, z, seed=config.seed)
     _write_report(config, {"construction": rep.to_dict(),
                            "lambdas": lambdas,
-                           "sequence": {"points": seq.points.tolist(),
-                                        "dists": seq.dists.tolist()}}, outdir)
+                           "sequence": {"points": points.tolist(),
+                                        "dists": dists.tolist()}}, outdir)
     return EXIT_OK if rep.ok else EXIT_VIOLATION
-
-
-@dataclass
-class _RawSequence:
-    points: np.ndarray
-    dists: np.ndarray
-    ratios: np.ndarray
 
 
 # Every handler takes (config, outdir, seq_path); only construct reads --seq,

@@ -149,17 +149,15 @@ def equivalence_constants_sample(dims: tuple[int, int], count: int, seed: int,
     if count < 1:
         raise InvalidInputError("count must be >= 1")
     m, n = dims
-    rng = np.random.default_rng(seed)
-    c_low, c_high = np.inf, 0.0
-    for _ in range(count):
-        A = LinearMap(scale * rng.standard_normal((m, n)))
-        g = g_prime(A)
-        v = nu(A)
-        if g == 0.0:
-            if v >= 1e-12:
-                raise MinorIdentityError(f"g' = 0 but nu = {v:.3e} > 0")
-            continue
-        r = v / g
-        c_low = min(c_low, r)
-        c_high = max(c_high, r)
-    return float(c_low), float(c_high)
+    if m > n:
+        raise InvalidInputError(f"need m <= n, got {m}x{n}")
+    A = scale * np.random.default_rng(seed).standard_normal((count, m, n))
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("entries must be finite")
+    g, v = g_prime_many(A), nu_many(A)
+    skip = g == 0.0
+    bad = skip & (v >= 1e-12)
+    if bad.any():
+        raise MinorIdentityError(f"g' = 0 but nu = {v[bad][0]:.3e} > 0")
+    r = v[~skip] / g[~skip]
+    return float(r.min(initial=np.inf)), float(r.max(initial=0.0))

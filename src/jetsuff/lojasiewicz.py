@@ -26,6 +26,8 @@ from .report import Report
 from .sampling import unit_shell_sample
 
 DIST_FLOOR = 1e-9  # points closer to Z are excluded from ratio statistics
+# find_violation_sequence: annuli of radius 1/2, 1/4, ..., points per annulus
+SEARCH_DEPTH, SEARCH_SAMPLES = 12, 512
 
 
 @dataclass(frozen=True)
@@ -137,26 +139,23 @@ def fit_exponent(f, z: ZSpec, radii, samples_per_annulus: int, seed: int) -> flo
     return float(slope)
 
 
-def find_violation_sequence(f, z: ZSpec, k: int, seed: int,
-                            r_start: float = 0.5, depth: int = 12,
-                            samples_per_annulus: int = 512):
+def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     """Search for a sequence witnessing failure of the condition.
 
     Greedy per-annulus minimizer of the ratio, polished by Nelder-Mead,
     then thinned until distances halve and ratios decay at least like
     1/nu. Returns None when the ratios stay bounded below.
     """
-    shell = unit_shell_sample(f.n, samples_per_annulus, seed)
+    shell = unit_shell_sample(f.n, SEARCH_SAMPLES, seed)
 
-    def ratio(x):
-        d = z.distance(x)
+    def ratio(x, d):
         if d < DIST_FLOOR:
             return np.inf
         return nu(f.jacobian(x)) / d ** (k - 1)
 
     cands = []
-    for j in range(depth):
-        r = r_start * 0.5 ** j
+    for j in range(SEARCH_DEPTH):
+        r = 0.5 ** (j + 1)
         stats = _ratio_stats(f, z, k, r * shell)
         if stats is None:
             continue
@@ -168,15 +167,17 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int,
             # otherwise descent just chases dist -> 0 at every scale
             if not 0.45 * r <= np.linalg.norm(x) <= 1.05 * r:
                 return np.inf
-            if not 0.45 * d_arg <= z.distance(x) <= 2.0 * d_arg:
+            d = z.distance(x)
+            if not 0.45 * d_arg <= d <= 2.0 * d_arg:
                 return np.inf
-            return ratio(x)
+            return ratio(x, d)
 
         res = optimize.minimize(
             objective, arg, method="Nelder-Mead",
             options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14})
-        x_best = res.x if np.isfinite(res.fun) and res.fun < ratio(arg) else arg
-        cands.append((np.asarray(x_best, dtype=float), ratio(x_best), z.distance(x_best)))
+        x_best = res.x if np.isfinite(res.fun) and res.fun < ratio(arg, d_arg) else arg
+        d_best = z.distance(x_best)
+        cands.append((np.asarray(x_best, dtype=float), ratio(x_best, d_best), d_best))
     if not cands:
         return None
     if cands[-1][1] > 0.5 * cands[0][1]:

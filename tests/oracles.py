@@ -17,9 +17,9 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize
 
-from jetsuff.errors import CalibrationError, InvalidInputError
+from jetsuff.errors import CalibrationError, InvalidInputError, MinorIdentityError
 from jetsuff.germ import SampledZ
-from jetsuff.linmap import LinearMap, g_prime
+from jetsuff.linmap import LinearMap, g_prime, nu
 from jetsuff.lojasiewicz import DIST_FLOOR
 from jetsuff.sampling import ball_sample, sphere_sample, unit_shell_sample
 from jetsuff.trivializer import DeformationF, TrivializationConstants
@@ -171,6 +171,25 @@ def nu_reference(A) -> float:
     if A.shape[0] == 1:
         return float(np.linalg.norm(A[0]))
     return float(np.linalg.svd(A, compute_uv=False)[-1])
+
+
+def equivalence_constants_reference(dims, count, seed, scale=1.0):
+    """The band of ``linmap.equivalence_constants_sample``, one matrix per draw."""
+    m, n = dims
+    rng = np.random.default_rng(seed)
+    c_low, c_high = np.inf, 0.0
+    for _ in range(count):
+        A = LinearMap(scale * rng.standard_normal((m, n)))
+        g = g_prime(A)
+        v = nu(A)
+        if g == 0.0:
+            if v >= 1e-12:
+                raise MinorIdentityError(f"g' = 0 but nu = {v:.3e} > 0")
+            continue
+        r = v / g
+        c_low = min(c_low, r)
+        c_high = max(c_high, r)
+    return float(c_low), float(c_high)
 
 
 def distance_reference(z, x) -> float:

@@ -24,8 +24,7 @@ from jetsuff.poly import Poly
 from jetsuff.sampling import ball_sample
 from jetsuff.trivializer import (VectorFieldW, build_F, calibrate_constants,
                                  gronwall_check, isotopy)
-from jetsuff.bl_construct import (assemble_F, choose_lambdas, make_bump,
-                                  verify_construction)
+from jetsuff.bl_construct import assemble_F, choose_lambdas, verify_construction
 from jetsuff.cli import main as cli_main
 from oracles import nu_bruteforce
 
@@ -196,14 +195,10 @@ def test_criterion_08_counterexample_construction():
     t0 = time.monotonic()
     f = PolyGermMap(2, 1, 4, [Poly(2, {(2, 2): Fraction(1)})])
     pts = np.array([[3.0 ** -v, 3.0 ** -v] for v in range(1, 6)])
-
-    class Seq:
-        points = pts
-        dists = np.array([Z_AXES.distance(p) for p in pts])
-
-    lams = choose_lambdas(f, pts, 4, Z_AXES)
-    pf = assemble_F(f, Seq, lams, make_bump(), Z_AXES)
-    rep = verify_construction(pf, 4, Z_AXES)
+    dists = np.array([Z_AXES.distance(p) for p in pts])
+    lams = choose_lambdas(f, pts, Z_AXES)
+    pf = assemble_F(f, pts, dists, lams)
+    rep = verify_construction(pf, Z_AXES)
     elapsed = time.monotonic() - t0
     ok = (rep.ok
           and max(rep.value_residuals) <= 1e-10

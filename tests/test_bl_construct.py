@@ -3,8 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetsuff.bl_construct import (PerturbationF, PerturbedGerm, assemble_F,
-                                  choose_lambdas, make_bump,
+from jetsuff.bl_construct import (BumpFunction, assemble_F, choose_lambdas,
                                   verify_construction)
 from jetsuff.errors import ConstructionError, InvalidInputError
 from jetsuff.germ import AnalyticZ, PolyGermMap
@@ -19,36 +18,31 @@ def x2y2_germ():
 
 
 def diagonal_sequence(N=5):
+    """Points (3^-v, 3^-v), v = 1..N, and their distances to Z."""
     pts = np.array([[3.0 ** -v, 3.0 ** -v] for v in range(1, N + 1)])
-    dists = np.array([Z_AXES.distance(p) for p in pts])
-
-    class Seq:
-        points = pts
-
-    Seq.dists = dists
-    return Seq
+    return pts, np.array([Z_AXES.distance(p) for p in pts])
 
 
 class TestBump:
     def test_plateau_and_support(self):
-        b = make_bump()
+        b = BumpFunction()
         assert b.value([0.0, 0.0]) == 1.0
         assert b.value([0.1, 0.0]) == 1.0
         assert b.value([0.3, 0.0]) == 0.0
         assert 0.0 < b.value([0.2, 0.0]) < 1.0
 
     def test_flat_at_center(self):
-        b = make_bump()
+        b = BumpFunction()
         np.testing.assert_array_equal(b.gradient([0.0, 0.0]), [0.0, 0.0])
         np.testing.assert_array_equal(b.hessian([0.0, 0.0]), np.zeros((2, 2)))
 
     def test_bounded_by_one(self):
-        b = make_bump()
+        b = BumpFunction()
         ss = np.linspace(0, 0.5, 257)
         assert all(0.0 <= b.value([s, 0.0]) <= 1.0 for s in ss)
 
     def test_gradient_matches_finite_differences(self):
-        b = make_bump()
+        b = BumpFunction()
         for x in ([0.2, 0.05], [0.15, -0.1], [0.05, 0.0]):
             x = np.array(x)
             h = 1e-6
@@ -58,24 +52,18 @@ class TestBump:
             np.testing.assert_allclose(b.gradient(x), fd, atol=1e-6)
 
     def test_hessian_matches_finite_differences(self):
-        b = make_bump()
+        b = BumpFunction()
         x = np.array([0.18, 0.07])
         fd = fd_hessian(b.value, x, h=1e-4)
         scale = np.max(np.abs(fd))
         assert np.max(np.abs(b.hessian(x) - fd)) <= 1e-4 * scale
 
-    def test_invalid_radii(self):
-        with pytest.raises(InvalidInputError):
-            make_bump(0.3)
-        with pytest.raises(InvalidInputError):
-            make_bump(0.0)
-
 
 class TestChooseLambdas:
     def test_default_power(self):
-        seq = diagonal_sequence()
-        lams = choose_lambdas(x2y2_germ(), seq.points, 4, Z_AXES)
-        for lam, d in zip(lams, seq.dists):
+        pts, dists = diagonal_sequence()
+        lams = choose_lambdas(x2y2_germ(), pts, Z_AXES)
+        for lam, d in zip(lams, dists):
             assert lam == pytest.approx(d ** 3, rel=2e-3)
             # the constraining ratio lambda / dist^(k-2) decays like dist
             assert lam / d ** 2 == pytest.approx(d, rel=2e-3)
@@ -85,20 +73,19 @@ class TestChooseLambdas:
         # so the k=2 default lambda = 2 collides with the eigenvalue 2
         f = PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1, (0, 2): 3})])
         z = AnalyticZ(n=2, form="subspace", coords=(1,))
-        lam, = choose_lambdas(f, [[2.0, 5.0]], 2, z)
+        lam, = choose_lambdas(f, [[2.0, 5.0]], z)
         assert lam == pytest.approx(2.002, rel=1e-9)
 
     def test_rejects_points_on_Z(self):
         with pytest.raises(InvalidInputError):
-            choose_lambdas(x2y2_germ(), [[0.0, 1.0]], 4, Z_AXES)
+            choose_lambdas(x2y2_germ(), [[0.0, 1.0]], Z_AXES)
 
 
 @pytest.fixture(scope="module")
 def pf():
     f = x2y2_germ()
-    seq = diagonal_sequence()
-    lams = choose_lambdas(f, seq.points, 4, Z_AXES)
-    return assemble_F(f, seq, lams, make_bump(), Z_AXES)
+    pts, dists = diagonal_sequence()
+    return assemble_F(f, pts, dists, choose_lambdas(f, pts, Z_AXES))
 
 
 class TestAssembly:
@@ -122,51 +109,56 @@ class TestAssembly:
                 assert pf.value(np.add(z_pt, shift)) == 0.0
 
     def test_hessian_identity_at_centers(self, pf):
-        g = PerturbedGerm(pf)
         for a, lam in zip(pf.centers, pf.lambdas):
             want = pf.f.hessian(0, a) - lam * np.eye(2)
-            np.testing.assert_allclose(g.hessian(0, a), want, atol=1e-12)
-            # finite-difference cross-check of the assembled Hessian
-            fd = fd_hessian(lambda x: float(g.eval(x)[0]), a, h=1e-5)
+            np.testing.assert_allclose(pf.f.hessian(0, a) - pf.hessian(a), want,
+                                       atol=1e-12)
+            # finite-difference cross-check of the Hessian of f - F
+            fd = fd_hessian(lambda x: float(pf.f.eval(x)[0]) - pf.value(x), a, h=1e-5)
             assert np.max(np.abs(fd - want)) <= 1e-7
 
-    def test_hessian_of_a_missing_component_rejected(self, pf):
-        with pytest.raises(InvalidInputError):
-            PerturbedGerm(pf).hessian(1, pf.centers[0])
+    def test_derivatives_in_the_bump_transition(self, pf):
+        # where RHO_IN < |x - a_v| / d_v < RHO_OUT the bump is not flat, so
+        # its gradient and Hessian enter every derivative of F
+        for a, d in zip(pf.centers, pf.dists):
+            for s in (0.15, 0.19, 0.23):
+                x = a + d * s * np.array([0.6, -0.8])
+                h = 1e-6 * d
+                fd = np.array([(pf.value(x + h * e) - pf.value(x - h * e)) / (2 * h)
+                               for e in np.eye(2)])
+                grad = pf.gradient(x)
+                assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+                fd = fd_hessian(pf.value, x, h=1e-4 * d)
+                hess = pf.hessian(x)
+                assert np.max(np.abs(hess - fd)) <= 1e-3 * np.max(np.abs(hess))
 
     def test_overlapping_balls_rejected(self):
         f = x2y2_germ()
         pts = np.array([[0.3, 0.3], [0.31, 0.31], [0.05, 0.05]])
 
-        class Seq:
-            points = pts
-            dists = np.array([0.3, 0.14, 0.05])
-
         with pytest.raises((ConstructionError, InvalidInputError)):
-            assemble_F(f, Seq, [0.1, 0.01, 0.001], make_bump(), Z_AXES)
+            assemble_F(f, pts, [0.3, 0.14, 0.05], [0.1, 0.01, 0.001])
 
     def test_short_prefix_rejected(self):
         f = x2y2_germ()
-        seq = diagonal_sequence(2)
+        pts, dists = diagonal_sequence(2)
         with pytest.raises(InvalidInputError):
-            assemble_F(f, seq, [0.1, 0.01], make_bump(), Z_AXES)
+            assemble_F(f, pts, dists, [0.1, 0.01])
 
     def test_nonvanishing_jet_rejected(self):
         # x + x^2 has a nonzero 1-jet at 0, so the k = 2 hypothesis fails
         f = PolyGermMap(2, 1, 2, [Poly(2, {(1, 0): 1, (2, 0): 1})])
-        z = AnalyticZ(n=2, form="subspace", coords=(1,))
-        seq = diagonal_sequence()
+        pts, dists = diagonal_sequence()
         with pytest.raises(InvalidInputError):
-            assemble_F(f, seq, [0.1] * 5, make_bump(), z)
+            assemble_F(f, pts, dists, [0.1] * 5)
 
 
 class TestVerification:
     def test_full_construction_passes(self):
         f = x2y2_germ()
-        seq = diagonal_sequence()
-        lams = choose_lambdas(f, seq.points, 4, Z_AXES)
-        pf = assemble_F(f, seq, lams, make_bump(), Z_AXES)
-        rep = verify_construction(pf, 4, Z_AXES)
+        pts, dists = diagonal_sequence()
+        pf = assemble_F(f, pts, dists, choose_lambdas(f, pts, Z_AXES))
+        rep = verify_construction(pf, Z_AXES)
         assert rep.ok, rep.failures
         assert all(v <= 1e-12 for v in rep.value_residuals)
         assert all(g <= 1e-10 for g in rep.gradient_residuals)
@@ -174,8 +166,7 @@ class TestVerification:
         assert all(b < a for a, b in zip(rep.decay, rep.decay[1:]))
 
     def test_disjointness_margin(self):
-        seq = diagonal_sequence()
-        pts, dists = seq.points, seq.dists
+        pts, dists = diagonal_sequence()
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 gap = np.linalg.norm(pts[i] - pts[j])

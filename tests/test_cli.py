@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,22 @@ class TestExitCodeTaxonomy:
                        "--cmd", "trivialize", "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err == "error: nonzero minor with vanishing subminors\n"
+
+    @pytest.mark.parametrize("points, message", [
+        ([[0.1, float("nan")], [0.01, 0.01], [0.001, 0.001]], "finite"),
+        ([[0.1, 0.0], [0.01, 0.01], [0.001, 0.001]], "lies on Z"),
+        ([[0.1, 0.1], [0.01]], "coordinate lists"),
+        ([0.1, 0.1], "shape"),
+    ])
+    def test_bad_sequence_file(self, tmp_path, capsys, points, message):
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({"points": points}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("--germ", GERMS / "x2y2.json", "--cmd", "construct",
+                           "--seq", seq, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 def _strip_timestamp(path: Path) -> str:

@@ -8,7 +8,8 @@ from jetsuff import linmap
 from jetsuff.errors import InvalidInputError, MinorIdentityError
 from jetsuff.linmap import (LinearMap, equivalence_constants_sample, g_prime,
                             g_prime_many, minor_table, nu, nu_many, realify)
-from oracles import minors_reference, nu_bruteforce, nu_reference
+from oracles import (equivalence_constants_reference, minors_reference,
+                     nu_bruteforce, nu_reference)
 
 
 class TestNu:
@@ -230,9 +231,20 @@ class TestEquivalenceBand:
         assert lo == np.inf and hi == 0.0
 
     def test_zero_g_prime_with_positive_nu_raises(self, monkeypatch):
-        monkeypatch.setattr(linmap, "nu", lambda A: 1.0)
-        with pytest.raises(MinorIdentityError):
+        # the message names the first offending draw
+        monkeypatch.setattr(linmap, "nu_many", lambda a: np.arange(1.0, len(a) + 1))
+        with pytest.raises(MinorIdentityError, match="nu = 1.000e"):
             equivalence_constants_sample((2, 3), 5, 0, scale=0.0)
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (2, 2), (2, 3), (2, 5),
+                                      (3, 3), (3, 4), (3, 6)])
+    def test_stack_matches_one_matrix_per_draw(self, dims):
+        for seed in (0, 1, 2):
+            for count in (1, 50, 500):
+                assert (equivalence_constants_sample(dims, count, seed)
+                        == equivalence_constants_reference(dims, count, seed))
+        assert (equivalence_constants_sample(dims, 5, 0, scale=0.0)
+                == equivalence_constants_reference(dims, 5, 0, scale=0.0))
 
     def test_sandwich_zero_iff_zero(self):
         rng = np.random.default_rng(23)
