@@ -12,7 +12,7 @@ from .lojasiewicz import (LojasiewiczReport, ViolationSequence,
                           check_corollary_hypotheses, estimate_condition,
                           find_violation_sequence, fit_exponent)
 from .trivializer import (DeformationF, IsotopyResult, TrivializationConstants,
-                          VectorFieldW, build_F, calibrate_constants, flow,
+                          VectorFieldW, build_F, calibrate_constants, flow, flow_many,
                           gronwall_check, isotopy)
 from .bl_construct import (BumpFunction, PerturbationF, assemble_F,
                            choose_lambdas, verify_construction)

@@ -49,6 +49,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tol_ode <= 0:
             raise InvalidInputError("tolerances must be positive")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be non-negative")
         if self.command not in COMMANDS:
             raise InvalidInputError(f"unknown command {self.command!r}")
 

@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp  # solve_ivp: only for the benchmark tracer
 
 from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
                      FieldBoundError, InvalidInputError)
@@ -26,6 +26,8 @@ from .sampling import ball_sample
 
 LINSYS_TOL = 1e-9      # residual budget for (d_xF) W^T + P^T
 FIELD_BOUND_SLACK = 1e-6
+# scipy's RK45 step control: safety factor, step change bounds, rtol floor
+SAFETY, MIN_FACTOR, MAX_FACTOR, EPS = 0.9, 0.2, 10, np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -58,15 +60,12 @@ class DeformationF:
     def eval(self, xi: float, x) -> np.ndarray:
         return self.f.eval(x) + xi * self.P.eval(x)
 
-    def P_and_d_x(self, xi: float, x) -> tuple[np.ndarray, np.ndarray]:
-        """P(x) and the m x n matrix d_xF(xi, x) = Jf(x) + xi JP(x), read
-        from one power table at x."""
-        v = self._stack.eval_many(np.asarray(x, dtype=float)[None, :])[0]
-        Jf, JP = v[self.m:].reshape(2, self.m, self.n)
-        A = Jf + xi * JP
-        if not np.all(np.isfinite(A)):
-            raise InvalidInputError("entries must be finite")
-        return v[:self.m], A
+    def P_and_d_x(self, xis, X) -> tuple[np.ndarray, np.ndarray]:
+        """P and d_xF(xi, x) = Jf(x) + xi JP(x) at the rows of X (shape
+        (N, n)), one xi per row, read from one power table."""
+        v = self._stack.eval_many(np.asarray(X, dtype=float))
+        J = v[:, self.m:].reshape(-1, 2, self.m, self.n)
+        return v[:, :self.m], J[:, 0] + np.asarray(xis, dtype=float)[:, None, None] * J[:, 1]
 
 
 def build_F(pair: GermPair, check_jets: bool = True, seed: int = 0) -> DeformationF:
@@ -147,14 +146,19 @@ def _p_bounds_check(P, z, X, C, k):
     return np.concatenate(kept), np.concatenate(scales), None
 
 
-def _smoothstep(s: float) -> float:
-    """C^2 ramp: 0 for s <= 1/2, 1 for s >= 1, quintic in between."""
-    if s <= 0.5:
-        return 0.0
-    if s >= 1.0:
-        return 1.0
-    u = 2.0 * (s - 0.5)
-    return u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
+def _smoothstep(s: np.ndarray) -> np.ndarray:
+    """C^2 ramp, entry by entry: 0 for s <= 1/2, 1 for s >= 1, quintic in
+    between, its powers in Python float arithmetic as for one point."""
+    out = np.where(s >= 1.0, 1.0, 0.0)
+    mid = (s > 0.5) & (s < 1.0)
+    u = 2.0 * (s[mid] - 0.5)
+    out[mid] = scalar_powers(u, 3) * (10.0 - 15.0 * u + 6.0 * scalar_powers(u, 2))
+    return out
+
+
+def _residuals(A: np.ndarray, W: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """|A w + P| per row; a stacked matmul keeps each row's ``A @ w`` bits."""
+    return row_norms(np.matmul(A, W[:, :, None])[:, :, 0] + P)
 
 
 class VectorFieldW:
@@ -166,72 +170,57 @@ class VectorFieldW:
         self.z = F.pair.z
 
     def eval(self, xi: float, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = self.z.distance(x)
-        if d <= 1e-14:
-            return np.zeros(self.F.n)
-        P, A = self.F.P_and_d_x(xi, x)
-        negP = -P
-        thresh = self.constants.C_prime * d ** (self.F.k - 1)
-        cols, M_I, h_I, num = minor_table(A)
-        b = negP.tolist()
-        active = []  # (weight, field) per column set whose minor dominates
-        for I, M, h, rows in zip(cols.tolist(), M_I.tolist(), h_I.tolist(), num.tolist()):
-            w = _smoothstep(abs(M) / max(h, 1e-300) / thresh)
-            if w > 0.0:
-                # Cramer's rule on I: w_l = sum_j num[l, j] (-P)_j / M_I
-                f = np.zeros(self.F.n)
-                f[I] = [sum(v * bj for v, bj in zip(row, b)) / M for row in rows]
-                active.append((w, f))
-        if not active:
-            raise CoveringViolationError(
-                f"no active minor at xi={xi}, x={x.tolist()} (dist {d:.3e}); "
-                "the minor lower bound fails here")
-        total = sum(w for w, _ in active)
-        W = sum((w / total) * f for w, f in active)
-        resid = np.linalg.norm(A @ W + (-negP))
-        if resid > LINSYS_TOL * (1.0 + np.linalg.norm(negP)):
-            raise InvalidInputError(
-                f"linear system residual {resid:.3e} out of budget at x={x.tolist()}")
-        bound = self.constants.C_dprime * d * (1.0 + FIELD_BOUND_SLACK)
-        if np.linalg.norm(W) > bound:
-            raise FieldBoundError(
-                f"field bound violated at x={x.tolist()}: |W|={np.linalg.norm(W):.3e} "
-                f"> C'' dist = {bound:.3e}")
-        return W
+        W, (error,) = self.eval_many([xi], np.asarray(x, dtype=float)[None, :])
+        if error is not None:
+            raise error
+        return W[0]
 
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray = field(repr=False)
-    states: np.ndarray = field(repr=False)  # (T, n)
-    nfev: int = 0
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def flow(vf: VectorFieldW, x0, t_span=(0.0, 1.0), tol: float = 1e-9,
-         checkpoints: int = 17) -> Trajectory:
-    """Integrate y' = W(t, y) from (t_span[0], x0) to t_span[1]."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    times = np.linspace(t_span[0], t_span[1], checkpoints)
-    if vf.z.distance(x0) <= 1e-14:
-        return Trajectory(times=times, states=np.tile(x0, (checkpoints, 1)), nfev=0)
-    r1 = vf.constants.U_radius
-    max_step = min(0.5, 0.1 / vf.constants.C_dprime) if vf.constants.C_dprime > 0 else 0.5
-
-    sol = solve_ivp(vf.eval, t_span, x0, method="RK45", rtol=tol, atol=tol,
-                    max_step=max_step, t_eval=times, dense_output=False)
-    if not sol.success:
-        raise DomainExitError(f"integration failed: {sol.message}")
-    states = sol.y.T
-    if np.any(np.linalg.norm(states, axis=1) > r1 * (1 + 1e-9)):
-        raise DomainExitError("trajectory left the calibrated ball")
-    return Trajectory(times=times, states=states, nfev=sol.nfev)
+    def eval_many(self, xis, X) -> tuple[np.ndarray, list]:
+        """W(xi_i, x_i) at the rows of X (N, n), and per row the error ``eval``
+        raises there, or None. Each row gets one point's arithmetic: sums from
+        +0.0 in order, checks of finite entries, active minor, residual, bound."""
+        xis, X = np.asarray(xis, dtype=float), np.asarray(X, dtype=float)
+        W, errors, c = np.zeros(X.shape), [None] * len(X), self.constants
+        d = self.z.distance_many(X)
+        rows = np.flatnonzero(~(d <= 1e-14))  # W = 0 on Z
+        P, A = self.F.P_and_d_x(xis[rows], X[rows])
+        thresh = c.C_prime * scalar_powers(d[rows], self.F.k - 1)
+        finite = np.isfinite(A).all(axis=(1, 2))
+        ok = finite & (thresh != 0.0)
+        A[~finite], thresh[~ok] = 0.0, 1.0  # placeholders in failed rows
+        cols, M, h, num = minor_table(A)
+        w = _smoothstep(np.abs(M) / np.maximum(h, 1e-300) / thresh[:, None])
+        on, total, b = w > 0.0, sum(w.T), -P
+        # Cramer's rule on each column set I: w_l = sum_j num[l, j] (-P)_j / M_I
+        cramer = sum(num[..., j] * b[:, None, None, j] for j in range(b.shape[1]))
+        cramer = np.divide(cramer, M[..., None], out=np.zeros_like(cramer), where=on[..., None])
+        terms = np.divide(w, total[:, None], out=np.zeros_like(w), where=on)[..., None] * cramer
+        blend = np.zeros((len(rows), X.shape[1]))
+        for s, I in enumerate(cols):  # an inactive set adds +0.0, which changes no entry
+            blend[:, I] += terms[:, s]
+        active, resid, norm_W = on.any(axis=1), _residuals(A, blend, P), row_norms(blend)
+        off_budget = resid > LINSYS_TOL * (1.0 + row_norms(b))
+        bound = c.C_dprime * d[rows] * (1.0 + FIELD_BOUND_SLACK)
+        good = ok & active & ~off_budget & ~(norm_W > bound)
+        W[rows[good]] = blend[good]
+        for r in np.flatnonzero(~good).tolist():
+            i, x = rows[r], X[rows[r]].tolist()
+            if not finite[r]:
+                errors[i] = InvalidInputError("entries must be finite")
+            elif not ok[r]:
+                errors[i] = ZeroDivisionError("float division by zero")
+            elif not active[r]:
+                errors[i] = CoveringViolationError(
+                    f"no active minor at xi={xis[i]}, x={x} (dist {d[i]:.3e}); "
+                    "the minor lower bound fails here")
+            elif off_budget[r]:
+                errors[i] = InvalidInputError(
+                    f"linear system residual {resid[r]:.3e} out of budget at x={x}")
+            else:
+                errors[i] = FieldBoundError(
+                    f"field bound violated at x={x}: |W|={norm_W[r]:.3e} "
+                    f"> C'' dist = {bound[r]:.3e}")
+        return W, errors
 
 
 @dataclass(frozen=True)
@@ -279,38 +268,166 @@ class IsotopyResult(Report):
                                + [repr(float(self.conservation[p, j]))])
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    times: np.ndarray = field(repr=False)
+    states: np.ndarray = field(repr=False)  # (T, n)
+    nfev: int = 0
+
+    endpoint = property(lambda self: self.states[-1])
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(t0: float, y0: np.ndarray, t_bound: float, t_eval: np.ndarray,
+          max_step: float, tol: float, radius: float):
+    """``solve_ivp(method="RK45", t_eval=t_eval)`` for one trajectory in
+    scipy's arithmetic and order, as a generator: it yields (t, y) for each
+    right-hand side, takes W back by ``send``, and returns the states at
+    ``t_eval`` (T, n) or raises DomainExitError as ``flow`` does."""
+    C, A, B, E, P = RK45.C, RK45.A, RK45.B, RK45.E, RK45.P
+    order, exponent = RK45.error_estimator_order, -1 / (RK45.error_estimator_order + 1)
+    rtol, atol = max(tol, 100 * EPS), tol  # scipy raises rtol to 100 eps
+    direction, interval = np.sign(t_bound - t0), abs(t_bound - t0)
+    t, y = t0, y0
+    f = yield t, y
+    # initial step (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+    f1 = yield t0 + h0 * direction, y + h0 * direction * f
+    d2 = _rms((f1 - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / (order + 1)))
+    h_abs = min(100 * h0, h1, interval, max_step)
+    K, ys, emitted = np.empty((RK45.n_stages + 1, y.size)), [], 0
+    while not direction * (t - t_bound) >= 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise DomainExitError("integration failed: Required step size "
+                                      "is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+                K[s] = yield t + c * h, y + np.dot(K[:s].T, a[:s]) * h
+            y_new = y + h * np.dot(K[:-1].T, B)
+            K[-1] = f_new = yield t + h, y_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, E) * h / scale)
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0 else
+                          min(MAX_FACTOR, SAFETY * error_norm ** exponent))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        # the step's quartic interpolant at the checkpoints it passed
+        # (t_eval runs in the direction of integration)
+        passed = np.count_nonzero(direction * (t_eval - t) <= 0)
+        if passed > emitted:
+            step = t - t_old
+            x = np.tile((t_eval[emitted:passed] - t_old) / step, (P.shape[1], 1))
+            out = step * np.dot(K.T.dot(P), np.cumprod(x, axis=0))
+            out += y_old[:, None]
+            ys.append(out)
+            emitted = passed
+    states = np.hstack(ys).T
+    if np.any(np.linalg.norm(states, axis=1) > radius * (1 + 1e-9)):
+        raise DomainExitError("trajectory left the calibrated ball")
+    return states
+
+
+def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
+              checkpoints: int = 17) -> tuple[np.ndarray, np.ndarray, list]:
+    """``flow`` for each row of X0 (N, n), in lock step: each row takes the
+    RK45 steps ``solve_ivp`` takes for it alone, and the W values all live
+    rows need next are one ``eval_many`` call. Returns the states (N, T, n),
+    W calls per row (N,) and per row the error ``flow`` raises, or None; a
+    failing row stops there."""
+    if tol <= 0:
+        raise InvalidInputError("tol must be positive")
+    X0 = np.asarray(X0, dtype=float)
+    t0, t1 = map(float, t_span)
+    times = np.linspace(t_span[0], t_span[1], checkpoints)
+    states = np.repeat(X0[:, None, :], checkpoints, axis=1)
+    nfev, errors = np.zeros(len(X0), dtype=int), [None] * len(X0)
+    max_step = min(0.5, 0.1 / vf.constants.C_dprime)
+    runs = {p: _rk45(t0, X0[p], t1, times, max_step, tol, vf.constants.U_radius)
+            for p in np.flatnonzero(~(vf.z.distance_many(X0) <= 1e-14)).tolist()}
+    pending = {p: next(run) for p, run in runs.items()}
+    while pending:
+        rows = list(pending)
+        W, errs = vf.eval_many([pending[p][0] for p in rows],
+                               np.array([pending[p][1] for p in rows]))
+        for p, w, error in zip(rows, W, errs):
+            nfev[p] += 1
+            try:
+                if error is None:
+                    pending[p] = runs[p].send(w)
+                    continue
+            except StopIteration as done:
+                states[p] = done.value
+            except DomainExitError as exc:
+                error = exc
+            errors[p] = error
+            del pending[p]
+    return states, nfev, errors
+
+
+def flow(vf: VectorFieldW, x0, t_span=(0.0, 1.0), tol: float = 1e-9,
+         checkpoints: int = 17) -> Trajectory:
+    """Integrate y' = W(t, y) from (t_span[0], x0) to t_span[1]; on Z, stay."""
+    states, nfev, (error,) = flow_many(vf, np.asarray(x0, dtype=float)[None, :],
+                                       t_span, tol, checkpoints)
+    if error is not None:
+        raise error
+    return Trajectory(np.linspace(t_span[0], t_span[1], checkpoints), states[0],
+                      int(nfev[0]))
+
+
 def backward_flow(vf: VectorFieldW, y, t: float, tol: float = 1e-9) -> np.ndarray:
     """Inverse map: integrate from (t, y) back to time 0."""
     y = np.asarray(y, dtype=float)
-    if vf.z.distance(y) <= 1e-14 or t == 0.0:
-        return y.copy()
-    traj = flow(vf, y, t_span=(t, 0.0), tol=tol, checkpoints=2)
-    return traj.endpoint
+    return y.copy() if t == 0.0 else flow(vf, y, (t, 0.0), tol, checkpoints=2).endpoint
 
 
 def isotopy(vf: VectorFieldW, grid, tol: float = 1e-9,
             checkpoints: int = 17) -> IsotopyResult:
-    """Forward flows on the grid plus inverse and conservation residuals."""
+    """Forward flows on the grid (one ``flow_many``), backward flows from
+    each checkpoint (one ``flow_many`` per time), inverse and conservation
+    residuals. A failure raises the error a point-by-point loop meets first:
+    lowest grid point, forward before backward flows, checkpoints in order."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    N = grid.shape[0]
+    N, n = grid.shape
+    forward, nfev, errors = flow_many(vf, grid, tol=tol, checkpoints=checkpoints)
+    failed = {p: e for p, e in enumerate(errors) if e is not None}
     times = np.linspace(0.0, 1.0, checkpoints)
-    forward = np.zeros((N, checkpoints, vf.F.n))
-    conservation = np.zeros((N, checkpoints))
-    inverse_res = np.zeros((N, checkpoints))
-    nfev = 0
-    for p in range(N):
-        x0 = grid[p]
-        traj = flow(vf, x0, tol=tol, checkpoints=checkpoints)
-        nfev += traj.nfev
-        forward[p] = traj.states
-        fx = vf.F.f.eval(x0)
-        for j, t in enumerate(times):
-            y = traj.states[j]
-            conservation[p, j] = np.linalg.norm(vf.F.eval(t, y) - fx)
-            inverse_res[p, j] = np.linalg.norm(backward_flow(vf, y, t, tol=tol) - x0)
+    inverse = forward.copy()  # time 0 and points on Z map back to themselves
+    for j, t in enumerate(times):
+        todo = min(failed, default=N)  # later points cannot raise first
+        if t != 0.0 and todo > 0:
+            back, _, errors = flow_many(vf, forward[:todo, j], (t, 0.0), tol, 2)
+            inverse[:todo, j] = back[:, -1]
+            failed.update((p, e) for p, e in enumerate(errors) if e is not None)
+    if failed:
+        raise failed[min(failed)]
+    Y, fx = forward.reshape(-1, n), np.repeat(vf.F.f.eval_many(grid), checkpoints, axis=0)
+    F_Y = vf.F.f.eval_many(Y) + np.tile(times, N)[:, None] * vf.F.P.eval_many(Y)
+    inverse_res = row_norms((inverse - grid[:, None]).reshape(-1, n))
     return IsotopyResult(grid=grid, times=times, forward=forward,
-                         conservation=conservation, inverse_residuals=inverse_res,
-                         constants=vf.constants, nfev_total=nfev)
+                         conservation=row_norms(F_Y - fx).reshape(N, -1),
+                         inverse_residuals=inverse_res.reshape(N, -1),
+                         constants=vf.constants, nfev_total=int(nfev.sum()))
 
 
 @dataclass(frozen=True)

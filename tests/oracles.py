@@ -5,6 +5,10 @@ decomposition: it estimates inf |A^T phi| over unit phi by brute force on a
 quasi-uniform sample, with a derivative-free polish in spherical angles for
 m = 3. ``calibrate_constants_scalar`` is the point-by-point calibration
 that the stacked ``trivializer.calibrate_constants`` replaced.
+``W_reference``, ``flow_reference`` and ``isotopy_reference`` are the
+one-point field, the one-trajectory ``solve_ivp`` flow and the point-by-point
+isotopy loop that ``VectorFieldW.eval_many`` and the lock-step
+``trivializer.flow_many`` replaced.
 
 The ``*_reference`` functions are the one-point formulas that jetsuff used
 before every quantity got one stacked implementation (polynomial values,
@@ -15,14 +19,17 @@ stacked code must reproduce them bit for bit.
 import itertools
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from jetsuff.errors import CalibrationError, InvalidInputError, MinorIdentityError
+from jetsuff.errors import (CalibrationError, CoveringViolationError, DomainExitError,
+                            FieldBoundError, InvalidInputError, MinorIdentityError)
 from jetsuff.germ import SampledZ
-from jetsuff.linmap import LinearMap, g_prime, nu
+from jetsuff.linmap import LinearMap, g_prime, minor_table, nu
 from jetsuff.lojasiewicz import DIST_FLOOR
 from jetsuff.sampling import ball_sample, sphere_sample, unit_shell_sample
-from jetsuff.trivializer import DeformationF, TrivializationConstants
+from jetsuff.trivializer import (FIELD_BOUND_SLACK, LINSYS_TOL, DeformationF,
+                                 IsotopyResult, TrivializationConstants)
 
 
 def nu_bruteforce(entries: np.ndarray, count: int = 100_000, seed: int = 0) -> float:
@@ -267,3 +274,116 @@ def gronwall_reference(result, constants, z, eps: float = 0.05):
             if not ok_here:
                 violations.append((p, float(t), float(d), float(lo), float(hi)))
     return not violations, float(worst), tuple(violations)
+
+
+def _smoothstep_reference(s: float) -> float:
+    """C^2 ramp: 0 for s <= 1/2, 1 for s >= 1, quintic in between."""
+    if s <= 0.5:
+        return 0.0
+    if s >= 1.0:
+        return 1.0
+    u = 2.0 * (s - 0.5)
+    return u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
+
+
+def W_reference(vf, xi: float, x) -> np.ndarray:
+    """W(xi, x) of ``vf`` at one point: Cramer sums and the blend as Python
+    sums, checks in the order finite entries, active minor, residual, bound."""
+    F = vf.F
+    x = np.asarray(x, dtype=float)
+    d = vf.z.distance(x)
+    if d <= 1e-14:
+        return np.zeros(F.n)
+    v = F._stack.eval_many(x[None, :])[0]
+    Jf, JP = v[F.m:].reshape(2, F.m, F.n)
+    A = Jf + xi * JP
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("entries must be finite")
+    negP = -v[:F.m]
+    thresh = vf.constants.C_prime * d ** (F.k - 1)
+    cols, M_I, h_I, num = minor_table(A)
+    b = negP.tolist()
+    active = []  # (weight, field) per column set whose minor dominates
+    for I, M, h, rows in zip(cols.tolist(), M_I.tolist(), h_I.tolist(), num.tolist()):
+        w = _smoothstep_reference(abs(M) / max(h, 1e-300) / thresh)
+        if w > 0.0:
+            # Cramer's rule on I: w_l = sum_j num[l, j] (-P)_j / M_I
+            f = np.zeros(F.n)
+            f[I] = [sum(v * bj for v, bj in zip(row, b)) / M for row in rows]
+            active.append((w, f))
+    if not active:
+        raise CoveringViolationError(
+            f"no active minor at xi={xi}, x={x.tolist()} (dist {d:.3e}); "
+            "the minor lower bound fails here")
+    total = sum(w for w, _ in active)
+    W = sum((w / total) * f for w, f in active)
+    resid = np.linalg.norm(A @ W + (-negP))
+    if resid > LINSYS_TOL * (1.0 + np.linalg.norm(negP)):
+        raise InvalidInputError(
+            f"linear system residual {resid:.3e} out of budget at x={x.tolist()}")
+    bound = vf.constants.C_dprime * d * (1.0 + FIELD_BOUND_SLACK)
+    if np.linalg.norm(W) > bound:
+        raise FieldBoundError(
+            f"field bound violated at x={x.tolist()}: |W|={np.linalg.norm(W):.3e} "
+            f"> C'' dist = {bound:.3e}")
+    return W
+
+
+def flow_reference(vf, x0, t_span=(0.0, 1.0), tol: float = 1e-9,
+                   checkpoints: int = 17, rhs=None):
+    """(states (T, n), nfev) of y' = W(t, y) from (t_span[0], x0) by one
+    ``solve_ivp`` call; ``rhs`` replaces ``W_reference`` as the field."""
+    if tol <= 0:
+        raise InvalidInputError("tol must be positive")
+    x0 = np.asarray(x0, dtype=float)
+    times = np.linspace(t_span[0], t_span[1], checkpoints)
+    if vf.z.distance(x0) <= 1e-14:
+        return np.tile(x0, (checkpoints, 1)), 0
+    r1 = vf.constants.U_radius
+    max_step = min(0.5, 0.1 / vf.constants.C_dprime) if vf.constants.C_dprime > 0 else 0.5
+    if rhs is None:
+        def rhs(t, y):
+            return W_reference(vf, t, y)
+    sol = solve_ivp(rhs, t_span, x0, method="RK45", rtol=tol, atol=tol,
+                    max_step=max_step, t_eval=times, dense_output=False)
+    if not sol.success:
+        raise DomainExitError(f"integration failed: {sol.message}")
+    states = sol.y.T
+    if np.any(np.linalg.norm(states, axis=1) > r1 * (1 + 1e-9)):
+        raise DomainExitError("trajectory left the calibrated ball")
+    return states, sol.nfev
+
+
+def backward_flow_reference(vf, y, t: float, tol: float = 1e-9, rhs=None) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if vf.z.distance(y) <= 1e-14 or t == 0.0:
+        return y.copy()
+    return flow_reference(vf, y, t_span=(t, 0.0), tol=tol, checkpoints=2, rhs=rhs)[0][-1]
+
+
+def isotopy_reference(vf, grid, tol: float = 1e-9, checkpoints: int = 17,
+                      rhs=None) -> IsotopyResult:
+    """Forward flows on the grid plus inverse and conservation residuals,
+    one grid point, then one checkpoint, at a time."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    N = grid.shape[0]
+    times = np.linspace(0.0, 1.0, checkpoints)
+    forward = np.zeros((N, checkpoints, vf.F.n))
+    conservation = np.zeros((N, checkpoints))
+    inverse_res = np.zeros((N, checkpoints))
+    nfev = 0
+    for p in range(N):
+        x0 = grid[p]
+        states, traj_nfev = flow_reference(vf, x0, tol=tol, checkpoints=checkpoints,
+                                           rhs=rhs)
+        nfev += traj_nfev
+        forward[p] = states
+        fx = vf.F.f.eval(x0)
+        for j, t in enumerate(times):
+            y = states[j]
+            conservation[p, j] = np.linalg.norm(vf.F.eval(t, y) - fx)
+            inverse_res[p, j] = np.linalg.norm(
+                backward_flow_reference(vf, y, t, tol=tol, rhs=rhs) - x0)
+    return IsotopyResult(grid=grid, times=times, forward=forward,
+                         conservation=conservation, inverse_residuals=inverse_res,
+                         constants=vf.constants, nfev_total=nfev)

@@ -71,6 +71,13 @@ class TestExitCodeTaxonomy:
         assert run_cli("--germ", GERMS / "x2.json", "--cmd", "check", *extra,
                        "--out", tmp_path) == code
 
+    @pytest.mark.parametrize("cmd", ["check", "exponent", "trivialize", "corollary",
+                                     "construct"])
+    def test_negative_seed(self, tmp_path, capsys, cmd):
+        assert run_cli("--germ", GERMS / "x2.json", "--pair", GERMS / "x2_plus_x3.json",
+                       "--cmd", cmd, "--seed", -1, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+
     @pytest.mark.parametrize("error", [CoveringViolationError, DomainExitError])
     def test_runtime_violation(self, tmp_path, monkeypatch, capsys, error):
         def fail(*args, **kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -6,16 +7,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from jetsuff.errors import (CalibrationError, CoveringViolationError,
+from jetsuff.errors import (CalibrationError, CoveringViolationError, DomainExitError,
                             FieldBoundError, InvalidInputError)
 from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, load_germ
 from jetsuff.lojasiewicz import estimate_condition
 from jetsuff.poly import Poly
 from jetsuff.sampling import ball_sample
 from jetsuff.trivializer import (IsotopyResult, TrivializationConstants, VectorFieldW,
-                                 build_F, calibrate_constants, flow,
-                                 gronwall_check, isotopy)
-from oracles import (calibrate_constants_scalar, eval_reference, gronwall_reference,
+                                 _residuals, backward_flow, build_F,
+                                 calibrate_constants, flow, flow_many, gronwall_check,
+                                 isotopy)
+from oracles import (W_reference, calibrate_constants_scalar, eval_reference,
+                     flow_reference, gronwall_reference, isotopy_reference,
                      jacobian_reference)
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
@@ -45,16 +48,17 @@ class TestBuildF:
         F = build_F(pair)
         assert F.eval(1.0, [0.1, 0.0]) == pytest.approx([0.011])
         assert F.eval(0.0, [0.1, 0.0]) == pytest.approx(pair.f.eval([0.1, 0.0]))
-        np.testing.assert_allclose(F.P_and_d_x(1.0, [0.1, 0.0])[1], [[0.23, 0.0]])
+        np.testing.assert_allclose(F.P_and_d_x([1.0], [[0.1, 0.0]])[1], [[[0.23, 0.0]]])
 
     def test_one_power_table_matches_pointwise(self):
         F = build_F(z2_pair_on_R3())
         rng = np.random.default_rng(3)
-        for x, xi in zip(rng.uniform(-1, 1, size=(200, 3)), rng.uniform(-2, 2, size=200)):
-            P, A = F.P_and_d_x(xi, x)
-            assert np.array_equal(P, eval_reference(F.P, x))
+        X, xis = rng.uniform(-1, 1, size=(200, 3)), rng.uniform(-2, 2, size=200)
+        P, A = F.P_and_d_x(xis, X)
+        for x, xi, P_x, A_x in zip(X, xis, P, A):
+            assert np.array_equal(P_x, eval_reference(F.P, x))
             assert np.array_equal(
-                A, jacobian_reference(F.f, x) + xi * jacobian_reference(F.P, x))
+                A_x, jacobian_reference(F.f, x) + xi * jacobian_reference(F.P, x))
 
     def test_rejects_distinct_jets(self):
         bad = make_pair({(2, 1): Fraction(1)})  # x^2 y changes the 2-jet on Z
@@ -168,7 +172,7 @@ class TestVectorField:
         for x in ([0.1, 0.03], [-0.05, 0.1], [0.02, -0.14]):
             for xi in (0.0, 0.5, 1.0):
                 w = vf.eval(xi, x)
-                resid = F.P_and_d_x(xi, x)[1] @ w + F.P.eval(x)
+                resid = F.P_and_d_x([xi], [x])[1][0] @ w + F.P.eval(x)
                 assert np.linalg.norm(resid) <= 1e-9 * (1 + np.linalg.norm(F.P.eval(x)))
 
     def test_field_bound_violation_is_a_property_failure(self, cubic_setup):
@@ -270,3 +274,142 @@ class TestIsotopy:
         res.write_csv(tmp_path / "iso.csv")
         lines = (tmp_path / "iso.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + res.grid.shape[0] * len(res.times)
+
+
+LOCKSTEP_PAIRS = ["x2/x2_plus_x3", "z2/z2_plus_cubes on R^3"]
+
+
+@lru_cache(maxsize=None)
+def lockstep_setup(name):
+    pair, rep = pair_with_report(name)
+    consts = calibrate_constants(pair, rep)
+    return pair, consts, VectorFieldW(build_F(pair), consts)
+
+
+def scaled(vf, **factors):
+    """``vf`` with some constants multiplied by the given factors."""
+    c = vf.constants
+    return VectorFieldW(vf.F, dataclasses.replace(
+        c, **{k: getattr(c, k) * v for k, v in factors.items()}))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestLockStepOracle:
+    """Stacked W, the lock-step flows and the batched isotopy against the
+    one-point W, one ``solve_ivp`` per trajectory and the point-by-point
+    loop, all equal bit for bit."""
+
+    @pytest.mark.parametrize("c_prime", [1.0, 6.0])
+    @pytest.mark.parametrize("name", LOCKSTEP_PAIRS)
+    def test_eval_many_matches_reference(self, name, c_prime):
+        pair, consts, vf = lockstep_setup(name)
+        vf = scaled(vf, C_prime=c_prime)
+        X = ball_sample(pair.f.n, 2000, 1, radius=0.66 * consts.U_radius)
+        X[::50] = 0.0      # on Z
+        X[1::37, 1] = 0.0  # off Z with a zero coordinate: signed zeros in P
+        xis = np.random.default_rng(1).uniform(-1.95, 1.95, len(X))
+        W, errors = vf.eval_many(xis, X)
+        failures = 0
+        for x, xi, w, error in zip(X, xis, W, errors):
+            try:
+                want = W_reference(vf, xi, x)
+            except (CoveringViolationError, InvalidInputError) as exc:
+                failures += 1
+                assert type(error) is type(exc) and str(error) == str(exc)
+            else:
+                assert error is None and same_bits(w, want)
+        assert (failures > 1000) == (c_prime > 1.0)
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (3, 5)])
+    def test_residuals_match_one_row_at_a_time(self, m, n):
+        rng = np.random.default_rng(m)
+        A = rng.standard_normal((3000, m, n))
+        W, P = rng.standard_normal((3000, n)), rng.standard_normal((3000, m))
+        want = [np.linalg.norm(a @ w + p) for a, w, p in zip(A, W, P)]
+        assert np.array_equal(_residuals(A, W, P), want)
+
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-15])
+    @pytest.mark.parametrize("name", LOCKSTEP_PAIRS)
+    def test_flow_many_matches_reference(self, name, tol):
+        pair, consts, vf = lockstep_setup(name)
+        X0 = ball_sample(pair.f.n, 4, 2, radius=0.66 * consts.U_radius)
+        X0[0] = 0.0
+        forward, nfev, errors = flow_many(vf, X0, tol=tol, checkpoints=17)
+        t = np.linspace(0.0, 1.0, 17)[7]
+        back, back_nfev, back_errors = flow_many(vf, forward[:, 7], t_span=(t, 0.0),
+                                                 tol=tol, checkpoints=2)
+        assert errors == back_errors == [None] * len(X0)
+        for p, x0 in enumerate(X0):
+            states, k = flow_reference(vf, x0, tol=tol, checkpoints=17)
+            assert same_bits(forward[p], states) and nfev[p] == k
+            states, k = flow_reference(vf, forward[p, 7], t_span=(t, 0.0), tol=tol,
+                                       checkpoints=2)
+            assert same_bits(back[p], states) and back_nfev[p] == k
+            assert same_bits(backward_flow(vf, forward[p, 7], t, tol=tol), states[-1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", LOCKSTEP_PAIRS)
+    def test_isotopy_matches_reference(self, name, seed):
+        pair, consts, vf = lockstep_setup(name)
+        grid = ball_sample(pair.f.n, 8, seed, radius=0.66 * consts.U_radius)
+        got, want = isotopy(vf, grid), isotopy_reference(vf, grid)
+        for key in ("forward", "conservation", "inverse_residuals"):
+            assert same_bits(getattr(got, key), getattr(want, key)), key
+        assert got.nfev_total == want.nfev_total
+
+    @pytest.mark.parametrize("name, factors, error", [
+        ("x2/x2_plus_x3", {"C_prime": 6.0}, CoveringViolationError),
+        ("x2/x2_plus_x3", {"C_dprime": 1 / 50}, FieldBoundError),
+        ("x2/x2_plus_x3", {"U_radius": 0.5}, DomainExitError),
+        ("z2/z2_plus_cubes on R^3", {"C_prime": 6.0}, CoveringViolationError),
+        ("z2/z2_plus_cubes on R^3", {"U_radius": 0.5}, DomainExitError),
+    ])
+    def test_doctored_constants_raise_the_reference_error(self, name, factors, error):
+        pair, consts, vf = lockstep_setup(name)
+        grid = ball_sample(pair.f.n, 8, 0, radius=0.66 * consts.U_radius)
+        vf = scaled(vf, **factors)
+        with pytest.raises(error) as want:
+            isotopy_reference(vf, grid)
+        with pytest.raises(error) as got:
+            isotopy(vf, grid)
+        assert type(got.value) is type(want.value) is error
+        assert str(got.value) == str(want.value)
+
+    def test_first_failure_in_loop_order_wins(self):
+        # point 5 fails in its forward flow, point 2 in its backward flow from
+        # checkpoint 7; a point-by-point loop meets point 2's failure first
+        pair, consts, vf = lockstep_setup("x2/x2_plus_x3")
+        grid = ball_sample(2, 8, 0, radius=0.66 * consts.U_radius)
+        t7 = np.linspace(0.0, 1.0, 17)[7]
+        y27 = isotopy(vf, grid).forward[2, 7]
+        assert np.all(pair.z.distance_many(grid[[2, 5]]) > 1e-14)
+        starts = {(0.0, tuple(grid[5])): "forward flow of point 5",
+                  (t7, tuple(y27)): "backward flow of point 2 from checkpoint 7"}
+
+        def injected(t, y):
+            where = starts.get((float(t), tuple(np.asarray(y).tolist())))
+            return where and DomainExitError(f"injected in the {where}")
+
+        class Failing(VectorFieldW):
+            def eval_many(self, xis, X):
+                W, errors = super().eval_many(xis, X)
+                return W, [injected(t, y) or e for t, y, e in zip(xis, X, errors)]
+
+        def rhs(t, y):
+            error = injected(t, y)
+            if error:
+                raise error
+            return W_reference(vf, t, y)
+
+        with pytest.raises(DomainExitError) as want:
+            isotopy_reference(vf, grid, rhs=rhs)
+        with pytest.raises(DomainExitError) as got:
+            isotopy(Failing(vf.F, consts), grid)
+        assert (str(got.value) == str(want.value)
+                == "injected in the backward flow of point 2 from checkpoint 7")
