@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConstructionError, InvalidInputError
 from .germ import PolyGermMap, ZSpec, jet_at, scalar_powers
+from .linmap import row_norms
 from .report import Report
 from .sampling import ball_sample
 
@@ -67,26 +68,25 @@ class BumpFunction:
         psi, dpsi, d2psi = _transition(u)
         return psi, -dpsi / (b - a), d2psi / (b - a) ** 2
 
-    def value(self, x) -> float:
-        return self._radial(float(np.linalg.norm(x)))[0]
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = float(np.linalg.norm(x))
-        _, da, _ = self._radial(s)
-        if da == 0.0:
-            return np.zeros(x.shape)
-        return da * x / s
-
-    def hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        s = float(np.linalg.norm(x))
-        _, da, d2a = self._radial(s)
-        if da == 0.0 and d2a == 0.0:
-            return np.zeros((n, n))
-        outer = np.outer(x, x)
-        return d2a * outer / s ** 2 + da * (np.eye(n) / s - outer / s ** 3)
+    def many(self, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """alpha, its gradient and its Hessian at the rows of S (shape (N, n)),
+        shapes (N,), (N, n) and (N, n, n). The radial profile is Python float
+        arithmetic per row; the gradient is exactly 0 where alpha' = 0, and
+        the Hessian where alpha' = alpha'' = 0 (the center included)."""
+        S = np.asarray(S, dtype=float)
+        N, n = S.shape
+        s = row_norms(S)
+        a, da, d2a = np.array([self._radial(v) for v in s.tolist()]).reshape(N, 3).T
+        grad, hess = np.zeros((N, n)), np.zeros((N, n, n))
+        on = da != 0.0
+        grad[on] = da[on, None] * S[on] / s[on, None]
+        on |= d2a != 0.0
+        S, s = S[on], s[on]
+        outer = S[:, :, None] * S[:, None, :]
+        s1, s2, s3 = (v[:, None, None] for v in (s, scalar_powers(s, 2), scalar_powers(s, 3)))
+        hess[on] = (d2a[on, None, None] * outer / s2
+                    + da[on, None, None] * (np.eye(n) / s1 - outer / s3))
+        return a, grad, hess
 
 
 BUMP = BumpFunction()
@@ -100,14 +100,13 @@ def choose_lambdas(f: PolyGermMap, a_list, z: ZSpec) -> list[float]:
     The default makes lambda_v / dist^(k-2) = dist -> 0, and a multiplicative
     nudge (1 + 1e-3) resolves collisions with the Hessian spectrum of f.
     """
+    A = np.atleast_2d(np.asarray(a_list, dtype=float))
     out = []
-    for a in a_list:
-        a = np.asarray(a, dtype=float)
-        d = z.distance(a)
+    for a, d, eigs in zip(A, z.distance_many(A).tolist(),
+                          np.linalg.eigvalsh(f.hessian_many(A)[:, 0])):
         if d <= 0.0:
             raise InvalidInputError(f"sequence point {a.tolist()} lies on Z")
         lam = d ** (f.k - 1)
-        eigs = np.linalg.eigvalsh(f.hessian(0, a))
         for _ in range(MAX_RETRIES):
             if np.min(np.abs(eigs - lam)) > EIG_GAP:
                 break
@@ -122,7 +121,11 @@ def choose_lambdas(f: PolyGermMap, a_list, z: ZSpec) -> list[float]:
 # ----------------------------------------------------------------- assembly
 
 class PerturbationF:
-    """The assembled perturbation: bump-localized quadratics in balls B_v."""
+    """The assembled perturbation: bump-localized quadratics in balls B_v.
+
+    A point belongs to the first ball, in center order, whose center is
+    within dist/4 of it; F vanishes outside every ball.
+    """
 
     def __init__(self, f: PolyGermMap, centers: np.ndarray, dists: np.ndarray,
                  lambdas: list[float]):
@@ -131,62 +134,45 @@ class PerturbationF:
         self.f = f
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.dists = np.asarray(dists, dtype=float)
-        self.lambdas = [float(v) for v in lambdas]
+        self.lambdas = np.asarray(lambdas, dtype=float)
         self.n = f.n
-        N = self.centers.shape[0]
-        if not (len(self.lambdas) == len(self.dists) == N):
+        if not (len(self.lambdas) == len(self.dists) == len(self.centers)):
             raise InvalidInputError("sequence lengths disagree")
-        # exact disjointness: centers further apart than the radius sum
-        for i in range(N):
-            for j in range(i + 1, N):
-                gap = np.linalg.norm(self.centers[i] - self.centers[j])
-                if gap <= (self.dists[i] + self.dists[j]) / 4.0:
-                    raise ConstructionError(
-                        f"balls {i} and {j} overlap (centers {gap:.3e} apart)")
         self._values = f.eval_many(self.centers)[:, 0]
         self._grads = f.jacobian_many(self.centers)[:, 0, :]
+        self._d2 = np.array([d ** 2 for d in self.dists])  # scalar powers: array ** 2 rounds differently
 
-    def _ball_index(self, x: np.ndarray) -> int | None:
-        for i, (c, d) in enumerate(zip(self.centers, self.dists)):
-            if np.linalg.norm(x - c) <= d / 4.0:
-                return i
-        return None
-
-    def _local(self, x):
-        """(u / d, d, lambda, quadratic, its gradient) of the ball holding x,
-        with u = x - a_v; None outside every ball."""
-        x = np.asarray(x, dtype=float)
-        i = self._ball_index(x)
-        if i is None:
-            return None
-        d, lam = self.dists[i], self.lambdas[i]
-        u = x - self.centers[i]
-        quad = self._values[i] + self._grads[i] @ u + 0.5 * lam * (u @ u)
-        return u / d, d, lam, quad, self._grads[i] + lam * u
+    def many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F, its gradient and its Hessian at the rows of X (shape (N, n)),
+        shapes (N,), (N, n) and (N, n, n)."""
+        X = np.asarray(X, dtype=float)
+        N, n = X.shape
+        gaps = (X[:, None, :] - self.centers).reshape(-1, n)
+        near = row_norms(gaps).reshape(N, -1) <= self.dists / 4.0
+        rows = np.flatnonzero(near.any(axis=1))
+        ball = near[rows].argmax(axis=1)  # the first ball holding the row
+        d, lam, grads = self.dists[ball, None], self.lambdas[ball], self._grads[ball]
+        U = X[rows] - self.centers[ball]
+        quad = self._values[ball] + np.vecdot(grads, U) + 0.5 * lam * np.vecdot(U, U)
+        dquad = grads + lam[:, None] * U
+        a, da, d2a = BUMP.many(U / d)
+        da = da / d
+        F, G, H = np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n))
+        F[rows] = a * quad
+        G[rows] = da * quad[:, None] + a[:, None] * dquad
+        H[rows] = (d2a / self._d2[ball, None, None] * quad[:, None, None]
+                   + da[:, :, None] * dquad[:, None, :] + dquad[:, :, None] * da[:, None, :]
+                   + (a * lam)[:, None, None] * np.eye(n))
+        return F, G, H
 
     def value(self, x) -> float:
-        local = self._local(x)
-        if local is None:
-            return 0.0
-        s, _, _, quad, _ = local
-        return BUMP.value(s) * quad
+        return float(self.many(np.asarray(x, dtype=float)[None, :])[0][0])
 
     def gradient(self, x) -> np.ndarray:
-        local = self._local(x)
-        if local is None:
-            return np.zeros(self.n)
-        s, d, _, quad, dquad = local
-        return BUMP.gradient(s) / d * quad + BUMP.value(s) * dquad
+        return self.many(np.asarray(x, dtype=float)[None, :])[1][0]
 
     def hessian(self, x) -> np.ndarray:
-        local = self._local(x)
-        if local is None:
-            return np.zeros((self.n, self.n))
-        s, d, lam, quad, dquad = local
-        a = BUMP.value(s)
-        da = BUMP.gradient(s) / d
-        d2a = BUMP.hessian(s) / d ** 2
-        return d2a * quad + np.outer(da, dquad) + np.outer(dquad, da) + a * lam * np.eye(self.n)
+        return self.many(np.asarray(x, dtype=float)[None, :])[2][0]
 
 
 def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
@@ -194,7 +180,7 @@ def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
     the rows of ``points`` and their distances to Z.
 
     The hypothesis that the (k-1)-jet of f at 0 vanishes is validated
-    exactly before assembly.
+    exactly before assembly, and the balls must be pairwise disjoint.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dists = np.asarray(dists, dtype=float)
@@ -206,7 +192,15 @@ def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
     for d0, d1 in zip(dists, dists[1:]):
         if not d1 < 0.5 * d0:
             raise InvalidInputError("sequence distances must at least halve")
-    return PerturbationF(f, points, dists, lambdas)
+    pf = PerturbationF(f, points, dists, lambdas)
+    # exact disjointness: centers further apart than the radius sum
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            gap = np.linalg.norm(points[i] - points[j])
+            if gap <= (dists[i] + dists[j]) / 4.0:
+                raise ConstructionError(
+                    f"balls {i} and {j} overlap (centers {gap:.3e} apart)")
+    return pf
 
 
 # ----------------------------------------------------------------- verification
@@ -227,32 +221,28 @@ def verify_construction(pf: PerturbationF, z: ZSpec, seed: int = 0) -> Construct
     Decay sampling uses one fixed set of relative offsets scaled into each
     ball, so the per-ball maxima are directly comparable across scales.
     """
-    f, k = pf.f, pf.f.k
+    f, k, n, centers = pf.f, pf.f.k, pf.n, pf.centers
+    F, G, H = pf.many(centers)
+    vals = np.abs(f.eval_many(centers)[:, 0] - F).tolist()
+    grads = row_norms(f.jacobian_many(centers)[:, 0, :] - G).tolist()
+    H = f.hessian_many(centers)[:, 0] - H
+    dets = np.linalg.det(H).tolist()
+    scales = np.maximum(1.0, scalar_powers(np.linalg.norm(H, ord=2, axis=(1, 2)), n))
     failures = []
-    vals, grads, dets, decay = [], [], [], []
-    offsets = ball_sample(pf.n, SAMPLES_PER_BALL, seed, radius=RHO_OUT)
-    f_vals = f.eval_many(pf.centers)[:, 0]
-    f_grads = f.jacobian_many(pf.centers)[:, 0, :]
-    for i, (a, d, lam) in enumerate(zip(pf.centers, pf.dists, pf.lambdas)):
-        rv = abs(float(f_vals[i] - pf.value(a)))
-        rg = float(np.linalg.norm(f_grads[i] - pf.gradient(a)))
-        H = f.hessian(0, a) - pf.hessian(a)
-        det = float(np.linalg.det(H))
-        scale = max(1.0, float(np.linalg.norm(H, ord=2)) ** pf.n)
-        vals.append(rv)
-        grads.append(rg)
-        dets.append(det)
+    for i, (rv, rg, det, scale) in enumerate(zip(vals, grads, dets, scales.tolist())):
         if rv > 1e-12:
             failures.append(f"value residual {rv:.3e} at center {i}")
         if rg > 1e-10:
             failures.append(f"gradient residual {rg:.3e} at center {i}")
         if abs(det) <= 1e-10 * scale:
             failures.append(f"degenerate Hessian at center {i} (det {det:.3e})")
-        X = a + d * offsets
-        dz = z.distance_many(X)
-        X, dz = X[dz > 0.0], dz[dz > 0.0]
-        F = np.array([abs(pf.value(x)) for x in X])
-        decay.append(float((F / scalar_powers(dz, k)).max(initial=0.0)))
+    offsets = ball_sample(n, SAMPLES_PER_BALL, seed, radius=RHO_OUT)
+    X = (centers[:, None, :] + pf.dists[:, None, None] * offsets).reshape(-1, n)
+    dz = z.distance_many(X)
+    keep = dz > 0.0
+    ratio = np.zeros(len(X))  # |F| / dist^k >= 0, so 0 stands in for skipped rows
+    ratio[keep] = np.abs(pf.many(X[keep])[0]) / scalar_powers(dz[keep], k)
+    decay = ratio.reshape(len(centers), -1).max(axis=1).tolist()
     for i in range(1, len(decay)):
         if not decay[i] < decay[i - 1]:
             failures.append(f"decay not strict between balls {i - 1} and {i}")

@@ -26,6 +26,7 @@ from .errors import (CalibrationError, ConstructionError, ConvergenceError,
                      CoveringViolationError, DomainExitError, InvalidInputError,
                      MinorIdentityError)
 from .germ import GermPair, load_germ, zspec_from_json
+from .report import write_json
 from .sampling import ball_sample
 
 EXIT_OK = 0
@@ -47,8 +48,8 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
-        if self.tol_ode <= 0:
-            raise InvalidInputError("tolerances must be positive")
+        if not 0.0 < self.tol_ode < np.inf:
+            raise InvalidInputError("tolerances must be finite and positive")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
         if self.command not in COMMANDS:
@@ -84,9 +85,7 @@ def _write_report(config: ExperimentConfig, payload: dict, outdir: Path):
     }
     doc.update(payload)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "report.json", doc)
 
 
 def _cmd_check(config: ExperimentConfig, outdir: Path, seq_path) -> int:

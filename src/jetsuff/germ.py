@@ -24,8 +24,10 @@ from scipy import optimize
 from .errors import ConvergenceError, InvalidInputError
 from .linmap import LinearMap, nu, row_norms
 from .poly import Poly, PolyStack
+from .report import write_json
 
 MEMBERSHIP_TOL = 1e-12
+JET_SAMPLES, JET_TOL = 32, 1e-12  # same_k_Z_jet: Z points drawn, coefficient budget
 
 
 def _point(x, n: int) -> np.ndarray:
@@ -64,6 +66,8 @@ class PolyGermMap:
         self._partials = [[p.deriv(i) for i in range(n)] for p in components]
         self._values = PolyStack(n, self.components)
         self._jacobian = PolyStack(n, [d for row in self._partials for d in row])
+        self._hessian = PolyStack(n, [d.deriv(b) for row in self._partials
+                                      for d in row for b in range(n)])
 
     def eval(self, x) -> np.ndarray:
         return self.eval_many(_point(x, self.n)[None, :])[0]
@@ -82,12 +86,14 @@ class PolyGermMap:
             raise InvalidInputError("Jacobian entries must be finite")
         return J
 
+    def hessian_many(self, X) -> np.ndarray:
+        """Hessians at the rows of ``X`` (shape (N, n)), shape (N, m, n, n)."""
+        H = self._hessian.eval_many(_rows(X, self.n))
+        return H.reshape(-1, self.m, self.n, self.n)
+
     def hessian(self, i: int, x) -> np.ndarray:
         """Hessian of component ``i`` at ``x``."""
-        x = np.asarray(x, dtype=float)
-        row = self._partials[i]
-        return np.array([[row[a].deriv(b).eval(x) for b in range(self.n)]
-                         for a in range(self.n)])
+        return self.hessian_many(_point(x, self.n)[None, :])[0, i]
 
     def __sub__(self, other: "PolyGermMap") -> "PolyGermMap":
         if (self.n, self.m) != (other.n, other.m):
@@ -233,6 +239,8 @@ class ImplicitZ(ZSpec):
     def __post_init__(self):
         if self.germ is None or self.germ.n != self.n:
             raise InvalidInputError(f"implicit Z needs a germ in {self.n} variables")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidInputError(f"implicit Z tol {self.tol} is not finite and positive")
 
     def _cost(self, y) -> float:
         return nu(self.germ.jacobian(y)) ** 2
@@ -306,14 +314,14 @@ class GermPair:
         return self.f1 - self.f
 
 
-def same_k_Z_jet(pair: GermPair, validation_points=None, seed: int = 0,
-                 auto_count: int = 32, radius: float = 1.0,
-                 tol: float = 1e-12) -> tuple[bool, float]:
+def same_k_Z_jet(pair: GermPair, validation_points=None,
+                 seed: int = 0) -> tuple[bool, float]:
     """Check that f and f1 have equal k-jets at points of Z.
 
     Caller-provided points are validated for Z membership; an automatic
-    deterministic sample of Z points in the ball of ``radius`` is always
-    added. Returns (verdict, worst coefficient residual).
+    deterministic sample of JET_SAMPLES points of Z in the unit ball is
+    always added. Returns (verdict, worst coefficient residual), the
+    verdict being worst <= JET_TOL.
     """
     pts = []
     for a in (validation_points or []):
@@ -321,7 +329,7 @@ def same_k_Z_jet(pair: GermPair, validation_points=None, seed: int = 0,
         if not pair.z.is_member(a):
             raise InvalidInputError(f"validation point {a.tolist()} is not on Z")
         pts.append(a)
-    pts.extend(pair.z.sample_points(auto_count, seed, radius))
+    pts.extend(pair.z.sample_points(JET_SAMPLES, seed))
     k = pair.f.k
     worst = 0.0
     for a in pts:
@@ -331,7 +339,7 @@ def same_k_Z_jet(pair: GermPair, validation_points=None, seed: int = 0,
             d = p - q
             for c in d.terms.values():
                 worst = max(worst, abs(float(c)))
-    return worst <= tol, worst
+    return worst <= JET_TOL, worst
 
 
 # --------------------------------------------------------------------- JSON io
@@ -397,6 +405,4 @@ def load_germ(path) -> tuple[PolyGermMap, ZSpec | None]:
 
 
 def save_germ(path, f: PolyGermMap, z: ZSpec | None = None):
-    with open(path, "w") as fh:
-        json.dump(germ_to_json(f, z), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, germ_to_json(f, z))

@@ -13,7 +13,6 @@ factor >= 2; anything else is ``inconclusive``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from scipy import optimize
 from .errors import ConvergenceError, InvalidInputError
 from .germ import GermPair, ZSpec, scalar_powers
 from .linmap import nu, nu_many, row_norms
-from .report import Report
+from .report import Report, write_table
 from .sampling import unit_shell_sample
 
 DIST_FLOOR = 1e-9  # points closer to Z are excluded from ratio statistics
@@ -43,11 +42,10 @@ class LojasiewiczReport(Report):
     skipped: int = 0
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["annulus", "radius", "min_ratio", "argmin"])
-            for i, (r, m, a) in enumerate(zip(self.radii, self.minima, self.argmins)):
-                w.writerow([i, repr(r), repr(m), " ".join(repr(v) for v in a)])
+        write_table(path, ["annulus", "radius", "min_ratio", "argmin"],
+                    ([i, repr(r), repr(m), " ".join(repr(v) for v in a)]
+                     for i, (r, m, a) in enumerate(zip(self.radii, self.minima,
+                                                       self.argmins))))
 
 
 @dataclass(frozen=True)

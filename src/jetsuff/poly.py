@@ -109,9 +109,6 @@ class Poly:
             terms[tuple(d)] = c * e[i]
         return Poly(self.n, terms)
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def truncated(self, k: int) -> "Poly":
         """Drop every term of total degree above ``k``."""
         return Poly(self.n, {e: c for e, c in self.terms.items() if sum(e) <= k})

@@ -1,9 +1,25 @@
-"""Serialization shared by the frozen dataclass reports."""
+"""The one JSON writer and the one CSV writer, and the report mixin."""
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict
+
+
+def write_json(path, doc):
+    """``doc`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_table(path, header, rows):
+    """A CSV file: the header row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _plain(value):
@@ -22,6 +38,4 @@ class Report:
         return _plain(asdict(self))
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())

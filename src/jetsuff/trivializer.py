@@ -10,7 +10,6 @@ Integrating y' = W(t, y) yields the isotopy H and its inverse.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,13 +20,17 @@ from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
 from .germ import GermPair, same_k_Z_jet, scalar_powers
 from .linmap import g_prime_many, minor_table, row_norms
 from .poly import PolyStack
-from .report import Report
+from .report import Report, write_table
 from .sampling import ball_sample
 
 LINSYS_TOL = 1e-9      # residual budget for (d_xF) W^T + P^T
 FIELD_BOUND_SLACK = 1e-6
 # scipy's RK45 step control: safety factor, step change bounds, rtol floor
 SAFETY, MIN_FACTOR, MAX_FACTOR, EPS = 0.9, 0.2, 10, np.finfo(float).eps
+# calibration: sample points in the unit ball, xi values on [-1.95, 1.95],
+# and the factor by which the working ball shrinks from radius 1
+CALIBRATION_SAMPLES, XI_COUNT, SHRINK = 2048, 17, 0.9
+CHECKPOINTS = 17  # isotopy times on [0, 1]
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,11 @@ def build_F(pair: GermPair, check_jets: bool = True, seed: int = 0) -> Deformati
     return DeformationF(pair)
 
 
-def calibrate_constants(pair: GermPair, report, initial_radius: float = 1.0,
-                        sample_count: int = 2048, xi_count: int = 17,
-                        shrink: float = 0.9, seed: int = 0) -> TrivializationConstants:
-    """Shrink the working ball until |P| <= (C/3) dist^k and
-    ||dP|| <= (C/3) dist^(k-1) hold on a dense sample, then bound the
-    minor ratio from below to get C' and the field constant C''.
+def calibrate_constants(pair: GermPair, report, seed: int = 0) -> TrivializationConstants:
+    """Shrink the working ball from radius 1, by SHRINK per step, until
+    |P| <= (C/3) dist^k and ||dP|| <= (C/3) dist^(k-1) hold on a dense
+    sample, then bound the minor ratio from below to get C' and the field
+    constant C''.
 
     Both stages work on stacks of sample points. Each shrink step checks
     the P bounds in sample order, in chunks of 32, 64, 128, ... points,
@@ -96,20 +98,20 @@ def calibrate_constants(pair: GermPair, report, initial_radius: float = 1.0,
     C = report.C_hat
     k = pair.f.k
     P = pair.P
-    unit = ball_sample(pair.f.n, sample_count, seed)
-    radius = initial_radius
+    unit = ball_sample(pair.f.n, CALIBRATION_SAMPLES, seed)
+    radius = 1.0
     for _ in range(200):
         X, scale, offender = _p_bounds_check(P, pair.z, radius * unit, C, k)
         if offender is None:
             break
-        radius *= shrink
+        radius *= SHRINK
     else:
         raise CalibrationError(
-            f"no radius <= {initial_radius} satisfies the P bounds; "
+            "no radius <= 1.0 satisfies the P bounds; "
             f"last offender {offender.tolist()}")
 
     Jf, JP = pair.f.jacobian_many(X), P.jacobian_many(X)
-    xis = np.linspace(-1.95, 1.95, xi_count)
+    xis = np.linspace(-1.95, 1.95, XI_COUNT)
     ratios = np.array([g_prime_many(Jf + xi * JP) / scale for xi in xis])
     C_prime = ratios.min(initial=np.inf)
     if not np.isfinite(C_prime) or C_prime <= 0:
@@ -253,19 +255,14 @@ class IsotopyResult(Report):
         }
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            n = self.grid.shape[1]
-            w.writerow(["point", "t"]
-                       + [f"x0_{i}" for i in range(n)]
-                       + [f"H_{i}" for i in range(n)]
-                       + ["conservation_residual"])
-            for p in range(self.grid.shape[0]):
-                for j, t in enumerate(self.times):
-                    w.writerow([p, repr(float(t))]
-                               + [repr(float(v)) for v in self.grid[p]]
-                               + [repr(float(v)) for v in self.forward[p, j]]
-                               + [repr(float(self.conservation[p, j]))])
+        n = self.grid.shape[1]
+        write_table(path, ["point", "t"] + [f"x0_{i}" for i in range(n)]
+                    + [f"H_{i}" for i in range(n)] + ["conservation_residual"],
+                    ([p, repr(float(t))] + [repr(float(v)) for v in self.grid[p]]
+                     + [repr(float(v)) for v in self.forward[p, j]]
+                     + [repr(float(self.conservation[p, j]))]
+                     for p in range(self.grid.shape[0])
+                     for j, t in enumerate(self.times)))
 
 
 @dataclass(frozen=True)
@@ -348,14 +345,14 @@ def _rk45(t0: float, y0: np.ndarray, t_bound: float, t_eval: np.ndarray,
 
 
 def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
-              checkpoints: int = 17) -> tuple[np.ndarray, np.ndarray, list]:
+              checkpoints: int = CHECKPOINTS) -> tuple[np.ndarray, np.ndarray, list]:
     """``flow`` for each row of X0 (N, n), in lock step: each row takes the
     RK45 steps ``solve_ivp`` takes for it alone, and the W values all live
     rows need next are one ``eval_many`` call. Returns the states (N, T, n),
     W calls per row (N,) and per row the error ``flow`` raises, or None; a
     failing row stops there."""
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise InvalidInputError("tol must be finite and positive")
     X0 = np.asarray(X0, dtype=float)
     t0, t1 = map(float, t_span)
     times = np.linspace(t_span[0], t_span[1], checkpoints)
@@ -385,7 +382,7 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
 
 
 def flow(vf: VectorFieldW, x0, t_span=(0.0, 1.0), tol: float = 1e-9,
-         checkpoints: int = 17) -> Trajectory:
+         checkpoints: int = CHECKPOINTS) -> Trajectory:
     """Integrate y' = W(t, y) from (t_span[0], x0) to t_span[1]; on Z, stay."""
     states, nfev, (error,) = flow_many(vf, np.asarray(x0, dtype=float)[None, :],
                                        t_span, tol, checkpoints)
@@ -401,17 +398,16 @@ def backward_flow(vf: VectorFieldW, y, t: float, tol: float = 1e-9) -> np.ndarra
     return y.copy() if t == 0.0 else flow(vf, y, (t, 0.0), tol, checkpoints=2).endpoint
 
 
-def isotopy(vf: VectorFieldW, grid, tol: float = 1e-9,
-            checkpoints: int = 17) -> IsotopyResult:
+def isotopy(vf: VectorFieldW, grid, tol: float = 1e-9) -> IsotopyResult:
     """Forward flows on the grid (one ``flow_many``), backward flows from
     each checkpoint (one ``flow_many`` per time), inverse and conservation
     residuals. A failure raises the error a point-by-point loop meets first:
     lowest grid point, forward before backward flows, checkpoints in order."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     N, n = grid.shape
-    forward, nfev, errors = flow_many(vf, grid, tol=tol, checkpoints=checkpoints)
+    forward, nfev, errors = flow_many(vf, grid, tol=tol)
     failed = {p: e for p, e in enumerate(errors) if e is not None}
-    times = np.linspace(0.0, 1.0, checkpoints)
+    times = np.linspace(0.0, 1.0, CHECKPOINTS)
     inverse = forward.copy()  # time 0 and points on Z map back to themselves
     for j, t in enumerate(times):
         todo = min(failed, default=N)  # later points cannot raise first
@@ -421,7 +417,7 @@ def isotopy(vf: VectorFieldW, grid, tol: float = 1e-9,
             failed.update((p, e) for p, e in enumerate(errors) if e is not None)
     if failed:
         raise failed[min(failed)]
-    Y, fx = forward.reshape(-1, n), np.repeat(vf.F.f.eval_many(grid), checkpoints, axis=0)
+    Y, fx = forward.reshape(-1, n), np.repeat(vf.F.f.eval_many(grid), CHECKPOINTS, axis=0)
     F_Y = vf.F.f.eval_many(Y) + np.tile(times, N)[:, None] * vf.F.P.eval_many(Y)
     inverse_res = row_norms((inverse - grid[:, None]).reshape(-1, n))
     return IsotopyResult(grid=grid, times=times, forward=forward,

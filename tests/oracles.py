@@ -8,7 +8,9 @@ that the stacked ``trivializer.calibrate_constants`` replaced.
 ``W_reference``, ``flow_reference`` and ``isotopy_reference`` are the
 one-point field, the one-trajectory ``solve_ivp`` flow and the point-by-point
 isotopy loop that ``VectorFieldW.eval_many`` and the lock-step
-``trivializer.flow_many`` replaced.
+``trivializer.flow_many`` replaced. ``BumpReference``,
+``PerturbationReference``, ``hessian_reference``, ``choose_lambdas_reference``
+and ``verify_construction_reference`` are the one-point negative side.
 
 The ``*_reference`` functions are the one-point formulas that jetsuff used
 before every quantity got one stacked implementation (polynomial values,
@@ -22,14 +24,24 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from jetsuff.errors import (CalibrationError, CoveringViolationError, DomainExitError,
-                            FieldBoundError, InvalidInputError, MinorIdentityError)
-from jetsuff.germ import SampledZ
+from jetsuff.bl_construct import (EIG_GAP, MAX_RETRIES, RHO_IN, RHO_OUT,
+                                  SAMPLES_PER_BALL, ConstructionReport, _transition)
+from jetsuff.errors import (CalibrationError, ConstructionError, CoveringViolationError,
+                            DomainExitError, FieldBoundError, InvalidInputError,
+                            MinorIdentityError)
+from jetsuff.germ import SampledZ, scalar_powers
 from jetsuff.linmap import LinearMap, g_prime, minor_table, nu
 from jetsuff.lojasiewicz import DIST_FLOOR
 from jetsuff.sampling import ball_sample, sphere_sample, unit_shell_sample
 from jetsuff.trivializer import (FIELD_BOUND_SLACK, LINSYS_TOL, DeformationF,
                                  IsotopyResult, TrivializationConstants)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and values, with equal sign bits (so +0.0 != -0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 def nu_bruteforce(entries: np.ndarray, count: int = 100_000, seed: int = 0) -> float:
@@ -387,3 +399,183 @@ def isotopy_reference(vf, grid, tol: float = 1e-9, checkpoints: int = 17,
     return IsotopyResult(grid=grid, times=times, forward=forward,
                          conservation=conservation, inverse_residuals=inverse_res,
                          constants=vf.constants, nfev_total=nfev)
+
+
+# ----------------------------------------------------------------- negative side
+# The one-point bump, the ball-by-ball perturbation, the per-entry germ
+# Hessian and the per-point lambda and verification loops that
+# ``BumpFunction.many``, ``PerturbationF.many``, ``PolyGermMap.hessian_many``
+# and the stacked ``choose_lambdas``/``verify_construction`` replaced.
+
+def hessian_reference(f, i: int, x) -> np.ndarray:
+    """Hessian of component ``i`` at ``x``."""
+    x = np.asarray(x, dtype=float)
+    row = f._partials[i]
+    return np.array([[row[a].deriv(b).eval(x) for b in range(f.n)]
+                     for a in range(f.n)])
+
+
+class BumpReference:
+    """Radially symmetric C-infinity cutoff: 1 inside RHO_IN, 0 outside RHO_OUT."""
+
+    def _radial(self, s: float) -> tuple[float, float, float]:
+        """alpha and its first two radial derivatives at |x| = s."""
+        a, b = RHO_IN, RHO_OUT
+        if s <= a:
+            return 1.0, 0.0, 0.0
+        if s >= b:
+            return 0.0, 0.0, 0.0
+        u = (b - s) / (b - a)
+        psi, dpsi, d2psi = _transition(u)
+        return psi, -dpsi / (b - a), d2psi / (b - a) ** 2
+
+    def value(self, x) -> float:
+        return self._radial(float(np.linalg.norm(x)))[0]
+
+    def gradient(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        s = float(np.linalg.norm(x))
+        _, da, _ = self._radial(s)
+        if da == 0.0:
+            return np.zeros(x.shape)
+        return da * x / s
+
+    def hessian(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        n = x.shape[0]
+        s = float(np.linalg.norm(x))
+        _, da, d2a = self._radial(s)
+        if da == 0.0 and d2a == 0.0:
+            return np.zeros((n, n))
+        outer = np.outer(x, x)
+        return d2a * outer / s ** 2 + da * (np.eye(n) / s - outer / s ** 3)
+
+
+BUMP_REFERENCE = BumpReference()
+
+
+def choose_lambdas_reference(f, a_list, z) -> list[float]:
+    """lambda_v = dist(a_v, Z)^(k-1), nudged off Hessian eigenvalues."""
+    out = []
+    for a in a_list:
+        a = np.asarray(a, dtype=float)
+        d = z.distance(a)
+        if d <= 0.0:
+            raise InvalidInputError(f"sequence point {a.tolist()} lies on Z")
+        lam = d ** (f.k - 1)
+        eigs = np.linalg.eigvalsh(hessian_reference(f, 0, a))
+        for _ in range(MAX_RETRIES):
+            if np.min(np.abs(eigs - lam)) > EIG_GAP:
+                break
+            lam *= 1.001
+        else:
+            raise ConstructionError(
+                f"could not avoid Hessian eigenvalue near {lam} at {a.tolist()}")
+        out.append(float(lam))
+    return out
+
+
+class PerturbationReference:
+    """The assembled perturbation: bump-localized quadratics in balls B_v."""
+
+    def __init__(self, f, centers: np.ndarray, dists: np.ndarray,
+                 lambdas: list[float]):
+        if f.m != 1:
+            raise InvalidInputError("construction applies to scalar germs")
+        self.f = f
+        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        self.dists = np.asarray(dists, dtype=float)
+        self.lambdas = [float(v) for v in lambdas]
+        self.n = f.n
+        N = self.centers.shape[0]
+        if not (len(self.lambdas) == len(self.dists) == N):
+            raise InvalidInputError("sequence lengths disagree")
+        # exact disjointness: centers further apart than the radius sum
+        for i in range(N):
+            for j in range(i + 1, N):
+                gap = np.linalg.norm(self.centers[i] - self.centers[j])
+                if gap <= (self.dists[i] + self.dists[j]) / 4.0:
+                    raise ConstructionError(
+                        f"balls {i} and {j} overlap (centers {gap:.3e} apart)")
+        self._values = f.eval_many(self.centers)[:, 0]
+        self._grads = f.jacobian_many(self.centers)[:, 0, :]
+
+    def _ball_index(self, x: np.ndarray) -> int | None:
+        for i, (c, d) in enumerate(zip(self.centers, self.dists)):
+            if np.linalg.norm(x - c) <= d / 4.0:
+                return i
+        return None
+
+    def _local(self, x):
+        """(u / d, d, lambda, quadratic, its gradient) of the ball holding x,
+        with u = x - a_v; None outside every ball."""
+        x = np.asarray(x, dtype=float)
+        i = self._ball_index(x)
+        if i is None:
+            return None
+        d, lam = self.dists[i], self.lambdas[i]
+        u = x - self.centers[i]
+        quad = self._values[i] + self._grads[i] @ u + 0.5 * lam * (u @ u)
+        return u / d, d, lam, quad, self._grads[i] + lam * u
+
+    def value(self, x) -> float:
+        local = self._local(x)
+        if local is None:
+            return 0.0
+        s, _, _, quad, _ = local
+        return BUMP_REFERENCE.value(s) * quad
+
+    def gradient(self, x) -> np.ndarray:
+        local = self._local(x)
+        if local is None:
+            return np.zeros(self.n)
+        s, d, _, quad, dquad = local
+        return BUMP_REFERENCE.gradient(s) / d * quad + BUMP_REFERENCE.value(s) * dquad
+
+    def hessian(self, x) -> np.ndarray:
+        local = self._local(x)
+        if local is None:
+            return np.zeros((self.n, self.n))
+        s, d, lam, quad, dquad = local
+        a = BUMP_REFERENCE.value(s)
+        da = BUMP_REFERENCE.gradient(s) / d
+        d2a = BUMP_REFERENCE.hessian(s) / d ** 2
+        return d2a * quad + np.outer(da, dquad) + np.outer(dquad, da) + a * lam * np.eye(self.n)
+
+
+def verify_construction_reference(pf, z, seed: int = 0) -> ConstructionReport:
+    """Per-center identities of f - F, Morse nondegeneracy and decay, one
+    center and one decay sample at a time."""
+    f, k = pf.f, pf.f.k
+    failures = []
+    vals, grads, dets, decay = [], [], [], []
+    offsets = ball_sample(pf.n, SAMPLES_PER_BALL, seed, radius=RHO_OUT)
+    f_vals = f.eval_many(pf.centers)[:, 0]
+    f_grads = f.jacobian_many(pf.centers)[:, 0, :]
+    for i, (a, d, lam) in enumerate(zip(pf.centers, pf.dists, pf.lambdas)):
+        rv = abs(float(f_vals[i] - pf.value(a)))
+        rg = float(np.linalg.norm(f_grads[i] - pf.gradient(a)))
+        H = hessian_reference(f, 0, a) - pf.hessian(a)
+        det = float(np.linalg.det(H))
+        scale = max(1.0, float(np.linalg.norm(H, ord=2)) ** pf.n)
+        vals.append(rv)
+        grads.append(rg)
+        dets.append(det)
+        if rv > 1e-12:
+            failures.append(f"value residual {rv:.3e} at center {i}")
+        if rg > 1e-10:
+            failures.append(f"gradient residual {rg:.3e} at center {i}")
+        if abs(det) <= 1e-10 * scale:
+            failures.append(f"degenerate Hessian at center {i} (det {det:.3e})")
+        X = a + d * offsets
+        dz = z.distance_many(X)
+        X, dz = X[dz > 0.0], dz[dz > 0.0]
+        F = np.array([abs(pf.value(x)) for x in X])
+        decay.append(float((F / scalar_powers(dz, k)).max(initial=0.0)))
+    for i in range(1, len(decay)):
+        if not decay[i] < decay[i - 1]:
+            failures.append(f"decay not strict between balls {i - 1} and {i}")
+    return ConstructionReport(
+        value_residuals=tuple(vals), gradient_residuals=tuple(grads),
+        hessian_dets=tuple(dets), decay=tuple(decay),
+        ok=not failures, failures=tuple(failures))

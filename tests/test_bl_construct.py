@@ -1,14 +1,22 @@
+import re
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jetsuff.bl_construct import (BumpFunction, assemble_F, choose_lambdas,
-                                  verify_construction)
+from jetsuff.bl_construct import (BUMP, RHO_IN, RHO_OUT, PerturbationF, assemble_F,
+                                  choose_lambdas, verify_construction)
 from jetsuff.errors import ConstructionError, InvalidInputError
-from jetsuff.germ import AnalyticZ, PolyGermMap
+from jetsuff.germ import AnalyticZ, PolyGermMap, load_germ
+from jetsuff.lojasiewicz import find_violation_sequence
 from jetsuff.poly import Poly
-from oracles import fd_hessian
+from oracles import (BUMP_REFERENCE, PerturbationReference, choose_lambdas_reference,
+                     fd_hessian, hessian_reference, same_bits,
+                     verify_construction_reference)
+
+GERMS = Path(__file__).resolve().parent.parent / "germs"
 
 Z_AXES = AnalyticZ(n=2, form="union_hyperplanes", coords=(1, 2))
 
@@ -23,40 +31,43 @@ def diagonal_sequence(N=5):
     return pts, np.array([Z_AXES.distance(p) for p in pts])
 
 
+def bump(x):
+    """The bump's value, gradient and Hessian at one point: one row of many."""
+    a, grad, hess = BUMP.many(np.asarray(x, dtype=float)[None, :])
+    return a[0], grad[0], hess[0]
+
+
 class TestBump:
     def test_plateau_and_support(self):
-        b = BumpFunction()
-        assert b.value([0.0, 0.0]) == 1.0
-        assert b.value([0.1, 0.0]) == 1.0
-        assert b.value([0.3, 0.0]) == 0.0
-        assert 0.0 < b.value([0.2, 0.0]) < 1.0
+        assert bump([0.0, 0.0])[0] == 1.0
+        assert bump([0.1, 0.0])[0] == 1.0
+        assert bump([0.3, 0.0])[0] == 0.0
+        assert 0.0 < bump([0.2, 0.0])[0] < 1.0
 
     def test_flat_at_center(self):
-        b = BumpFunction()
-        np.testing.assert_array_equal(b.gradient([0.0, 0.0]), [0.0, 0.0])
-        np.testing.assert_array_equal(b.hessian([0.0, 0.0]), np.zeros((2, 2)))
+        _, grad, hess = bump([0.0, 0.0])
+        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        np.testing.assert_array_equal(hess, np.zeros((2, 2)))
 
     def test_bounded_by_one(self):
-        b = BumpFunction()
         ss = np.linspace(0, 0.5, 257)
-        assert all(0.0 <= b.value([s, 0.0]) <= 1.0 for s in ss)
+        a, _, _ = BUMP.many(np.stack([ss, np.zeros_like(ss)], axis=1))
+        assert np.all((0.0 <= a) & (a <= 1.0))
 
     def test_gradient_matches_finite_differences(self):
-        b = BumpFunction()
         for x in ([0.2, 0.05], [0.15, -0.1], [0.05, 0.0]):
             x = np.array(x)
             h = 1e-6
             fd = np.array([
-                (b.value(x + [h, 0]) - b.value(x - [h, 0])) / (2 * h),
-                (b.value(x + [0, h]) - b.value(x - [0, h])) / (2 * h)])
-            np.testing.assert_allclose(b.gradient(x), fd, atol=1e-6)
+                (bump(x + [h, 0])[0] - bump(x - [h, 0])[0]) / (2 * h),
+                (bump(x + [0, h])[0] - bump(x - [0, h])[0]) / (2 * h)])
+            np.testing.assert_allclose(bump(x)[1], fd, atol=1e-6)
 
     def test_hessian_matches_finite_differences(self):
-        b = BumpFunction()
         x = np.array([0.18, 0.07])
-        fd = fd_hessian(b.value, x, h=1e-4)
+        fd = fd_hessian(lambda y: bump(y)[0], x, h=1e-4)
         scale = np.max(np.abs(fd))
-        assert np.max(np.abs(b.hessian(x) - fd)) <= 1e-4 * scale
+        assert np.max(np.abs(bump(x)[2] - fd)) <= 1e-4 * scale
 
 
 class TestChooseLambdas:
@@ -171,3 +182,151 @@ class TestVerification:
             for j in range(i + 1, len(pts)):
                 gap = np.linalg.norm(pts[i] - pts[j])
                 assert gap > (dists[i] + dists[j]) / 4.0
+
+
+# ----------------------------------------------------------------- stacked vs one point
+
+@lru_cache
+def x3_sequence(seed):
+    """x^3 over {x1 = 0} and the violating sequence the CLI finds for ``seed``."""
+    f, z = load_germ(GERMS / "x3.json")
+    seq = find_violation_sequence(f, z, f.k, seed)
+    return f, z, np.asarray(seq.points), np.asarray(seq.dists)
+
+
+SEQUENCES = {
+    "x2y2-diagonal": lambda: (x2y2_germ(), Z_AXES, *diagonal_sequence()),
+    **{f"x3-seed{s}": (lambda s=s: x3_sequence(s)) for s in range(4)},
+}
+
+
+@lru_cache
+def construction(name):
+    """(f, z, seed, stacked F, one-point reference F) for one sequence."""
+    f, z, pts, dists = SEQUENCES[name]()
+    lams = choose_lambdas_reference(f, pts, z)
+    seed = int(name.removeprefix("x3-seed")) if name.startswith("x3") else 0
+    return (f, z, seed, assemble_F(f, pts, dists, lams),
+            PerturbationReference(f, pts, dists, lams))
+
+
+def unit_rows(rng, count, n):
+    u = rng.standard_normal((count, n))
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+def probe_points(pf, per_ball=250, seed=0):
+    """Per ball: the center, the RHO_IN and RHO_OUT spheres along the axes
+    and diagonals, and random points of the plateau, the transition and
+    just outside; then random points, almost all outside every ball."""
+    rng = np.random.default_rng(seed)
+    n = pf.n
+    dirs = np.concatenate([np.eye(n), -np.eye(n), unit_rows(rng, 4, n)])
+    rows = []
+    for c, d in zip(pf.centers, pf.dists):
+        radii = np.concatenate([[0.0], np.repeat([RHO_IN, RHO_OUT], len(dirs)),
+                                rng.uniform(0.0, 0.3, per_ball)])
+        units = np.concatenate([dirs[:1], dirs, dirs, unit_rows(rng, per_ball, n)])
+        rows.append(c + d * radii[:, None] * units)
+    rows.append(rng.uniform(-1.0, 1.0, (per_ball, n)))
+    return np.concatenate(rows)
+
+
+class TestStackedOracle:
+    """The stacked negative side against the one-point code it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bump_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        exact = np.concatenate([r * sign * np.eye(n) for r in (RHO_IN, RHO_OUT)
+                                for sign in (1.0, -1.0)])
+        S = np.concatenate([np.zeros((1, n)), exact,
+                            rng.uniform(0.0, 0.3, (2000, 1)) * unit_rows(rng, 2000, n)])
+        a, grad, hess = BUMP.many(S)
+        assert same_bits(a, [BUMP_REFERENCE.value(s) for s in S])
+        assert same_bits(grad, [BUMP_REFERENCE.gradient(s) for s in S])
+        assert same_bits(hess, [BUMP_REFERENCE.hessian(s) for s in S])
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_perturbation_matches_reference(self, name):
+        _, _, _, pf, ref = construction(name)
+        X = probe_points(pf)
+        F, G, H = pf.many(X)
+        assert same_bits(F, [ref.value(x) for x in X])
+        assert same_bits(G, [ref.gradient(x) for x in X])
+        assert same_bits(H, [ref.hessian(x) for x in X])
+        # a one-row call gives the bits of its row in the stack
+        rows = range(0, len(X), 7)
+        assert same_bits(F[rows], [pf.value(X[i]) for i in rows])
+        assert same_bits(G[rows], [pf.gradient(X[i]) for i in rows])
+        assert same_bits(H[rows], [pf.hessian(X[i]) for i in rows])
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_lambdas_and_report_match_reference(self, name):
+        f, z, seed, pf, ref = construction(name)
+        assert same_bits(choose_lambdas(f, pf.centers, z), ref.lambdas)
+        assert (repr(verify_construction(pf, z, seed))
+                == repr(verify_construction_reference(ref, z, seed)))
+
+    @pytest.mark.parametrize("germ, points", [
+        # x3 seed 22: the nudge cannot clear the Hessian spectrum
+        ("x3", None),
+        ("x2y2", [[0.1, 0.1], [0.0, 0.05], [0.01, 0.01]]),
+    ])
+    def test_lambda_errors_match_reference(self, germ, points):
+        if points is None:
+            f, z, points, _ = x3_sequence(22)
+        else:
+            f, z = load_germ(GERMS / f"{germ}.json")
+        with pytest.raises((ConstructionError, InvalidInputError)) as want:
+            choose_lambdas_reference(f, points, z)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            choose_lambdas(f, points, z)
+
+    @pytest.mark.parametrize("germ", ["x3", "x2y2", "x2", "sum_of_squares"])
+    def test_germ_hessians_match_reference(self, germ):
+        f, _ = load_germ(GERMS / f"{germ}.json")
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, (500, f.n))
+        H = f.hessian_many(X)
+        assert H.shape == (500, 1, f.n, f.n)
+        assert same_bits(H[:, 0], [hessian_reference(f, 0, x) for x in X])
+        assert same_bits(H[:, 0], [f.hessian(0, x) for x in X])
+
+    def test_two_component_hessians(self):
+        f = PolyGermMap(3, 2, 2, [Poly(3, {(2, 1, 0): 1, (0, 0, 3): -2}),
+                                  Poly(3, {(1, 1, 1): 3, (0, 2, 0): 1})])
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, (200, 3))
+        H = f.hessian_many(X)
+        for i in range(2):
+            assert same_bits(H[:, i], [hessian_reference(f, i, x) for x in X])
+
+    def test_dist_squares_are_scalar_powers(self):
+        # radii whose NumPy scalar square differs from the array square
+        d = np.random.default_rng(5).uniform(0.02, 0.05, 20000)
+        d = d[np.array([v ** 2 for v in d]) != d ** 2][:3]
+        assert len(d) == 3
+        centers = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        pf = PerturbationF(x2y2_germ(), centers, d, [0.01, 0.02, 0.03])
+        ref = PerturbationReference(x2y2_germ(), centers, d, [0.01, 0.02, 0.03])
+        X = probe_points(pf, per_ball=100)
+        assert same_bits(pf.many(X)[2], [ref.hessian(x) for x in X])
+
+    def test_first_ball_in_center_order_wins(self):
+        # two overlapping balls of radius 0.1: in the overlap F is ball 0's
+        f = x2y2_germ()
+        c0, c1, d = [0.3, 0.3], [0.32, 0.3], [0.4]
+        both = PerturbationF(f, [c0, c1], d * 2, [0.01, 0.02])
+        first = PerturbationF(f, [c0], d, [0.01])
+        second = PerturbationF(f, [c1], d, [0.02])
+        rng = np.random.default_rng(3)
+        X = np.concatenate([c + rng.uniform(0.0, 0.1, (300, 1)) * unit_rows(rng, 300, 2)
+                            for c in (c0, c1)])
+        gap0, gap1 = (np.linalg.norm(X - c, axis=1) - 0.1 for c in (c0, c1))
+        X = X[(np.abs(gap0) > 1e-9) & (np.abs(gap1) > 1e-9)]  # off both spheres
+        in0 = np.linalg.norm(X - c0, axis=1) < 0.1
+        for got, want0, want1 in zip(both.many(X), first.many(X), second.many(X)):
+            assert same_bits(got[in0], want0[in0])
+            assert same_bits(got[~in0], want1[~in0])
+        overlap = X[in0 & (np.linalg.norm(X - c1, axis=1) < 0.1)]
+        assert len(overlap) > 50
+        assert not np.any(first.many(overlap)[0] == second.many(overlap)[0])

@@ -1,4 +1,5 @@
 import json
+import shlex
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from jetsuff import linmap, lojasiewicz, trivializer
 from jetsuff.cli import main
 from jetsuff.errors import CoveringViolationError, DomainExitError
 
-GERMS = Path(__file__).resolve().parent.parent / "germs"
+ROOT = Path(__file__).resolve().parent.parent
+GERMS = ROOT / "germs"
 
 
 def run_cli(*args):
@@ -70,6 +72,23 @@ class TestExitCodeTaxonomy:
     def test_check_flags(self, tmp_path, extra, code):
         assert run_cli("--germ", GERMS / "x2.json", "--cmd", "check", *extra,
                        "--out", tmp_path) == code
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        # --tol-ode inf used to exit 0 and write "Infinity" into report.json
+        assert run_cli("--germ", GERMS / "x2.json", "--pair", GERMS / "x2_plus_x3.json",
+                       "--cmd", "trivialize", "--tol-ode", tol, "--out", tmp_path) == 1
+        assert capsys.readouterr().err == "error: tolerances must be finite and positive\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("tol", [-1e-8, "Infinity", "NaN"])
+    def test_implicit_z_tolerance(self, tmp_path, capsys, tol):
+        z = tmp_path / "z.json"
+        z.write_text(f'{{"variant": "implicit", "tol": {tol}}}')
+        assert run_cli("--germ", GERMS / "x2.json", "--z", z, "--cmd", "check",
+                       "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
 
     @pytest.mark.parametrize("cmd", ["check", "exponent", "trivialize", "corollary",
                                      "construct"])
@@ -158,3 +177,26 @@ class TestDeterminism:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["config_hash"]
         assert doc["version"]
+
+
+def readme_cli_lines():
+    """The ``jetsuff`` lines of the README's CLI block, split into words."""
+    block = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("jetsuff ")]
+
+
+def test_readme_has_every_command():
+    cmds = {argv[argv.index("--cmd") + 1] for argv in readme_cli_lines()}
+    assert cmds == {"check", "exponent", "trivialize", "corollary", "construct"}
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda a: a[a.index("--cmd") + 1])
+def test_readme_cli_example_runs(tmp_path, monkeypatch, argv):
+    # as written, from the repository root, with the output under tmp_path
+    monkeypatch.chdir(ROOT)
+    args = argv[1:]
+    out = args.index("--out") + 1
+    args[out] = str(tmp_path / args[out])
+    assert main(args) in (0, 2)
+    assert (tmp_path / argv[out + 1] / "report.json").exists()

@@ -226,6 +226,15 @@ class TestBadZ:
         with pytest.raises(InvalidInputError):
             germ_module.zspec_from_json({"variant": "implicit"}, 2)
 
+    @pytest.mark.parametrize("tol", [-1e-8, 0.0, float("inf"), float("nan")])
+    def test_implicit_tolerance_must_be_finite_and_positive(self, tol):
+        # with -1e-8, (0, 0.3) on Z = {x1 = 0} of x^2 was not a member;
+        # with inf, every point was at distance 0
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            ImplicitZ(n=2, germ=germ_x2(), tol=tol)
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            germ_module.zspec_from_json({"variant": "implicit", "tol": tol}, 2, germ=germ_x2())
+
 
 def check_rows(z, X):
     """distance_many(X)[i] == distance(X[i]) for every row, bit for bit."""

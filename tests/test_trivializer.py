@@ -19,7 +19,7 @@ from jetsuff.trivializer import (IsotopyResult, TrivializationConstants, VectorF
                                  isotopy)
 from oracles import (W_reference, calibrate_constants_scalar, eval_reference,
                      flow_reference, gronwall_reference, isotopy_reference,
-                     jacobian_reference)
+                     jacobian_reference, same_bits)
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -208,6 +208,12 @@ class TestFlow:
         assert traj.endpoint[0] == pytest.approx(h, abs=1e-5)
         assert traj.endpoint[1] == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])
+    def test_tolerance_must_be_finite_and_positive(self, cubic_setup, tol):
+        _, _, _, vf = cubic_setup
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            flow_many(vf, [[0.1, 0.0]], tol=tol)
+
     def test_zero_perturbation_identity_flow(self):
         pair = make_pair({})
         rep = estimate_condition(pair.f, pair.z, 2, RADII, 512, 0)
@@ -291,12 +297,6 @@ def scaled(vf, **factors):
     c = vf.constants
     return VectorFieldW(vf.F, dataclasses.replace(
         c, **{k: getattr(c, k) * v for k, v in factors.items()}))
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and np.array_equal(a, b)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 class TestLockStepOracle:
