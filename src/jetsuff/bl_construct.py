@@ -168,12 +168,6 @@ class PerturbationF:
     def value(self, x) -> float:
         return float(self.many(np.asarray(x, dtype=float)[None, :])[0][0])
 
-    def gradient(self, x) -> np.ndarray:
-        return self.many(np.asarray(x, dtype=float)[None, :])[1][0]
-
-    def hessian(self, x) -> np.ndarray:
-        return self.many(np.asarray(x, dtype=float)[None, :])[2][0]
-
 
 def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
     """Build F from a violation-style sequence (finite prefix, length >= 3):
@@ -186,8 +180,7 @@ def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
     dists = np.asarray(dists, dtype=float)
     if points.shape[0] < 3:
         raise InvalidInputError("need a prefix of at least 3 sequence points")
-    jet = jet_at(f, (0.0,) * f.n, f.k - 1)
-    if any(p.terms for p in jet.components):
+    if any(p.terms for p in jet_at(f, (0.0,) * f.n, f.k - 1)):
         raise InvalidInputError("the (k-1)-jet of f at 0 must vanish")
     for d0, d1 in zip(dists, dists[1:]):
         if not d1 < 0.5 * d0:

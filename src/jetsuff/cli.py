@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,16 +36,19 @@ EXIT_VIOLATION = 2
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The parsed options that report.json records; ``build_parser`` holds
+    their defaults."""
+
     command: str
     germ: str
-    pair: str | None = None
-    z: str | None = None
-    k: int | None = None
-    seed: int = 0
-    annuli: int = 4
-    samples: int = 512
-    tol_ode: float = 1e-9
-    out: str = "out"
+    pair: str | None
+    z: str | None
+    k: int | None
+    seed: int
+    annuli: int
+    samples: int
+    tol_ode: float
+    out: str
 
     def __post_init__(self):
         if not 0.0 < self.tol_ode < np.inf:
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", help="second germ JSON file (same jet)")
     p.add_argument("--z", help="ZSpec JSON file overriding the germ file's block")
     p.add_argument("--k", type=int, help="override the jet order")
-    p.add_argument("--cmd", required=True, choices=list(COMMANDS))
+    p.add_argument("--cmd", dest="command", required=True, choices=list(COMMANDS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--annuli", type=int, default=4)
     p.add_argument("--samples", type=int, default=512)
@@ -222,10 +225,8 @@ def run(config: ExperimentConfig, seq_path=None) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig(
-            command=args.cmd, germ=args.germ, pair=args.pair, z=args.z, k=args.k,
-            seed=args.seed, annuli=args.annuli, samples=args.samples,
-            tol_ode=args.tol_ode, out=args.out)
+        config = ExperimentConfig(**{f.name: getattr(args, f.name)
+                                     for f in fields(ExperimentConfig)})
         return run(config, seq_path=args.seq)
     except (InvalidInputError, CalibrationError, ConstructionError,
             ConvergenceError, MinorIdentityError, OSError, json.JSONDecodeError,

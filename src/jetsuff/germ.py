@@ -24,7 +24,6 @@ from scipy import optimize
 from .errors import ConvergenceError, InvalidInputError
 from .linmap import LinearMap, nu, row_norms
 from .poly import Poly, PolyStack
-from .report import write_json
 
 MEMBERSHIP_TOL = 1e-12
 JET_SAMPLES, JET_TOL = 32, 1e-12  # same_k_Z_jet: Z points drawn, coefficient budget
@@ -91,10 +90,6 @@ class PolyGermMap:
         H = self._hessian.eval_many(_rows(X, self.n))
         return H.reshape(-1, self.m, self.n, self.n)
 
-    def hessian(self, i: int, x) -> np.ndarray:
-        """Hessian of component ``i`` at ``x``."""
-        return self.hessian_many(_point(x, self.n)[None, :])[0, i]
-
     def __sub__(self, other: "PolyGermMap") -> "PolyGermMap":
         if (self.n, self.m) != (other.n, other.m):
             raise InvalidInputError("germ shapes differ")
@@ -102,25 +97,13 @@ class PolyGermMap:
         return PolyGermMap(self.n, self.m, self.k, diff)
 
 
-@dataclass(frozen=True)
-class JetPoly:
-    """Degree-<=k Taylor data of a germ at a base point.
-
-    ``components`` are polynomials in the shifted variable u = x - a.
-    """
-
-    base: tuple
-    order: int
-    components: tuple[Poly, ...]
-
-
-def jet_at(f: PolyGermMap, a, k: int) -> JetPoly:
-    """Exact k-jet of ``f`` at ``a``: shift, then truncate to degree k."""
+def jet_at(f: PolyGermMap, a, k: int) -> tuple[Poly, ...]:
+    """Exact k-jet of ``f`` at ``a``: each component shifted to the variable
+    u = x - a, then truncated to degree k."""
     if k < 0:
         raise InvalidInputError("jet order must be nonnegative")
     a = tuple(a)
-    comps = tuple(p.shifted(a).truncated(k) for p in f.components)
-    return JetPoly(base=a, order=k, components=comps)
+    return tuple(p.shifted(a).truncated(k) for p in f.components)
 
 
 # --------------------------------------------------------------------- ZSpec
@@ -138,9 +121,6 @@ class ZSpec:
 
     def distance(self, x) -> float:
         return float(self.distance_many(_point(x, self.n)[None, :])[0])
-
-    def is_member(self, x) -> bool:
-        return self.distance(x) <= MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)
@@ -184,9 +164,6 @@ class AnalyticZ(ZSpec):
             pts[np.arange(count), which] = 0.0
         return pts
 
-    def to_json(self) -> dict:
-        return {"variant": "analytic", "form": self.form, "coords": list(self.coords)}
-
 
 @dataclass(frozen=True)
 class SampledZ(ZSpec):
@@ -223,9 +200,6 @@ class SampledZ(ZSpec):
         if len(inside) == 0:
             raise InvalidInputError("no cloud points inside the requested ball")
         return inside[rng.integers(0, len(inside), size=count)]
-
-    def to_json(self) -> dict:
-        return {"variant": "samples", "points": self.points.tolist()}
 
 
 @dataclass(frozen=True)
@@ -266,9 +240,6 @@ class ImplicitZ(ZSpec):
                 f"no zero of nu(df) found near {x.tolist()} (tol {self.tol})")
         return best
 
-    def is_member(self, x) -> bool:
-        return nu(self.germ.jacobian(x)) <= self.tol
-
     def sample_points(self, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
         """Deterministic sample of minimizers of nu(df)^2 inside the ball."""
         rng = np.random.default_rng(seed)
@@ -284,9 +255,6 @@ class ImplicitZ(ZSpec):
         if len(out) < count:
             raise ConvergenceError("could not sample enough implicit Z points")
         return np.array(out)
-
-    def to_json(self) -> dict:
-        return {"variant": "implicit", "tol": self.tol}
 
 
 def scalar_powers(values, p: int) -> np.ndarray:
@@ -314,66 +282,38 @@ class GermPair:
         return self.f1 - self.f
 
 
-def same_k_Z_jet(pair: GermPair, validation_points=None,
-                 seed: int = 0) -> tuple[bool, float]:
-    """Check that f and f1 have equal k-jets at points of Z.
-
-    Caller-provided points are validated for Z membership; an automatic
-    deterministic sample of JET_SAMPLES points of Z in the unit ball is
-    always added. Returns (verdict, worst coefficient residual), the
-    verdict being worst <= JET_TOL.
+def same_k_Z_jet(pair: GermPair, seed: int = 0) -> tuple[bool, float]:
+    """Check that f and f1 have equal k-jets at a deterministic sample of
+    JET_SAMPLES points of Z in the unit ball. Returns (verdict, worst
+    coefficient residual), the verdict being worst <= JET_TOL.
     """
-    pts = []
-    for a in (validation_points or []):
-        a = np.asarray(a, dtype=float)
-        if not pair.z.is_member(a):
-            raise InvalidInputError(f"validation point {a.tolist()} is not on Z")
-        pts.append(a)
-    pts.extend(pair.z.sample_points(JET_SAMPLES, seed))
     k = pair.f.k
     worst = 0.0
-    for a in pts:
-        jf = jet_at(pair.f, a, k)
-        jg = jet_at(pair.f1, a, k)
-        for p, q in zip(jf.components, jg.components):
+    for a in pair.z.sample_points(JET_SAMPLES, seed):
+        for p, q in zip(jet_at(pair.f, a, k), jet_at(pair.f1, a, k)):
             d = p - q
             for c in d.terms.values():
                 worst = max(worst, abs(float(c)))
     return worst <= JET_TOL, worst
 
 
-# --------------------------------------------------------------------- JSON io
-
-def _coeff_to_json(c):
-    if isinstance(c, Fraction):
-        return str(c)
-    return float(c)
-
-
-def germ_to_json(f: PolyGermMap, z: ZSpec | None = None) -> dict:
-    doc = {
-        "n": f.n,
-        "m": f.m,
-        "k": f.k,
-        "components": [
-            [{"exponents": list(e), "coeff": _coeff_to_json(c)}
-             for e, c in sorted(p.terms.items())]
-            for p in f.components
-        ],
-    }
-    if z is not None:
-        doc["z"] = z.to_json()
-    return doc
-
+# --------------------------------------------------------------------- JSON input
 
 def zspec_from_json(doc: dict, n: int, germ: PolyGermMap | None = None) -> ZSpec:
+    if not isinstance(doc, dict):
+        raise InvalidInputError("malformed Z document: not a JSON object")
     variant = doc.get("variant")
-    if variant == "analytic":
-        return AnalyticZ(n=n, form=doc["form"], coords=tuple(doc["coords"]))
-    if variant == "samples":
-        return SampledZ(n=n, points=np.asarray(doc["points"]))
-    if variant == "implicit":
-        return ImplicitZ(n=n, germ=germ, tol=float(doc.get("tol", 1e-8)))
+    try:
+        if variant == "analytic":
+            return AnalyticZ(n=n, form=doc["form"], coords=tuple(doc["coords"]))
+        if variant == "samples":
+            return SampledZ(n=n, points=np.asarray(doc["points"]))
+        if variant == "implicit":
+            return ImplicitZ(n=n, germ=germ, tol=float(doc.get("tol", 1e-8)))
+    except InvalidInputError:  # a ValueError that already names the fault
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed Z document: {exc}") from exc
     raise InvalidInputError(f"unknown ZSpec variant {variant!r}")
 
 
@@ -402,7 +342,3 @@ def load_germ(path) -> tuple[PolyGermMap, ZSpec | None]:
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     return germ_from_json(doc)
-
-
-def save_germ(path, f: PolyGermMap, z: ZSpec | None = None):
-    write_json(path, germ_to_json(f, z))

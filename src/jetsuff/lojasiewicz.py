@@ -20,7 +20,7 @@ from scipy import optimize
 
 from .errors import ConvergenceError, InvalidInputError
 from .germ import GermPair, ZSpec, scalar_powers
-from .linmap import nu, nu_many, row_norms
+from .linmap import nu_many, row_norms
 from .report import Report, write_table
 from .sampling import unit_shell_sample
 
@@ -149,7 +149,7 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     def ratio(x, d):
         if d < DIST_FLOOR:
             return np.inf
-        return nu(f.jacobian(x)) / d ** (k - 1)
+        return float(nu_many(f.jacobian_many(x[None, :]))[0]) / d ** (k - 1)
 
     cands = []
     for j in range(SEARCH_DEPTH):

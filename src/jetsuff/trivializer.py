@@ -60,9 +60,6 @@ class DeformationF:
         self._stack = PolyStack(self.n, self.P.components + [
             d for g in (self.f, self.P) for row in g._partials for d in row])
 
-    def eval(self, xi: float, x) -> np.ndarray:
-        return self.f.eval(x) + xi * self.P.eval(x)
-
     def P_and_d_x(self, xis, X) -> tuple[np.ndarray, np.ndarray]:
         """P and d_xF(xi, x) = Jf(x) + xi JP(x) at the rows of X (shape
         (N, n)), one xi per row, read from one power table."""
@@ -71,12 +68,13 @@ class DeformationF:
         return v[:, :self.m], J[:, 0] + np.asarray(xis, dtype=float)[:, None, None] * J[:, 1]
 
 
-def build_F(pair: GermPair, check_jets: bool = True, seed: int = 0) -> DeformationF:
-    if check_jets:
-        ok, worst = same_k_Z_jet(pair, seed=seed)
-        if not ok:
-            raise InvalidInputError(
-                f"pair is not a common k-Z-jet (worst residual {worst:.3e})")
+def build_F(pair: GermPair, seed: int = 0) -> DeformationF:
+    """The deformation of ``pair``, once f and f1 are checked to share
+    their k-jets along Z."""
+    ok, worst = same_k_Z_jet(pair, seed=seed)
+    if not ok:
+        raise InvalidInputError(
+            f"pair is not a common k-Z-jet (worst residual {worst:.3e})")
     return DeformationF(pair)
 
 
@@ -226,7 +224,7 @@ class VectorFieldW:
 
 
 @dataclass(frozen=True)
-class IsotopyResult(Report):
+class IsotopyResult:
     grid: np.ndarray = field(repr=False)
     times: np.ndarray = field(repr=False)
     forward: np.ndarray = field(repr=False)      # (N, T, n): H(x, t)
@@ -243,17 +241,6 @@ class IsotopyResult(Report):
     def max_inverse_residual(self) -> float:
         return float(np.max(self.inverse_residuals))
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "times": self.times.tolist(),
-            "forward": self.forward.tolist(),
-            "max_conservation": self.max_conservation,
-            "max_inverse_residual": self.max_inverse_residual,
-            "constants": self.constants.to_dict() if self.constants else None,
-            "nfev_total": self.nfev_total,
-        }
-
     def write_csv(self, path):
         n = self.grid.shape[1]
         write_table(path, ["point", "t"] + [f"x0_{i}" for i in range(n)]
@@ -263,15 +250,6 @@ class IsotopyResult(Report):
                      + [repr(float(self.conservation[p, j]))]
                      for p in range(self.grid.shape[0])
                      for j, t in enumerate(self.times)))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray = field(repr=False)
-    states: np.ndarray = field(repr=False)  # (T, n)
-    nfev: int = 0
-
-    endpoint = property(lambda self: self.states[-1])
 
 
 def _rms(x: np.ndarray):
@@ -382,20 +360,20 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
 
 
 def flow(vf: VectorFieldW, x0, t_span=(0.0, 1.0), tol: float = 1e-9,
-         checkpoints: int = CHECKPOINTS) -> Trajectory:
-    """Integrate y' = W(t, y) from (t_span[0], x0) to t_span[1]; on Z, stay."""
-    states, nfev, (error,) = flow_many(vf, np.asarray(x0, dtype=float)[None, :],
-                                       t_span, tol, checkpoints)
+         checkpoints: int = CHECKPOINTS) -> np.ndarray:
+    """Integrate y' = W(t, y) from (t_span[0], x0) to t_span[1]; on Z, stay.
+    Returns the states at the checkpoints, shape (checkpoints, n)."""
+    states, _, (error,) = flow_many(vf, np.asarray(x0, dtype=float)[None, :],
+                                    t_span, tol, checkpoints)
     if error is not None:
         raise error
-    return Trajectory(np.linspace(t_span[0], t_span[1], checkpoints), states[0],
-                      int(nfev[0]))
+    return states[0]
 
 
 def backward_flow(vf: VectorFieldW, y, t: float, tol: float = 1e-9) -> np.ndarray:
     """Inverse map: integrate from (t, y) back to time 0."""
     y = np.asarray(y, dtype=float)
-    return y.copy() if t == 0.0 else flow(vf, y, (t, 0.0), tol, checkpoints=2).endpoint
+    return y.copy() if t == 0.0 else flow(vf, y, (t, 0.0), tol, checkpoints=2)[-1]
 
 
 def isotopy(vf: VectorFieldW, grid, tol: float = 1e-9) -> IsotopyResult:

@@ -10,7 +10,9 @@ one-point field, the one-trajectory ``solve_ivp`` flow and the point-by-point
 isotopy loop that ``VectorFieldW.eval_many`` and the lock-step
 ``trivializer.flow_many`` replaced. ``BumpReference``,
 ``PerturbationReference``, ``hessian_reference``, ``choose_lambdas_reference``
-and ``verify_construction_reference`` are the one-point negative side.
+and ``verify_construction_reference`` are the one-point negative side, and
+``find_violation_sequence_reference`` is the violation search whose ratio
+went through a ``LinearMap`` and ``nu`` at every Nelder-Mead evaluation.
 
 The ``*_reference`` functions are the one-point formulas that jetsuff used
 before every quantity got one stacked implementation (polynomial values,
@@ -21,6 +23,7 @@ stacked code must reproduce them bit for bit.
 import itertools
 
 import numpy as np
+from scipy import optimize
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
@@ -31,7 +34,8 @@ from jetsuff.errors import (CalibrationError, ConstructionError, CoveringViolati
                             MinorIdentityError)
 from jetsuff.germ import SampledZ, scalar_powers
 from jetsuff.linmap import LinearMap, g_prime, minor_table, nu
-from jetsuff.lojasiewicz import DIST_FLOOR
+from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
+                                 ViolationSequence, _ratio_stats)
 from jetsuff.sampling import ball_sample, sphere_sample, unit_shell_sample
 from jetsuff.trivializer import (FIELD_BOUND_SLACK, LINSYS_TOL, DeformationF,
                                  IsotopyResult, TrivializationConstants)
@@ -393,7 +397,7 @@ def isotopy_reference(vf, grid, tol: float = 1e-9, checkpoints: int = 17,
         fx = vf.F.f.eval(x0)
         for j, t in enumerate(times):
             y = states[j]
-            conservation[p, j] = np.linalg.norm(vf.F.eval(t, y) - fx)
+            conservation[p, j] = np.linalg.norm(vf.F.f.eval(y) + t * vf.F.P.eval(y) - fx)
             inverse_res[p, j] = np.linalg.norm(
                 backward_flow_reference(vf, y, t, tol=tol, rhs=rhs) - x0)
     return IsotopyResult(grid=grid, times=times, forward=forward,
@@ -579,3 +583,67 @@ def verify_construction_reference(pf, z, seed: int = 0) -> ConstructionReport:
         value_residuals=tuple(vals), gradient_residuals=tuple(grads),
         hessian_dets=tuple(dets), decay=tuple(decay),
         ok=not failures, failures=tuple(failures))
+
+
+# ----------------------------------------------------------------- violation search
+
+def find_violation_sequence_reference(f, z, k: int, seed: int):
+    """Search for a sequence witnessing failure of the condition.
+
+    Greedy per-annulus minimizer of the ratio, polished by Nelder-Mead,
+    then thinned until distances halve and ratios decay at least like
+    1/nu. Returns None when the ratios stay bounded below.
+    """
+    shell = unit_shell_sample(f.n, SEARCH_SAMPLES, seed)
+
+    def ratio(x, d):
+        if d < DIST_FLOOR:
+            return np.inf
+        return nu(f.jacobian(x)) / d ** (k - 1)
+
+    cands = []
+    for j in range(SEARCH_DEPTH):
+        r = 0.5 ** (j + 1)
+        stats = _ratio_stats(f, z, k, r * shell)
+        if stats is None:
+            continue
+        _, arg, _, _ = stats
+        d_arg = z.distance(arg)
+
+        def objective(x, r=r, d_arg=d_arg):
+            # trust region: stay in the annulus and keep dist comparable,
+            # otherwise descent just chases dist -> 0 at every scale
+            if not 0.45 * r <= np.linalg.norm(x) <= 1.05 * r:
+                return np.inf
+            d = z.distance(x)
+            if not 0.45 * d_arg <= d <= 2.0 * d_arg:
+                return np.inf
+            return ratio(x, d)
+
+        res = optimize.minimize(
+            objective, arg, method="Nelder-Mead",
+            options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14})
+        x_best = res.x if np.isfinite(res.fun) and res.fun < ratio(arg, d_arg) else arg
+        d_best = z.distance(x_best)
+        cands.append((np.asarray(x_best, dtype=float), ratio(x_best, d_best), d_best))
+    if not cands:
+        return None
+    if cands[-1][1] > 0.5 * cands[0][1]:
+        return None  # ratios bounded below on the sampled range
+
+    pts, rats, dists = [cands[0][0]], [cands[0][1]], [cands[0][2]]
+    for x, r_val, d in cands[1:]:
+        if d < 0.5 * dists[-1] and r_val < rats[-1]:
+            pts.append(x)
+            rats.append(r_val)
+            dists.append(d)
+    # thin until the 1/nu decay invariant is met
+    for stride in (1, 2, 3, 4):
+        sel = list(range(0, len(pts), stride))
+        rr = [rats[i] for i in sel]
+        if all(rr[i] <= rr[0] / (i + 1) + 1e-15 for i in range(len(rr))) and len(rr) >= 3:
+            return ViolationSequence(
+                points=tuple(tuple(float(v) for v in pts[i]) for i in sel),
+                ratios=tuple(float(rats[i]) for i in sel),
+                dists=tuple(float(dists[i]) for i in sel))
+    return None

@@ -90,6 +90,30 @@ class TestExitCodeTaxonomy:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("via", ["--z", "germ file"])
+    @pytest.mark.parametrize("z_doc, message", [
+        ({"variant": "implicit", "tol": "abc"}, "could not convert string to float"),
+        ({"variant": "analytic", "form": "subspace", "coords": "1"}, "not supported"),
+        ({"variant": "analytic", "form": "subspace"}, "'coords'"),
+        ([0.0], "not a JSON object"),
+    ])
+    def test_malformed_z_document(self, tmp_path, capsys, via, z_doc, message):
+        # all but the missing key used to end in a traceback
+        if via == "--z":
+            z = tmp_path / "z.json"
+            z.write_text(json.dumps(z_doc))
+            args = ["--germ", GERMS / "x2.json", "--z", z]
+        else:
+            germ = json.loads((GERMS / "x2.json").read_text())
+            germ["z"] = z_doc
+            path = tmp_path / "germ.json"
+            path.write_text(json.dumps(germ))
+            args = ["--germ", path]
+        assert run_cli(*args, "--cmd", "check", "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: malformed Z document: ")
+        assert message in err
+
     @pytest.mark.parametrize("cmd", ["check", "exponent", "trivialize", "corollary",
                                      "construct"])
     def test_negative_seed(self, tmp_path, capsys, cmd):

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
+from jetsuff.linmap import LinearMap
 from jetsuff.lojasiewicz import (LojasiewiczReport, ViolationSequence, _ratio_stats,
                                  check_corollary_hypotheses, estimate_condition,
                                  find_violation_sequence, fit_exponent)
 from jetsuff.poly import Poly
 from jetsuff.sampling import unit_shell_sample
-from oracles import corollary_reference, ratio_stats_reference
+from oracles import (corollary_reference, find_violation_sequence_reference,
+                     ratio_stats_reference)
 
 RADII = [0.5, 0.25, 0.125, 0.0625]
 Z_HYP = AnalyticZ(n=2, form="subspace", coords=(1,))
@@ -221,3 +223,27 @@ class TestBatchedAgainstPointwise:
         C, C1, c2, skipped = corollary_reference(pair, radii, 256, seed)
         assert ((rep.C, rep.C1, rep.C2_per_annulus, rep.skipped)
                 == (C, C1, tuple(c2), skipped))
+
+
+class TestSearchAgainstReference:
+    """The violation search against the one whose ratio built a
+    ``LinearMap`` for ``nu`` at every Nelder-Mead evaluation."""
+
+    @pytest.mark.parametrize("name, seed", [("x3", s) for s in range(8)]
+                             + [(g, s) for g in ("x2y2", "x2") for s in range(4)])
+    def test_same_sequence(self, name, seed):
+        f, z = bundled(name)
+        got = find_violation_sequence(f, z, f.k, seed)
+        want = find_violation_sequence_reference(f, z, f.k, seed)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.to_dict() == want.to_dict()
+
+    def test_builds_no_linear_map(self, monkeypatch):
+        built = []
+        post_init = LinearMap.__post_init__
+        monkeypatch.setattr(LinearMap, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        f, z = bundled("x3")
+        assert find_violation_sequence(f, z, f.k, 0) is not None
+        assert built == []

@@ -13,8 +13,8 @@ from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, load_germ
 from jetsuff.lojasiewicz import estimate_condition
 from jetsuff.poly import Poly
 from jetsuff.sampling import ball_sample
-from jetsuff.trivializer import (IsotopyResult, TrivializationConstants, VectorFieldW,
-                                 _residuals, backward_flow, build_F,
+from jetsuff.trivializer import (DeformationF, IsotopyResult, TrivializationConstants,
+                                 VectorFieldW, _residuals, backward_flow, build_F,
                                  calibrate_constants, flow, flow_many, gronwall_check,
                                  isotopy)
 from oracles import (W_reference, calibrate_constants_scalar, eval_reference,
@@ -46,8 +46,9 @@ class TestBuildF:
     def test_values(self, cubic_setup):
         pair, _, _, _ = cubic_setup
         F = build_F(pair)
-        assert F.eval(1.0, [0.1, 0.0]) == pytest.approx([0.011])
-        assert F.eval(0.0, [0.1, 0.0]) == pytest.approx(pair.f.eval([0.1, 0.0]))
+        x = [0.1, 0.0]
+        assert F.f.eval(x) + 1.0 * F.P.eval(x) == pytest.approx([0.011])
+        assert F.f.eval(x) + 0.0 * F.P.eval(x) == pytest.approx(pair.f.eval(x))
         np.testing.assert_allclose(F.P_and_d_x([1.0], [[0.1, 0.0]])[1], [[[0.23, 0.0]]])
 
     def test_one_power_table_matches_pointwise(self):
@@ -180,7 +181,7 @@ class TestVectorField:
         tiny = TrivializationConstants(
             C=consts.C, C_prime=consts.C_prime, C_dprime=1e-3,
             U_radius=consts.U_radius, r0=consts.r0)
-        vf_tiny = VectorFieldW(build_F(pair, check_jets=False), tiny)
+        vf_tiny = VectorFieldW(DeformationF(pair), tiny)
         with pytest.raises(FieldBoundError, match="field bound violated"):
             vf_tiny.eval(1.0, [0.1, 0.0])
         assert issubclass(FieldBoundError, CoveringViolationError)
@@ -190,7 +191,7 @@ class TestVectorField:
         inflated = TrivializationConstants(
             C=consts.C, C_prime=1e6, C_dprime=consts.C_dprime,
             U_radius=consts.U_radius, r0=consts.r0)
-        vf_bad = VectorFieldW(build_F(pair, check_jets=False), inflated)
+        vf_bad = VectorFieldW(DeformationF(pair), inflated)
         with pytest.raises(CoveringViolationError):
             vf_bad.eval(0.0, [0.1, 0.0])
 
@@ -198,15 +199,15 @@ class TestVectorField:
 class TestFlow:
     def test_start_on_Z_is_constant(self, cubic_setup):
         _, _, _, vf = cubic_setup
-        traj = flow(vf, [0.0, 0.1])
-        assert np.all(traj.states == np.array([0.0, 0.1]))
+        states = flow(vf, [0.0, 0.1])
+        assert states.shape == (17, 2) and np.all(states == np.array([0.0, 0.1]))
 
     def test_endpoint_solves_conservation_equation(self, cubic_setup):
         _, _, _, vf = cubic_setup
-        traj = flow(vf, [0.1, 0.0], tol=1e-10)
+        endpoint = flow(vf, [0.1, 0.0], tol=1e-10)[-1]
         h = brentq(lambda t: t * t + t ** 3 - 0.01, 0.05, 0.15, xtol=1e-15)
-        assert traj.endpoint[0] == pytest.approx(h, abs=1e-5)
-        assert traj.endpoint[1] == 0.0
+        assert endpoint[0] == pytest.approx(h, abs=1e-5)
+        assert endpoint[1] == 0.0
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("inf"), float("nan")])
     def test_tolerance_must_be_finite_and_positive(self, cubic_setup, tol):
@@ -219,8 +220,8 @@ class TestFlow:
         rep = estimate_condition(pair.f, pair.z, 2, RADII, 512, 0)
         consts = calibrate_constants(pair, rep)
         vf = VectorFieldW(build_F(pair), consts)
-        traj = flow(vf, [0.1, 0.05], tol=1e-9)
-        assert np.max(np.abs(traj.states - np.array([0.1, 0.05]))) <= 1e-9
+        states = flow(vf, [0.1, 0.05], tol=1e-9)
+        assert np.max(np.abs(states - np.array([0.1, 0.05]))) <= 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +277,6 @@ class TestIsotopy:
 
     def test_serialization(self, result, tmp_path):
         _, res = result
-        res.write_json(tmp_path / "iso.json")
         res.write_csv(tmp_path / "iso.csv")
         lines = (tmp_path / "iso.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + res.grid.shape[0] * len(res.times)
@@ -348,6 +348,7 @@ class TestLockStepOracle:
         for p, x0 in enumerate(X0):
             states, k = flow_reference(vf, x0, tol=tol, checkpoints=17)
             assert same_bits(forward[p], states) and nfev[p] == k
+            assert same_bits(flow(vf, x0, tol=tol), states)
             states, k = flow_reference(vf, forward[p, 7], t_span=(t, 0.0), tol=tol,
                                        checkpoints=2)
             assert same_bits(back[p], states) and back_nfev[p] == k
