@@ -143,6 +143,8 @@ class AnalyticZ(ZSpec):
         if (not coords or any(not 1 <= c <= self.n for c in coords)
                 or len(set(coords)) != len(coords)):
             raise InvalidInputError(f"bad coordinate list {self.coords!r}")
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
+            raise InvalidInputError(f"coordinates must be integers, got {self.coords!r}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_cols", np.array(coords) - 1)
 

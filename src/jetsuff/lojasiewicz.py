@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize  # perfbench/tracing.py swaps this name for a proxy
 
 from .errors import ConvergenceError, InvalidInputError
 from .germ import GermPair, ZSpec, scalar_powers
@@ -27,6 +27,8 @@ from .sampling import unit_shell_sample
 DIST_FLOOR = 1e-9  # points closer to Z are excluded from ratio statistics
 # find_violation_sequence: annuli of radius 1/2, 1/4, ..., points per annulus
 SEARCH_DEPTH, SEARCH_SAMPLES = 12, 512
+# the Nelder-Mead options of each annulus's polish
+POLISH = {"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14}
 
 
 @dataclass(frozen=True)
@@ -137,47 +139,130 @@ def fit_exponent(f, z: ZSpec, radii, samples_per_annulus: int, seed: int) -> flo
     return float(slope)
 
 
+def _nelder_mead(x0):
+    """scipy's Nelder-Mead (``optimize.minimize(method="Nelder-Mead")``
+    with ``options=POLISH``, no bounds, not adaptive) as a generator: it yields
+    each point to evaluate and is sent the objective's value there, so many
+    runs can share one stacked objective call. Step for step scipy's own
+    arithmetic, so it visits the same points and returns the same ``x``,
+    ``fun``, ``nit`` and ``final_simplex``, bit for bit."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    maxiter, xatol, fatol = POLISH["maxiter"], POLISH["xatol"], POLISH["fatol"]
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for j in range(N):
+        y = x0.copy()
+        y[j] = (1 + nonzdelt) * y[j] if y[j] != 0 else zdelt
+        sim[j + 1] = y
+    fsim = np.full(N + 1, np.inf)
+    for j in range(N + 1):
+        fsim[j] = yield sim[j]
+    for _ in range(2):  # scipy sorts twice before the first iteration
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
+    nit = 1
+    while nit < maxiter:
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = yield xr
+        shrink = False
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = yield xe
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # outside contraction
+            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+            fxc = yield xc
+            shrink = not fxc <= fxr
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        else:  # inside contraction
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = yield xcc
+            shrink = not fxcc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xcc, fxcc
+        if shrink:
+            for j in range(1, N + 1):
+                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                fsim[j] = yield sim[j]
+        nit += 1
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
+    return optimize.OptimizeResult(x=sim[0], fun=fsim.min(), nit=nit,
+                                   final_simplex=(sim, fsim))
+
+
 def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     """Search for a sequence witnessing failure of the condition.
 
     Greedy per-annulus minimizer of the ratio, polished by Nelder-Mead,
     then thinned until distances halve and ratios decay at least like
     1/nu. Returns None when the ratios stay bounded below.
+
+    The polishes of all annuli run in lock step: each round evaluates the
+    pending vertex of every unfinished polish in one stacked objective call.
+    Every stacked call is row-independent, so each polish takes the steps
+    it would take alone.
     """
     shell = unit_shell_sample(f.n, SEARCH_SAMPLES, seed)
-
-    def ratio(x, d):
-        if d < DIST_FLOOR:
-            return np.inf
-        return float(nu_many(f.jacobian_many(x[None, :]))[0]) / d ** (k - 1)
-
-    cands = []
+    annuli = []
     for j in range(SEARCH_DEPTH):
         r = 0.5 ** (j + 1)
         stats = _ratio_stats(f, z, k, r * shell)
-        if stats is None:
-            continue
-        _, arg, _, _ = stats
-        d_arg = z.distance(arg)
-
-        def objective(x, r=r, d_arg=d_arg):
-            # trust region: stay in the annulus and keep dist comparable,
-            # otherwise descent just chases dist -> 0 at every scale
-            if not 0.45 * r <= np.linalg.norm(x) <= 1.05 * r:
-                return np.inf
-            d = z.distance(x)
-            if not 0.45 * d_arg <= d <= 2.0 * d_arg:
-                return np.inf
-            return ratio(x, d)
-
-        res = optimize.minimize(
-            objective, arg, method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14})
-        x_best = res.x if np.isfinite(res.fun) and res.fun < ratio(arg, d_arg) else arg
-        d_best = z.distance(x_best)
-        cands.append((np.asarray(x_best, dtype=float), ratio(x_best, d_best), d_best))
-    if not cands:
+        if stats is not None:
+            arg = stats[1]
+            annuli.append((r, arg, z.distance(arg)))
+    if not annuli:
         return None
+    radius, args, d_args = (np.array(c) for c in zip(*annuli))
+
+    def ratios(X, d):
+        # d ** (k-1) as a Python float power per row, as _ratio_stats takes it
+        out = np.full(len(X), np.inf)
+        far = ~(d < DIST_FLOOR)
+        if far.any():
+            out[far] = nu_many(f.jacobian_many(X[far])) / scalar_powers(d[far], k - 1)
+        return out
+
+    def objective(X, which):
+        # trust region: stay in the annulus and keep dist comparable,
+        # otherwise descent just chases dist -> 0 at every scale
+        out = np.full(len(X), np.inf)
+        norm, r = row_norms(X), radius[which]
+        rows = np.flatnonzero((0.45 * r <= norm) & (norm <= 1.05 * r))
+        if len(rows):
+            d, d_arg = z.distance_many(X[rows]), d_args[which[rows]]
+            band = (0.45 * d_arg <= d) & (d <= 2.0 * d_arg)
+            out[rows[band]] = ratios(X[rows[band]], d[band])
+        return out
+
+    runs = [_nelder_mead(a) for a in args]
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    found = [None] * len(runs)
+    while pending:
+        which = np.fromiter(pending, dtype=int)
+        values = objective(np.array(list(pending.values())), which)
+        for i, v in zip(which.tolist(), values.tolist()):
+            try:
+                pending[i] = runs[i].send(v)
+            except StopIteration as stop:
+                del pending[i]
+                found[i] = stop.value
+    x_nm = np.array([res.x for res in found])
+    f_nm = np.array([res.fun for res in found])
+    better = np.isfinite(f_nm) & (f_nm < ratios(args, d_args))
+    x_best = np.where(better[:, None], x_nm, args)
+    d_best = z.distance_many(x_best)
+    cands = list(zip(x_best, ratios(x_best, d_best).tolist(), d_best.tolist()))
     if cands[-1][1] > 0.5 * cands[0][1]:
         return None  # ratios bounded below on the sampled range
 

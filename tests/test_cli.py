@@ -90,6 +90,18 @@ class TestExitCodeTaxonomy:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
 
+    @pytest.mark.parametrize("coords", [[1.5], [True]])
+    def test_non_integer_z_coords(self, tmp_path, capsys, coords):
+        # [1.5] used to end in a numpy TypeError traceback; [true] ran as x1
+        z = tmp_path / "z.json"
+        z.write_text(json.dumps({"variant": "analytic", "form": "subspace",
+                                 "coords": coords}))
+        assert run_cli("--germ", GERMS / "x2.json", "--z", z, "--cmd", "check",
+                       "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: coordinates must be integers")
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("via", ["--z", "germ file"])
     @pytest.mark.parametrize("z_doc, message", [
         ({"variant": "implicit", "tol": "abc"}, "could not convert string to float"),

@@ -206,6 +206,13 @@ class TestBadZ:
             germ_module.zspec_from_json(
                 {"variant": "analytic", "form": "subspace", "coords": [1, 1]}, 2)
 
+    @pytest.mark.parametrize("coords", [[1.5], [True], [1.0], [2, True]])
+    def test_non_integer_coords_rejected(self, coords):
+        # [1.5] used to pass and fail later in np.take; [true] read as x1
+        with pytest.raises(InvalidInputError, match="coordinates must be integers"):
+            germ_module.zspec_from_json(
+                {"variant": "analytic", "form": "subspace", "coords": coords}, 2)
+
     def test_nonfinite_cloud_rejected(self):
         with pytest.raises(InvalidInputError):
             germ_module.zspec_from_json(

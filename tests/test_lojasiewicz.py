@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
 from jetsuff.linmap import LinearMap
-from jetsuff.lojasiewicz import (LojasiewiczReport, ViolationSequence, _ratio_stats,
-                                 check_corollary_hypotheses, estimate_condition,
-                                 find_violation_sequence, fit_exponent)
+from jetsuff.lojasiewicz import (POLISH, LojasiewiczReport, ViolationSequence,
+                                 _nelder_mead, _ratio_stats, check_corollary_hypotheses,
+                                 estimate_condition, find_violation_sequence,
+                                 fit_exponent)
 from jetsuff.poly import Poly
 from jetsuff.sampling import unit_shell_sample
 from oracles import (corollary_reference, find_violation_sequence_reference,
@@ -225,19 +227,60 @@ class TestBatchedAgainstPointwise:
                 == (C, C1, tuple(c2), skipped))
 
 
-class TestSearchAgainstReference:
-    """The violation search against the one whose ratio built a
-    ``LinearMap`` for ``nu`` at every Nelder-Mead evaluation."""
+SEARCH_CASES = ([("x3", s) for s in range(8)]
+                + [(g, s) for g in ("x2y2", "x2", "x4", "z2") for s in range(4)])
 
-    @pytest.mark.parametrize("name, seed", [("x3", s) for s in range(8)]
-                             + [(g, s) for g in ("x2y2", "x2") for s in range(4)])
-    def test_same_sequence(self, name, seed):
-        f, z = bundled(name)
-        got = find_violation_sequence(f, z, f.k, seed)
-        want = find_violation_sequence_reference(f, z, f.k, seed)
+
+def search_germ(name):
+    if name == "x4":  # x1^4 at k = 3 over {x1 = 0}: a squared Python power
+        return power_germ(4, k=3), Z_HYP
+    if name == "z2":  # m = 2: the SVD branch of nu_many
+        return load_germ(GERMS.parent / "perfbench" / "germs" / "z2.json")
+    return bundled(name)
+
+
+def counted_search(search, name, seed):
+    """``search`` on a fresh germ, and its number of ``jacobian_many`` calls."""
+    f, z = search_germ(name)
+    calls = []
+    jacobian_many = f.jacobian_many
+    f.jacobian_many = lambda X: calls.append(len(X)) or jacobian_many(X)
+    return search(f, z, f.k, seed), len(calls)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The reference search on one case, run once per module."""
+    cache = {}
+
+    def get(name, seed):
+        if (name, seed) not in cache:
+            cache[name, seed] = counted_search(find_violation_sequence_reference,
+                                               name, seed)
+        return cache[name, seed]
+    return get
+
+
+class TestSearchAgainstReference:
+    """The lock-step violation search against the scalar one, which ran one
+    ``optimize.minimize`` per annulus and built a ``LinearMap`` for ``nu``
+    at every Nelder-Mead evaluation."""
+
+    @pytest.mark.parametrize("name, seed", SEARCH_CASES)
+    def test_same_sequence(self, reference, name, seed):
+        got, _ = counted_search(find_violation_sequence, name, seed)
+        want, _ = reference(name, seed)
         assert (got is None) == (want is None)
         if want is not None:
             assert got.to_dict() == want.to_dict()
+
+    def test_objective_is_stacked(self, reference):
+        # one stacked objective call per round for all annuli, in place of
+        # one one-row call per Nelder-Mead evaluation
+        got, calls = counted_search(find_violation_sequence, "x3", 0)
+        want, one_row_calls = reference("x3", 0)
+        assert got.to_dict() == want.to_dict()
+        assert calls < one_row_calls / 4
 
     def test_builds_no_linear_map(self, monkeypatch):
         built = []
@@ -247,3 +290,66 @@ class TestSearchAgainstReference:
         f, z = bundled("x3")
         assert find_violation_sequence(f, z, f.k, 0) is not None
         assert built == []
+
+
+def drive(run, fun):
+    """A Nelder-Mead generator driven by the scalar ``fun``: its result and
+    the number of points it asked for."""
+    nfev = 0
+    x = next(run)
+    while True:
+        nfev += 1
+        try:
+            x = run.send(fun(x.copy()))
+        except StopIteration as stop:
+            return stop.value, nfev
+
+
+def ball_objective(center):
+    """|x - center|^2 on the closed unit ball, inf outside it."""
+    return lambda x: (float(np.sum((x - center) ** 2)) if np.linalg.norm(x) <= 1
+                      else np.inf)
+
+
+def assert_same_as_scipy(fun, x0):
+    want = optimize.minimize(fun, x0, method="Nelder-Mead", options=POLISH)
+    got, nfev = drive(_nelder_mead(np.array(x0, dtype=float)), fun)
+    assert np.array_equal(got.x, want.x)
+    assert got.fun == want.fun
+    assert (got.nit, nfev) == (want.nit, want.nfev)
+    assert np.array_equal(got.final_simplex[0], want.final_simplex[0])
+    assert np.array_equal(got.final_simplex[1], want.final_simplex[1])
+    return got, nfev
+
+
+class TestNelderMeadReplay:
+    """``_nelder_mead`` is scipy's Nelder-Mead step for step, so a scipy
+    release that changes it fails here instead of changing the sequences."""
+
+    @pytest.mark.parametrize("fun, x0", [
+        (optimize.rosen, [-1.2, 1.0]),
+        (optimize.rosen, [-1.2, 1.0, 0.8]),
+        (lambda x: abs(x[0]) + 10 * abs(x[1]), [1.0, 0.7]),
+    ])
+    def test_smooth_and_kinked(self, fun, x0):
+        assert_same_as_scipy(fun, x0)
+
+    def test_stops_at_maxiter(self):
+        # the minimum sits on the boundary of the region where fun is finite
+        got, _ = assert_same_as_scipy(ball_objective(np.array([1.5, 0.5])), [0.5, 0.0])
+        assert got.nit == POLISH["maxiter"]
+
+    def test_shrinks(self):
+        got, nfev = assert_same_as_scipy(ball_objective(np.array([1.5, -0.5, 0.25])),
+                                         [0.2, 0.1, 0.0])
+        # without a shrink an iteration asks for one or two points
+        assert nfev > 4 + 2 * (got.nit - 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([2, 3]), data=st.data())
+    def test_random_trust_regions(self, n, data):
+        coords = st.floats(-2.0, 2.0, allow_nan=False)
+        center = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
+        x0 = data.draw(st.lists(st.floats(-0.5, 0.5, allow_nan=False),
+                                min_size=n, max_size=n))
+        assert_same_as_scipy(ball_objective(center), x0)
