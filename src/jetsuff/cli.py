@@ -37,7 +37,8 @@ EXIT_VIOLATION = 2
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The parsed options that report.json records; ``build_parser`` holds
-    their defaults."""
+    their defaults. ``--out`` and ``--seq`` are passed to ``run`` beside it,
+    so that a report does not depend on the directory it is written to."""
 
     command: str
     germ: str
@@ -48,7 +49,6 @@ class ExperimentConfig:
     annuli: int
     samples: int
     tol_ode: float
-    out: str
 
     def __post_init__(self):
         if not 0.0 < self.tol_ode < np.inf:
@@ -189,8 +189,7 @@ def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     return EXIT_OK if rep.ok else EXIT_VIOLATION
 
 
-# Every handler takes (config, outdir, seq_path); only construct reads --seq,
-# which stays out of the config so that report.json's config block omits it.
+# Every handler takes (config, outdir, seq_path); only construct reads --seq.
 COMMANDS = {
     "check": _cmd_check,
     "exponent": _cmd_exponent,
@@ -216,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run(config: ExperimentConfig, seq_path=None) -> int:
-    outdir = Path(config.out)
+def run(config: ExperimentConfig, out, seq_path=None) -> int:
+    outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     return COMMANDS[config.command](config, outdir, seq_path)
 
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig(**{f.name: getattr(args, f.name)
                                      for f in fields(ExperimentConfig)})
-        return run(config, seq_path=args.seq)
+        return run(config, args.out, seq_path=args.seq)
     except (InvalidInputError, CalibrationError, ConstructionError,
             ConvergenceError, MinorIdentityError, OSError, json.JSONDecodeError,
             KeyError) as exc:

@@ -7,7 +7,9 @@ exactly when coefficients are rational. The singular set is a
 
 * :class:`AnalyticZ` (``analytic``) -- closed-form distance (coordinate
   subspaces and unions of coordinate hyperplanes);
-* :class:`SampledZ` (``samples``) -- a point cloud;
+* :class:`SampledZ` (``samples``) -- a point cloud; a k-d tree picks each
+  point's few nearest candidates, and their numpy norms give the distance,
+  the same bits as a scan over the whole cloud;
 * :class:`ImplicitZ` (``implicit``) -- Z = {nu(df) = 0} located by local
   minimization.
 """
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import optimize
+from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, InvalidInputError
 from .linmap import LinearMap, nu, row_norms
@@ -108,7 +111,7 @@ def jet_at(f: PolyGermMap, a, k: int) -> tuple[Poly, ...]:
 
 # --------------------------------------------------------------------- ZSpec
 
-SAMPLE_BLOCK = 1 << 15  # floats per temporary in SampledZ.distance_many
+CANDIDATES, TIE_REL = 4, 1e-9  # SampledZ.distance_many: tree candidates, tie band
 
 
 class ZSpec:
@@ -184,15 +187,37 @@ class SampledZ(ZSpec):
         # 0 in Z is required; the cloud must witness it
         if float(np.min(np.linalg.norm(pts, axis=1))) > MEMBERSHIP_TOL:
             raise InvalidInputError("sample cloud must contain the origin")
+        object.__setattr__(self, "_tree", cKDTree(pts))
 
     def distance_many(self, X) -> np.ndarray:
+        """min over the cloud of ``np.linalg.norm(p - x)`` for each row x,
+        the bits of a scan over every cloud point.
+
+        The tree only picks candidates; the values are numpy's. The tree's
+        distance t(p) and numpy's |p - x| square the same differences and
+        differ only in the order of summation, so they agree to a few ulps,
+        far inside TIE_REL. The minimizer p* has |p* - x| at most the
+        nearest candidate's norm, hence t(p*) <= (1 + TIE_REL) t0, t0 being
+        the tree's nearest distance. So p* is among the CANDIDATES nearest
+        points unless the last of them lies within (1 + TIE_REL) t0 as well;
+        such near-tie rows, and rows whose squares overflow for a
+        candidate, are scanned over the whole cloud. A row with an inf or
+        nan entry is inf or nan from every cloud point, so any candidates
+        serve; the tree, which rejects such rows, picks them for zeros.
+        """
         X = _rows(X, self.n)
-        out = np.empty(len(X))
-        # row blocks keep the (rows, cloud, n) temporaries to SAMPLE_BLOCK floats
-        step = max(1, SAMPLE_BLOCK // self.points.size)
-        for s in range(0, len(X), step):
-            gaps = self.points - X[s:s + step, None, :]
-            out[s:s + step] = np.linalg.norm(gaps, axis=2).min(axis=1)
+        count = len(self.points)
+        k = min(CANDIDATES, count)
+        t, idx = self._tree.query(np.where(np.isfinite(X), X, 0.0),
+                                  k=list(range(1, k + 1)))
+        # a candidate past the float range comes back as index `count`
+        gaps = self.points[np.minimum(idx, count - 1)] - X[:, None, :]
+        out = np.linalg.norm(gaps, axis=2).min(axis=1)
+        scan = ~(t[:, -1] < np.inf)
+        if k < count:
+            scan |= t[:, -1] <= (1 + TIE_REL) * t[:, 0]
+        for i in np.flatnonzero(scan).tolist():
+            out[i] = np.linalg.norm(self.points - X[i], axis=1).min()
         return out
 
     def sample_points(self, count: int, seed: int, radius: float = 1.0) -> np.ndarray:

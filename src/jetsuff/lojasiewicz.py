@@ -219,11 +219,11 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
         r = 0.5 ** (j + 1)
         stats = _ratio_stats(f, z, k, r * shell)
         if stats is not None:
-            arg = stats[1]
-            annuli.append((r, arg, z.distance(arg)))
+            annuli.append((r, stats[1]))
     if not annuli:
         return None
-    radius, args, d_args = (np.array(c) for c in zip(*annuli))
+    radius, args = (np.array(c) for c in zip(*annuli))
+    d_args = z.distance_many(args)
 
     def ratios(X, d):
         # d ** (k-1) as a Python float power per row, as _ratio_stats takes it

@@ -226,6 +226,15 @@ def distance_reference(z, x) -> float:
     return float(np.min(np.abs(x[sel])))
 
 
+def axis_cloud() -> np.ndarray:
+    """The survey workload's Z cloud, as ``perfbench/workloads.py`` builds it:
+    the origin and 16 points per octave on each half of the x2 axis, from 1
+    down to 2^-40."""
+    base = 2.0 ** (-np.arange(16) / 16)
+    mags = np.concatenate([base * 2.0 ** -o for o in range(41)])
+    return np.array([(0.0, 0.0)] + [(0.0, s * v) for v in mags for s in (1.0, -1.0)])
+
+
 def ratio_stats_reference(f, z, k, X):
     """(min ratio, argmin, min nu, skipped) over the rows of X, point by point."""
     best, arg, nu_min, skipped = np.inf, None, np.inf, 0

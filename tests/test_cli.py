@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -207,6 +208,24 @@ class TestDeterminism:
                     "--out", tmp_path / d)
         assert ((tmp_path / "r1" / "annuli.csv").read_bytes()
                 == (tmp_path / "r2" / "annuli.csv").read_bytes())
+
+    @pytest.mark.parametrize("args", [
+        ("--germ", GERMS / "x2.json", "--cmd", "check"),
+        ("--germ", GERMS / "x2.json", "--cmd", "exponent"),
+        ("--germ", GERMS / "x2.json", "--pair", GERMS / "x2_plus_x4.json",
+         "--cmd", "corollary"),
+        ("--germ", GERMS / "x2y2.json", "--cmd", "construct",
+         "--seq", GERMS / "x2y2_diagonal_seq.json"),
+    ], ids=lambda a: a[a.index("--cmd") + 1])
+    def test_report_independent_of_out_dir(self, tmp_path, args):
+        # r9/c0 and r10/c0 differ in length, as the benchmark's rounds do
+        reports = []
+        for d in ("r9", "r10"):
+            out = tmp_path / d / "c0"
+            assert run_cli(*args, "--seed", 1, "--out", out) in (0, 2)
+            reports.append(re.sub(rb'"timestamp": "[^"]*"', b"",
+                                  (out / "report.json").read_bytes()))
+        assert reports[0] == reports[1]
 
     def test_report_carries_provenance(self, tmp_path):
         run_cli("--germ", GERMS / "x2.json", "--cmd", "check", "--out", tmp_path)

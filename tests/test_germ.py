@@ -1,7 +1,6 @@
 import json
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from jetsuff.errors import InvalidInputError
 from jetsuff.germ import (AnalyticZ, GermPair, ImplicitZ, PolyGermMap, SampledZ,
                           germ_from_json, jet_at, same_k_Z_jet, scalar_powers)
 from jetsuff.poly import Poly
-from oracles import (distance_reference, eval_reference, fd_jacobian,
+from jetsuff.sampling import unit_shell_sample
+from oracles import (axis_cloud, distance_reference, eval_reference, fd_jacobian,
                      jacobian_reference)
 
 
@@ -251,6 +251,13 @@ def check_rows(z, X):
     return D
 
 
+def check_sampled(cloud, X):
+    """SampledZ on ``cloud`` equals the point-by-point scan, bit for bit."""
+    z = SampledZ(n=X.shape[1], points=cloud)
+    D = check_rows(z, X)
+    assert D.tolist() == [distance_reference(z, x) for x in X]
+
+
 coords_in = st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.just(n), st.sets(st.integers(1, n), min_size=1)))
 scaled_points = st.integers(-20, 20).map(lambda e: 10.0 ** e)
@@ -272,17 +279,75 @@ class TestDistanceMany:
         D = check_rows(z, X)
         assert D.tolist() == [distance_reference(z, x) for x in X]
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-        arrays(np.float64, st.tuples(st.integers(0, 40), st.just(n)),
+    # SampledZ takes its candidates from a k-d tree and its values from numpy.
+    # scipy 1.17's tree distances equal numpy's norms bit for bit up to n = 7,
+    # so only n >= 8 separates a wrong candidate set or the tree's own
+    # distances from the right answer; n runs up to 9.
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        arrays(np.float64, st.tuples(st.integers(0, 60), st.just(n)),
                elements=st.floats(-10, 10)),
-        point_rows(n, 40))), st.integers(1, 200))
-    def test_sampled_rows_across_blocks(self, cloud_X, block):
+        arrays(np.float64, st.tuples(st.integers(0, 40), st.just(n)),
+               elements=st.floats(-10, 10)))), scaled_points)
+    def test_sampled_random_clouds(self, cloud_X, scale):
+        # from the origin alone (no other point) to 61 points, and no rows
         cloud, X = cloud_X
-        z = SampledZ(n=X.shape[1], points=np.vstack([np.zeros(X.shape[1]), cloud]))
-        with mock.patch.object(germ_module, "SAMPLE_BLOCK", block):
-            D = check_rows(z, X)
-        assert D.tolist() == [distance_reference(z, x) for x in X]
+        check_sampled(np.vstack([np.zeros(X.shape[1]), cloud]) * scale, X * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 24), st.integers(0, 3),
+           st.integers(-30, 30), st.integers(0, 2 ** 32 - 1))
+    def test_sampled_ties(self, n, count, copies, scale, seed):
+        # each query is the center of a sphere of cloud points at one exact
+        # distance: its gap vector with coordinates permuted and signs
+        # flipped, some points repeated. The gaps are exact (26-bit entries
+        # beside centers of +-8, times a power of two), so only the order of
+        # summation moves the float distances apart, by ulps
+        rng = np.random.default_rng(seed)
+        centers = 8.0 * rng.choice([-1.0, 1.0], size=(16, n))
+        spheres = []
+        for c in centers:
+            g = rng.integers(2 ** 25, 2 ** 26, n) / 2.0 ** 26
+            signs = rng.choice([-1.0, 1.0], size=(count, n))
+            spheres.append(c + signs * np.array([rng.permutation(g) for _ in range(count)]))
+        cloud = np.vstack([np.zeros((1, n))] + spheres + [s[:copies] for s in spheres])
+        near = centers + 1e-12 * rng.standard_normal(centers.shape)
+        check_sampled(cloud * 2.0 ** scale, np.vstack([centers, near]) * 2.0 ** scale)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 40])
+    def test_sampled_small_clouds(self, size, n):
+        # the origin alone and clouds of fewer than four points, where every
+        # point is a candidate, beside larger ones; and no rows at all
+        rng = np.random.default_rng(size)
+        cloud = np.vstack([np.zeros((1, n)), rng.uniform(-1, 1, (size - 1, n))])
+        check_sampled(cloud, rng.uniform(-2, 2, (64, n)))
+        assert SampledZ(n=n, points=cloud).distance_many(np.empty((0, n))).shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_sampled_extreme_rows(self, n):
+        # squares past the float range for some or all cloud points, and
+        # entries that are inf or nan, which the tree itself rejects
+        rng = np.random.default_rng(n)
+        cloud = np.vstack([np.zeros((1, n)), rng.uniform(-1, 1, (40, n)),
+                           np.full((1, n), 1e150), np.full((1, n), -1e200)])
+        X = np.array([np.full(n, v) for v in (1e153, 1e154, 1e160, 1e300, -1e200,
+                                               np.inf, -np.inf, np.nan)]
+                     + [np.r_[v, np.zeros(n - 1)] for v in (np.inf, np.nan, 1e300)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = SampledZ(n=n, points=cloud)
+            D = z.distance_many(X)
+            np.testing.assert_array_equal(D, [distance_reference(z, x) for x in X])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_survey_cloud(self, seed):
+        # the survey's Z cloud on its Sobol shells at every dyadic radius of
+        # the estimator and of the violation search
+        z = SampledZ(n=2, points=axis_cloud())
+        shell = unit_shell_sample(2, 2048, seed)
+        X = np.vstack([0.5 ** j * shell for j in range(1, 14)])
+        assert z.distance_many(X).tolist() == [distance_reference(z, x) for x in X]
 
     @settings(max_examples=3, deadline=None)
     @given(point_rows(2, 3))
