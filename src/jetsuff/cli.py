@@ -25,7 +25,7 @@ from . import __version__, bl_construct, lojasiewicz, trivializer
 from .errors import (CalibrationError, ConstructionError, ConvergenceError,
                      CoveringViolationError, DomainExitError, InvalidInputError,
                      MinorIdentityError)
-from .germ import GermPair, load_germ, zspec_from_json
+from .germ import GermPair, json_numbers, load_germ, zspec_from_json
 from .report import write_json
 from .sampling import ball_sample
 
@@ -71,7 +71,7 @@ def _load(config: ExperimentConfig):
     f, z = load_germ(config.germ)
     if config.z is not None:
         with open(config.z) as fh:
-            z = zspec_from_json(json.load(fh), f.n, germ=f)
+            z = zspec_from_json(json.load(fh), f.n)
     if z is None:
         raise InvalidInputError("no ZSpec: provide one in the germ file or via --z")
     if config.k is not None:
@@ -168,7 +168,9 @@ def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
         with open(seq_path) as fh:
             doc = json.load(fh)
         try:
-            points = np.asarray(doc["points"], dtype=float)
+            points = json_numbers(doc["points"], "--seq points")
+        except InvalidInputError:  # a ValueError that already names the fault
+            raise
         except (TypeError, ValueError):
             raise InvalidInputError("--seq points must be a list of coordinate lists") from None
         if not np.all(np.isfinite(points)):

@@ -3,15 +3,13 @@
 Germs are lists of exact polynomials (see :mod:`jetsuff.poly`); Taylor
 truncation and differentiation are symbolic, so jet comparisons can be made
 exactly when coefficients are rational. The singular set is a
-:class:`ZSpec`, one of three classes (JSON ``variant`` in brackets):
+:class:`ZSpec`, one of two classes (JSON ``variant`` in brackets):
 
 * :class:`AnalyticZ` (``analytic``) -- closed-form distance (coordinate
   subspaces and unions of coordinate hyperplanes);
 * :class:`SampledZ` (``samples``) -- a point cloud; a k-d tree picks each
   point's few nearest candidates, and their numpy norms give the distance,
-  the same bits as a scan over the whole cloud;
-* :class:`ImplicitZ` (``implicit``) -- Z = {nu(df) = 0} located by local
-  minimization.
+  the same bits as a scan over the whole cloud.
 """
 
 from __future__ import annotations
@@ -21,11 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
 from scipy.spatial import cKDTree
 
-from .errors import ConvergenceError, InvalidInputError
-from .linmap import LinearMap, nu, row_norms
+from .errors import InvalidInputError
+from .linmap import LinearMap, row_norms
 from .poly import Poly, PolyStack
 
 MEMBERSHIP_TOL = 1e-12
@@ -229,61 +226,6 @@ class SampledZ(ZSpec):
         return inside[rng.integers(0, len(inside), size=count)]
 
 
-@dataclass(frozen=True)
-class ImplicitZ(ZSpec):
-    """Z = {nu(df) <= tol} for a germ f, located by local minimization."""
-
-    n: int
-    germ: PolyGermMap = field(repr=False, compare=False)
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.germ is None or self.germ.n != self.n:
-            raise InvalidInputError(f"implicit Z needs a germ in {self.n} variables")
-        if not 0.0 < self.tol < np.inf:
-            raise InvalidInputError(f"implicit Z tol {self.tol} is not finite and positive")
-
-    def _cost(self, y) -> float:
-        return nu(self.germ.jacobian(y)) ** 2
-
-    def distance_many(self, X) -> np.ndarray:
-        return np.array([self._distance(x) for x in _rows(X, self.n)])
-
-    def _distance(self, x) -> float:
-        if self._cost(x) <= self.tol ** 2:
-            return 0.0
-        best = None
-        rng = np.random.default_rng(0)
-        for trial in range(8):
-            start = x if trial == 0 else x * (1 + 0.3 * rng.standard_normal(self.n))
-            res = optimize.minimize(self._cost, start, method="Powell",
-                                    options={"xtol": 1e-12, "ftol": 1e-16,
-                                             "maxiter": 4000})
-            if res.fun <= self.tol ** 2:
-                d = float(np.linalg.norm(res.x - x))
-                best = d if best is None else min(best, d)
-        if best is None:
-            raise ConvergenceError(
-                f"no zero of nu(df) found near {x.tolist()} (tol {self.tol})")
-        return best
-
-    def sample_points(self, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
-        """Deterministic sample of minimizers of nu(df)^2 inside the ball."""
-        rng = np.random.default_rng(seed)
-        out = []
-        attempts = 0
-        while len(out) < count and attempts < 20 * count:
-            attempts += 1
-            start = rng.uniform(-radius, radius, size=self.n)
-            res = optimize.minimize(self._cost, start, method="Powell",
-                                    options={"xtol": 1e-12, "maxiter": 4000})
-            if res.fun <= self.tol ** 2 and np.linalg.norm(res.x) <= radius:
-                out.append(res.x)
-        if len(out) < count:
-            raise ConvergenceError("could not sample enough implicit Z points")
-        return np.array(out)
-
-
 def scalar_powers(values, p: int) -> np.ndarray:
     """``v ** p`` for each entry in Python float arithmetic (C ``pow``), which
     NumPy's array ``**`` does not reproduce bit for bit for squares and cubes."""
@@ -326,7 +268,22 @@ def same_k_Z_jet(pair: GermPair, seed: int = 0) -> tuple[bool, float]:
 
 # --------------------------------------------------------------------- JSON input
 
-def zspec_from_json(doc: dict, n: int, germ: PolyGermMap | None = None) -> ZSpec:
+def _json_scalar(value, what: str, kind: str = "integers"):
+    if type(value) not in ((int,) if kind == "integers" else (int, float)):
+        raise InvalidInputError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def json_numbers(value, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; bools, strings, nulls are rejected."""
+    out = np.asarray(value, dtype=float)
+    for v in np.asarray(value, dtype=object).flat:
+        if type(v) not in (int, float):
+            raise InvalidInputError(f"{what} must be numbers, got {v!r}")
+    return out
+
+
+def zspec_from_json(doc: dict, n: int) -> ZSpec:
     if not isinstance(doc, dict):
         raise InvalidInputError("malformed Z document: not a JSON object")
     variant = doc.get("variant")
@@ -334,31 +291,30 @@ def zspec_from_json(doc: dict, n: int, germ: PolyGermMap | None = None) -> ZSpec
         if variant == "analytic":
             return AnalyticZ(n=n, form=doc["form"], coords=tuple(doc["coords"]))
         if variant == "samples":
-            return SampledZ(n=n, points=np.asarray(doc["points"]))
-        if variant == "implicit":
-            return ImplicitZ(n=n, germ=germ, tol=float(doc.get("tol", 1e-8)))
+            return SampledZ(n=n, points=json_numbers(doc["points"], "sample cloud points"))
     except InvalidInputError:  # a ValueError that already names the fault
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed Z document: {exc}") from exc
-    raise InvalidInputError(f"unknown ZSpec variant {variant!r}")
+    raise InvalidInputError(f"unknown ZSpec variant {variant!r}; use analytic or samples")
 
 
 def germ_from_json(doc: dict) -> tuple[PolyGermMap, ZSpec | None]:
     try:
-        n, m, k = int(doc["n"]), int(doc["m"]), int(doc["k"])
+        n, m, k = (_json_scalar(doc[key], "n, m and k") for key in "nmk")
         comps = []
         for terms in doc["components"]:
             poly_terms = {}
             for t in terms:
-                e = tuple(int(v) for v in t["exponents"])
+                e = tuple(_json_scalar(v, "exponents") for v in t["exponents"])
                 c = t["coeff"]
-                poly_terms[e] = Fraction(c) if isinstance(c, str) else float(c)
+                poly_terms[e] = (Fraction(c) if isinstance(c, str)
+                                 else float(_json_scalar(c, "non-string coefficients", "numbers")))
             comps.append(Poly(n, poly_terms))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed germ document: {exc}") from exc
     f = PolyGermMap(n, m, k, comps)
-    z = zspec_from_json(doc["z"], n, germ=f) if "z" in doc else None
+    z = zspec_from_json(doc["z"], n) if "z" in doc else None
     return f, z
 
 

@@ -6,9 +6,9 @@ radius, so per-annulus statistics are exactly scale-equivariant and fully
 determined by the seed.
 
 Verdicts are heuristics by design: a finite sample cannot certify an
-infimum. ``holds`` needs per-annulus minima bounded below by a positive
-floor (no systematic decay); ``fails`` needs monotone decay by an overall
-factor >= 2; anything else is ``inconclusive``.
+infimum. ``holds``: all annulus minima positive and >= half the outermost,
+so growing ratios hold (for dist <= 1 the condition at k implies it at
+larger k); ``fails``: monotone decay by a factor >= 2; else ``inconclusive``.
 """
 
 from __future__ import annotations
@@ -112,8 +112,7 @@ def estimate_condition(f, z: ZSpec, k: int, radii, samples_per_annulus: int,
     argmins = [tuple(float(v) for v in s[1]) for s in stats]
     skipped = sum(s[3] for s in stats)
     C_hat = float(min(minima))
-    hi = max(minima)
-    if C_hat > 0 and C_hat >= 0.5 * hi:
+    if C_hat > 0 and C_hat >= 0.5 * minima[0]:
         verdict = "holds"
     elif all(b < a for a, b in zip(minima, minima[1:])) and minima[-1] <= 0.5 * minima[0]:
         verdict = "fails"

@@ -19,11 +19,7 @@ Exponents = tuple[int, ...]
 def _as_coeff(c):
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    return float(c)
+    return Fraction(c) if isinstance(c, (int, str)) else float(c)
 
 
 class Poly:

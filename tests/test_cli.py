@@ -19,6 +19,20 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def z_args(tmp_path, via, z_doc):
+    """CLI arguments giving x2 with ``z_doc`` as its Z, by ``--z`` or inside
+    a copy of the germ file."""
+    if via == "--z":
+        z = tmp_path / "z.json"
+        z.write_text(json.dumps(z_doc))
+        return ["--germ", GERMS / "x2.json", "--z", z]
+    germ = json.loads((GERMS / "x2.json").read_text())
+    germ["z"] = z_doc
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(germ))
+    return ["--germ", path]
+
+
 class TestExitCodes:
     def test_check_holds(self, tmp_path):
         code = run_cli("--germ", GERMS / "x2.json", "--cmd", "check",
@@ -36,6 +50,22 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["estimate"]["verdict"] == "fails"
         assert doc["violation_sequence"] is not None
+
+    @pytest.mark.parametrize("args", [
+        # ratios that grow as the radius shrinks
+        ("--germ", GERMS / "x2_plus_x.json"),
+        ("--germ", GERMS / "x2_plus_x3.json"),
+        # above the sharp order 2 of x^2 and 3 of x^3
+        ("--germ", GERMS / "x2.json", "--k", 3),
+        ("--germ", GERMS / "x3.json", "--k", 4),
+    ])
+    def test_check_holds_on_growing_ratios(self, tmp_path, args):
+        assert run_cli(*args, "--cmd", "check", "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        est = doc["estimate"]
+        assert est["verdict"] == "holds" and est["C_hat"] > 0
+        assert min(est["minima"]) >= 0.5 * est["minima"][0]
+        assert "violation_sequence" not in doc
 
     def test_exponent(self, tmp_path):
         code = run_cli("--germ", GERMS / "x2.json", "--cmd", "exponent",
@@ -82,14 +112,55 @@ class TestExitCodeTaxonomy:
         assert capsys.readouterr().err == "error: tolerances must be finite and positive\n"
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("tol", [-1e-8, "Infinity", "NaN"])
-    def test_implicit_z_tolerance(self, tmp_path, capsys, tol):
-        z = tmp_path / "z.json"
-        z.write_text(f'{{"variant": "implicit", "tol": {tol}}}')
-        assert run_cli("--germ", GERMS / "x2.json", "--z", z, "--cmd", "check",
+    @pytest.mark.parametrize("via", ["--z", "germ file"])
+    @pytest.mark.parametrize("z_doc", [
+        {"variant": "implicit"},
+        {"variant": "implicit", "tol": "abc"},
+        *({"variant": "implicit", "tol": tol} for tol in (1e-8, -1e-8, float("inf"),
+                                                          float("nan"))),
+    ])
+    def test_implicit_z_rejected(self, tmp_path, capsys, via, z_doc):
+        # Z is a closed form or a point cloud; the minimizer-located
+        # {nu(df) = 0} is no longer a variant
+        assert run_cli(*z_args(tmp_path, via, z_doc), "--cmd", "check",
                        "--out", tmp_path) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
+        assert err == "error: unknown ZSpec variant 'implicit'; use analytic or samples\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("via", ["--z", "germ file"])
+    @pytest.mark.parametrize("points, entry", [
+        ([[False, False], [False, True]], "False"),  # ran as {(0, 0), (0, 1)}: holds
+        ([["0", "0"], ["0", "0.5"]], "'0'"),  # read as numbers
+        ([[0.0, 0.0], [None, 1.0]], "None"),
+    ])
+    def test_cloud_entries_must_be_json_numbers(self, tmp_path, capsys, via, points,
+                                                entry):
+        z_doc = {"variant": "samples", "points": points}
+        assert run_cli(*z_args(tmp_path, via, z_doc), "--cmd", "check",
+                       "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: sample cloud points must be numbers, got {entry}\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("exponents", [2.5, 0], "exponents must be integers, got 2.5"),
+        ("k", "2", "n, m and k must be integers, got '2'"),
+        ("coeff", False, "non-string coefficients must be numbers, got False"),
+    ])
+    def test_germ_fields_must_be_json_integers(self, tmp_path, capsys, field, value,
+                                               message):
+        # "exponents": [2.5, 0] used to run as x1^2 and exit 0 with C_hat 2.0
+        germ = json.loads((GERMS / "x2.json").read_text())
+        if field == "k":
+            germ[field] = value
+        else:
+            germ["components"][0][0][field] = value
+        path = tmp_path / "germ.json"
+        path.write_text(json.dumps(germ))
+        assert run_cli("--germ", path, "--cmd", "check", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == f"error: malformed germ document: {message}\n"
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("coords", [[1.5], [True]])
     def test_non_integer_z_coords(self, tmp_path, capsys, coords):
@@ -105,24 +176,14 @@ class TestExitCodeTaxonomy:
 
     @pytest.mark.parametrize("via", ["--z", "germ file"])
     @pytest.mark.parametrize("z_doc, message", [
-        ({"variant": "implicit", "tol": "abc"}, "could not convert string to float"),
         ({"variant": "analytic", "form": "subspace", "coords": "1"}, "not supported"),
         ({"variant": "analytic", "form": "subspace"}, "'coords'"),
         ([0.0], "not a JSON object"),
     ])
     def test_malformed_z_document(self, tmp_path, capsys, via, z_doc, message):
         # all but the missing key used to end in a traceback
-        if via == "--z":
-            z = tmp_path / "z.json"
-            z.write_text(json.dumps(z_doc))
-            args = ["--germ", GERMS / "x2.json", "--z", z]
-        else:
-            germ = json.loads((GERMS / "x2.json").read_text())
-            germ["z"] = z_doc
-            path = tmp_path / "germ.json"
-            path.write_text(json.dumps(germ))
-            args = ["--germ", path]
-        assert run_cli(*args, "--cmd", "check", "--out", tmp_path) == 1
+        assert run_cli(*z_args(tmp_path, via, z_doc), "--cmd", "check",
+                       "--out", tmp_path) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: malformed Z document: ")
         assert message in err
@@ -167,6 +228,8 @@ class TestExitCodeTaxonomy:
 
     @pytest.mark.parametrize("points, message", [
         ([[0.1, float("nan")], [0.01, 0.01], [0.001, 0.001]], "finite"),
+        ([[0.1, 0.1], [False, 0.01]], "--seq points must be numbers, got False"),
+        ([["0.1", "0.1"], [0.01, 0.01]], "--seq points must be numbers, got '0.1'"),
         ([[0.1, 0.0], [0.01, 0.01], [0.001, 0.001]], "lies on Z"),
         ([[0.1, 0.1], [0.01]], "coordinate lists"),
         ([0.1, 0.1], "shape"),

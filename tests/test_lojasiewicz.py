@@ -63,6 +63,22 @@ class TestEstimate:
                     for s in range(10)}
         assert verdicts == {"holds"}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_holds_is_monotone_in_k(self, seed):
+        # for dist <= 1, nu/dist^k >= nu/dist^(k-1): the condition at k implies
+        # it at k + 1, and so must the verdict on every bundled germ
+        broken = []
+        for path in sorted(GERMS.glob("*.json")):
+            if path.stem == "x2y2_diagonal_seq":
+                continue
+            f, z = load_germ(path)
+            holds = [estimate_condition(f, z, k, RADII, 512, seed).verdict == "holds"
+                     for k in range(2, 8)]
+            broken += [f"{path.stem}: holds at k={k}, not at k={k + 1}"
+                       for k, (a, b) in enumerate(zip(holds, holds[1:]), start=2)
+                       if a and not b]
+        assert broken == []
+
     def test_report_roundtrip(self, tmp_path):
         rep = estimate_condition(power_germ(2), Z_HYP, 2, RADII, 512, 0)
         rep.write_json(tmp_path / "r.json")
