@@ -87,7 +87,6 @@ def _write_report(config: ExperimentConfig, payload: dict, outdir: Path):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
     doc.update(payload)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "report.json", doc)
 
 
@@ -218,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(config: ExperimentConfig, out, seq_path=None) -> int:
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return COMMANDS[config.command](config, outdir, seq_path)
+    """Run one command; ``out`` is created by its first output file."""
+    return COMMANDS[config.command](config, Path(out), seq_path)
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 from .linmap import LinearMap, row_norms
@@ -184,6 +183,7 @@ class SampledZ(ZSpec):
         # 0 in Z is required; the cloud must witness it
         if float(np.min(np.linalg.norm(pts, axis=1))) > MEMBERSHIP_TOL:
             raise InvalidInputError("sample cloud must contain the origin")
+        from scipy.spatial import cKDTree  # only a sampled Z pays for its import
         object.__setattr__(self, "_tree", cKDTree(pts))
 
     def distance_many(self, X) -> np.ndarray:

@@ -13,10 +13,10 @@ larger k); ``fails``: monotone decay by a factor >= 2; else ``inconclusive``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize  # perfbench/tracing.py swaps this name for a proxy
 
 from .errors import ConvergenceError, InvalidInputError
 from .germ import GermPair, ZSpec, scalar_powers
@@ -29,6 +29,15 @@ DIST_FLOOR = 1e-9  # points closer to Z are excluded from ratio statistics
 SEARCH_DEPTH, SEARCH_SAMPLES = 12, 512
 # the Nelder-Mead options of each annulus's polish
 POLISH = {"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14}
+
+
+def __getattr__(name):
+    # only perfbench/tracing.py reads ``optimize`` (for a ``minimize`` proxy
+    # nothing calls), so scipy.optimize loads only then; ROADMAP item 5 retires it
+    if name == "optimize":
+        from scipy import optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,9 @@ def fit_exponent(f, z: ZSpec, radii, samples_per_annulus: int, seed: int) -> flo
     return float(slope)
 
 
+NelderMeadResult = namedtuple("NelderMeadResult", "x fun nit final_simplex")
+
+
 def _nelder_mead(x0):
     """scipy's Nelder-Mead (``optimize.minimize(method="Nelder-Mead")``
     with ``options=POLISH``, no bounds, not adaptive) as a generator: it yields
@@ -196,8 +208,8 @@ def _nelder_mead(x0):
         nit += 1
         ind = fsim.argsort()
         sim, fsim = sim.take(ind, 0), fsim.take(ind)
-    return optimize.OptimizeResult(x=sim[0], fun=fsim.min(), nit=nit,
-                                   final_simplex=(sim, fsim))
+    return NelderMeadResult(x=sim[0], fun=fsim.min(), nit=nit,
+                            final_simplex=(sim, fsim))
 
 
 def find_violation_sequence(f, z: ZSpec, k: int, seed: int):

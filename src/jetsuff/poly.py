@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 Exponents = tuple[int, ...]
 
 
@@ -32,7 +34,11 @@ class Poly:
             raise ValueError("need at least one variable")
         clean: dict[Exponents, object] = {}
         for e, c in (terms or {}).items():
-            e = tuple(int(k) for k in e)
+            ints = tuple(int(k) for k in e)
+            # int() alone would read 2.5 as 2 and True as 1
+            if any(isinstance(k, (bool, np.bool_)) or k != i for k, i in zip(e, ints)):
+                raise InvalidInputError(f"exponents must be integers, got {tuple(e)!r}")
+            e = ints
             if len(e) != n or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent tuple {e} for n={n}")
             c = _as_coeff(c)

@@ -1,14 +1,19 @@
-"""The one JSON writer and the one CSV writer, and the report mixin."""
+"""The one JSON writer and the one CSV writer, and the report mixin.
+
+Both writers create the file's directory, so a command that fails before
+its first write leaves no directory behind."""
 
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 
 def write_json(path, doc):
     """``doc`` as indented JSON with sorted keys and a final newline."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -16,6 +21,7 @@ def write_json(path, doc):
 
 def write_table(path, header, rows):
     """A CSV file: the header row, then ``rows``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)

@@ -2,17 +2,57 @@
 
 from __future__ import annotations
 
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm as _norm
-from scipy.stats import qmc
+import scipy
+from scipy.special import ndtri
+
+SOBOL_BITS = 30  # scipy's default: Sobol points are multiples of 2^-30
+# Joe and Kuo's primitive polynomials and initial direction numbers, one row
+# per dimension, read from the table scipy ships (without importing scipy.stats)
+SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+_MSB_FIRST = np.arange(SOBOL_BITS - 1, -1, -1)  # shift of the i-th highest bit
+
+
+@functools.cache
+def _directions(d: int) -> np.ndarray:
+    """The unscrambled direction numbers of dimensions 0..d-1, (d, bits)."""
+    with np.load(SOBOL_TABLE) as table:
+        poly, vinit = table["poly"][:d].tolist(), table["vinit"][:d].tolist()
+    v = [[1] * SOBOL_BITS for _ in range(d)]
+    for j in range(1, d):
+        p, deg = poly[j], poly[j].bit_length() - 1
+        v[j][:deg] = vinit[j][:deg]
+        for i in range(deg, SOBOL_BITS):  # Bratley and Fox's recurrence
+            v[j][i] = v[j][i - deg]
+            for s in range(deg):
+                if p >> (deg - 1 - s) & 1:
+                    v[j][i] ^= v[j][i - s - 1] << (s + 1)
+    out = np.array(v, dtype=np.int64) << _MSB_FIRST
+    out.flags.writeable = False
+    return out
 
 
 def _sobol(d: int, count: int, seed: int) -> np.ndarray:
-    # draw a power-of-two block to keep Sobol balance (and silence the warning)
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
-    return sob.random_base2(max(1, math.ceil(math.log2(count))))[:count]
+    """``qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)[:count]`` bit
+    for bit, m = max(1, ceil(log2(count))) (a power-of-two block keeps the
+    Sobol balance): the same draws for the random shift and the LMS scramble,
+    and the points in scipy's Gray-code order."""
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, (d, SOBOL_BITS), dtype=np.uint32) @ (1 << np.arange(SOBOL_BITS))
+    lower = np.tril(rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32), -1)
+    # row p of each unit lower-triangular matrix as one integer, highest bit first;
+    # bit p of a scrambled direction number is the parity of row p & v
+    rows = (lower.astype(np.int64) << _MSB_FIRST).sum(axis=2) | (1 << _MSB_FIRST)
+    bits = np.bitwise_count(rows[:, None, :] & _directions(d)[:, :, None]) & 1
+    sv = (bits.astype(np.int64) << _MSB_FIRST).sum(axis=2)
+    q = shift[None, :]
+    for b in range(max(1, math.ceil(math.log2(count)))):  # reflected Gray code
+        q = np.concatenate([q, q[::-1] ^ sv[:, b]])
+    return q[:count] * 2.0 ** -SOBOL_BITS
 
 
 def unit_shell_sample(n: int, count: int, seed: int) -> np.ndarray:
@@ -22,7 +62,7 @@ def unit_shell_sample(n: int, count: int, seed: int) -> np.ndarray:
     that annulus statistics are exactly scale-equivariant.
     """
     u = _sobol(n + 1, count, seed)
-    dirs = _norm.ppf(np.clip(u[:, :n], 1e-12, 1 - 1e-12))
+    dirs = ndtri(np.clip(u[:, :n], 1e-12, 1 - 1e-12))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     lo, hi = 0.5 ** n, 1.0
     r = (lo + u[:, n] * (hi - lo)) ** (1.0 / n)
@@ -32,7 +72,7 @@ def unit_shell_sample(n: int, count: int, seed: int) -> np.ndarray:
 def ball_sample(n: int, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
     """Quasi-uniform points in the ball of given radius."""
     u = _sobol(n + 1, count, seed)
-    dirs = _norm.ppf(np.clip(u[:, :n], 1e-12, 1 - 1e-12))
+    dirs = ndtri(np.clip(u[:, :n], 1e-12, 1 - 1e-12))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     r = u[:, n] ** (1.0 / n)
     return radius * dirs * r[:, None]
@@ -43,5 +83,5 @@ def sphere_sample(m: int, count: int, seed: int) -> np.ndarray:
     if m == 1:
         return np.array([[1.0], [-1.0]])
     u = _sobol(m, count, seed)
-    g = _norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
+    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
     return g / np.linalg.norm(g, axis=1, keepdims=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp  # solve_ivp: only for the benchmark tracer
 
 from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
                      FieldBoundError, InvalidInputError)
@@ -31,6 +30,47 @@ SAFETY, MIN_FACTOR, MAX_FACTOR, EPS = 0.9, 0.2, 10, np.finfo(float).eps
 # and the factor by which the working ball shrinks from radius 1
 CALIBRATION_SAMPLES, XI_COUNT, SHRINK = 2048, 17, 0.9
 CHECKPOINTS = 17  # isotopy times on [0, 1]
+
+
+class RK45:
+    """The Dormand-Prince 5(4) tableau of scipy's ``RK45``, written as scipy
+    writes it, so that every coefficient is the same float."""
+
+    error_estimator_order, n_stages = 4, 6
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+    # the quartic dense output, with the optimum c_6 of Shampine (1986)
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def __getattr__(name):
+    # only perfbench/tracing.py reads ``solve_ivp`` (to wrap it), so
+    # scipy.integrate loads only then; ROADMAP item 5 retires it
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

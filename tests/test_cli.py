@@ -122,11 +122,12 @@ class TestExitCodeTaxonomy:
     def test_implicit_z_rejected(self, tmp_path, capsys, via, z_doc):
         # Z is a closed form or a point cloud; the minimizer-located
         # {nu(df) = 0} is no longer a variant
+        out = tmp_path / "out"
         assert run_cli(*z_args(tmp_path, via, z_doc), "--cmd", "check",
-                       "--out", tmp_path) == 1
+                       "--out", out) == 1
         err = capsys.readouterr().err
         assert err == "error: unknown ZSpec variant 'implicit'; use analytic or samples\n"
-        assert not (tmp_path / "report.json").exists()
+        assert not out.exists()  # --out is made by the first output file
 
     @pytest.mark.parametrize("via", ["--z", "germ file"])
     @pytest.mark.parametrize("points, entry", [

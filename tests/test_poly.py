@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetsuff.errors import InvalidInputError
 from jetsuff.poly import Poly
 
 
@@ -14,6 +15,17 @@ def test_basic_algebra():
     p = x * x + y.scale(3)
     assert p.terms == {(2, 0): Fraction(1), (0, 1): Fraction(3)}
     assert (p - p) == Poly.zero(2)
+
+
+@pytest.mark.parametrize("exps", [(2.5, 0), (True, 0), (0, np.True_), (0, 1.0 + 1e-9)])
+def test_exponents_must_be_integers(exps):
+    # int() used to read (2.5, 0) as x1^2 and (True, 0) as x1
+    with pytest.raises(InvalidInputError, match="exponents must be integers"):
+        Poly(2, {exps: 1})
+
+
+def test_integral_exponents_of_any_type():
+    assert Poly(2, {(np.int64(2), 1.0): 3}).terms == {(2, 1): Fraction(3)}
 
 
 def test_eval_matches_monomials():

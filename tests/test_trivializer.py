@@ -13,10 +13,10 @@ from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, load_germ
 from jetsuff.lojasiewicz import estimate_condition
 from jetsuff.poly import Poly
 from jetsuff.sampling import ball_sample
-from jetsuff.trivializer import (DeformationF, IsotopyResult, TrivializationConstants,
-                                 VectorFieldW, _residuals, backward_flow, build_F,
-                                 calibrate_constants, flow, flow_many, gronwall_check,
-                                 isotopy)
+from jetsuff.trivializer import (RK45, DeformationF, IsotopyResult,
+                                 TrivializationConstants, VectorFieldW, _residuals,
+                                 backward_flow, build_F, calibrate_constants, flow,
+                                 flow_many, gronwall_check, isotopy)
 from oracles import (W_reference, calibrate_constants_scalar, eval_reference,
                      flow_reference, gronwall_reference, isotopy_reference,
                      jacobian_reference, same_bits)
@@ -197,6 +197,17 @@ class TestVectorField:
 
 
 class TestFlow:
+    def test_tableau_is_scipys(self):
+        # _rk45 takes scipy's steps only with scipy's coefficients; a scipy
+        # release that changes them fails here
+        import scipy.integrate
+        ours, theirs = RK45, scipy.integrate.RK45
+        for name in "CABEP":
+            got, want = getattr(ours, name), getattr(theirs, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert (ours.error_estimator_order, ours.n_stages) == (
+            theirs.error_estimator_order, theirs.n_stages)
+
     def test_start_on_Z_is_constant(self, cubic_setup):
         _, _, _, vf = cubic_setup
         states = flow(vf, [0.0, 0.1])
