@@ -25,7 +25,7 @@ from . import __version__, bl_construct, lojasiewicz, trivializer
 from .errors import (CalibrationError, ConstructionError, ConvergenceError,
                      CoveringViolationError, DomainExitError, InvalidInputError,
                      MinorIdentityError)
-from .germ import GermPair, json_numbers, load_germ, zspec_from_json
+from .germ import GermPair, json_numbers, load_germ, read_json, zspec_from_json
 from .report import write_json
 from .sampling import ball_sample
 
@@ -70,8 +70,7 @@ def _radii(count: int, r0: float = 0.5) -> list[float]:
 def _load(config: ExperimentConfig):
     f, z = load_germ(config.germ)
     if config.z is not None:
-        with open(config.z) as fh:
-            z = zspec_from_json(json.load(fh), f.n)
+        z = zspec_from_json(read_json(config.z), f.n)
     if z is None:
         raise InvalidInputError("no ZSpec: provide one in the germ file or via --z")
     if config.k is not None:
@@ -164,13 +163,11 @@ def _cmd_corollary(config: ExperimentConfig, outdir: Path, seq_path) -> int:
 def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     f, z = _load(config)
     if seq_path is not None:
-        with open(seq_path) as fh:
-            doc = json.load(fh)
         try:
-            points = json_numbers(doc["points"], "--seq points")
+            points = json_numbers(read_json(seq_path)["points"], "--seq points")
         except InvalidInputError:  # a ValueError that already names the fault
             raise
-        except (TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             raise InvalidInputError("--seq points must be a list of coordinate lists") from None
         if not np.all(np.isfinite(points)):
             raise InvalidInputError("--seq points must be finite")
@@ -228,8 +225,7 @@ def main(argv=None) -> int:
                                      for f in fields(ExperimentConfig)})
         return run(config, args.out, seq_path=args.seq)
     except (InvalidInputError, CalibrationError, ConstructionError,
-            ConvergenceError, MinorIdentityError, OSError, json.JSONDecodeError,
-            KeyError) as exc:
+            ConvergenceError, MinorIdentityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (CoveringViolationError, DomainExitError) as exc:

@@ -46,8 +46,8 @@ class PolyGermMap:
     """m polynomial components in n variables, vanishing at the origin."""
 
     def __init__(self, n: int, m: int, k: int, components: list[Poly]):
-        if m > n:
-            raise InvalidInputError(f"need m <= n, got m={m}, n={n}")
+        if not 1 <= m <= n:
+            raise InvalidInputError(f"need 1 <= m <= n, got m={m}, n={n}")
         if k <= 1:
             raise InvalidInputError("jet order k must exceed 1")
         if len(components) != m:
@@ -318,10 +318,14 @@ def germ_from_json(doc: dict) -> tuple[PolyGermMap, ZSpec | None]:
     return f, z
 
 
-def load_germ(path) -> tuple[PolyGermMap, ZSpec | None]:
-    with open(path) as fh:
+def read_json(path):
+    """The document in ``path``; bad JSON names the file and line, bad UTF-8 reads as U+FFFD."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return germ_from_json(doc)
+
+
+def load_germ(path) -> tuple[PolyGermMap, ZSpec | None]:
+    return germ_from_json(read_json(path))

@@ -366,19 +366,21 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
               checkpoints: int = CHECKPOINTS) -> tuple[np.ndarray, np.ndarray, list]:
     """``flow`` for each row of X0 (N, n), in lock step: each row takes the
     RK45 steps ``solve_ivp`` takes for it alone, and the W values all live
-    rows need next are one ``eval_many`` call. Returns the states (N, T, n),
-    W calls per row (N,) and per row the error ``flow`` raises, or None; a
-    failing row stops there."""
+    rows need next are one ``eval_many`` call. ``t_span[0]`` is one start
+    time or one per row (N,); a row on Z or starting at ``t_span[1]`` stays
+    put. Returns the states (N, T, n), W calls per row (N,) and per row the
+    error ``flow`` raises, or None; a failing row stops there."""
     if not 0.0 < tol < np.inf:
         raise InvalidInputError("tol must be finite and positive")
     X0 = np.asarray(X0, dtype=float)
-    t0, t1 = map(float, t_span)
-    times = np.linspace(t_span[0], t_span[1], checkpoints)
+    starts, t1 = np.broadcast_to(np.asarray(t_span[0], float), len(X0)), float(t_span[1])
     states = np.repeat(X0[:, None, :], checkpoints, axis=1)
     nfev, errors = np.zeros(len(X0), dtype=int), [None] * len(X0)
     max_step = min(0.5, 0.1 / vf.constants.C_dprime)
-    runs = {p: _rk45(t0, X0[p], t1, times, max_step, tol, vf.constants.U_radius)
-            for p in np.flatnonzero(~(vf.z.distance_many(X0) <= 1e-14)).tolist()}
+    moving = ~(vf.z.distance_many(X0) <= 1e-14) & (starts != t1)
+    runs = {p: _rk45(float(starts[p]), X0[p], t1, np.linspace(starts[p], t1, checkpoints),
+                     max_step, tol, vf.constants.U_radius)
+            for p in np.flatnonzero(moving).tolist()}
     pending = {p: next(run) for p, run in runs.items()}
     while pending:
         rows = list(pending)
@@ -411,33 +413,29 @@ def flow(vf: VectorFieldW, x0, t_span=(0.0, 1.0), tol: float = 1e-9,
 
 
 def backward_flow(vf: VectorFieldW, y, t: float, tol: float = 1e-9) -> np.ndarray:
-    """Inverse map: integrate from (t, y) back to time 0."""
-    y = np.asarray(y, dtype=float)
-    return y.copy() if t == 0.0 else flow(vf, y, (t, 0.0), tol, checkpoints=2)[-1]
+    """Inverse map: integrate from (t, y) back to time 0 (a new array)."""
+    return flow(vf, y, (t, 0.0), tol, checkpoints=2)[-1]
 
 
 def isotopy(vf: VectorFieldW, grid, tol: float = 1e-9) -> IsotopyResult:
-    """Forward flows on the grid (one ``flow_many``), backward flows from
-    each checkpoint (one ``flow_many`` per time), inverse and conservation
-    residuals. A failure raises the error a point-by-point loop meets first:
-    lowest grid point, forward before backward flows, checkpoints in order."""
+    """Forward flows on the grid, then the backward flow of every (point,
+    checkpoint) state from its own time to 0, each pass one ``flow_many``;
+    inverse and conservation residuals. A failure raises the error a
+    point-by-point loop meets first: lowest grid point, its forward flow
+    before its backward flows, checkpoints in order."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     N, n = grid.shape
-    forward, nfev, errors = flow_many(vf, grid, tol=tol)
-    failed = {p: e for p, e in enumerate(errors) if e is not None}
     times = np.linspace(0.0, 1.0, CHECKPOINTS)
-    inverse = forward.copy()  # time 0 and points on Z map back to themselves
-    for j, t in enumerate(times):
-        todo = min(failed, default=N)  # later points cannot raise first
-        if t != 0.0 and todo > 0:
-            back, _, errors = flow_many(vf, forward[:todo, j], (t, 0.0), tol, 2)
-            inverse[:todo, j] = back[:, -1]
-            failed.update((p, e) for p, e in enumerate(errors) if e is not None)
+    forward, nfev, errors = flow_many(vf, grid, tol=tol)
+    Y, times_Y = forward.reshape(-1, n), np.tile(times, N)
+    back, _, back_errors = flow_many(vf, Y, (times_Y, 0.0), tol, 2)
+    failed = [e for p in range(N) for e in [errors[p], *back_errors[
+        p * CHECKPOINTS:(p + 1) * CHECKPOINTS]] if e is not None]
     if failed:
-        raise failed[min(failed)]
-    Y, fx = forward.reshape(-1, n), np.repeat(vf.F.f.eval_many(grid), CHECKPOINTS, axis=0)
-    F_Y = vf.F.f.eval_many(Y) + np.tile(times, N)[:, None] * vf.F.P.eval_many(Y)
-    inverse_res = row_norms((inverse - grid[:, None]).reshape(-1, n))
+        raise failed[0]
+    fx = np.repeat(vf.F.f.eval_many(grid), CHECKPOINTS, axis=0)
+    F_Y = vf.F.f.eval_many(Y) + times_Y[:, None] * vf.F.P.eval_many(Y)
+    inverse_res = row_norms(back[:, -1] - np.repeat(grid, CHECKPOINTS, axis=0))
     return IsotopyResult(grid=grid, times=times, forward=forward,
                          conservation=row_norms(F_Y - fx).reshape(N, -1),
                          inverse_residuals=inverse_res.reshape(N, -1),

@@ -82,10 +82,11 @@ class TestExitCodes:
                        GERMS / "x2_plus_x.json", "--cmd", "corollary",
                        "--out", tmp_path / "b") == 2
 
-    def test_malformed_germ_file(self, tmp_path):
+    def test_malformed_germ_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run_cli("--germ", bad, "--cmd", "check", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {bad}: invalid JSON at line 1\n"
 
     def test_missing_pair(self, tmp_path):
         assert run_cli("--germ", GERMS / "x2.json", "--cmd", "corollary",
@@ -188,6 +189,45 @@ class TestExitCodeTaxonomy:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: malformed Z document: ")
         assert message in err
+
+    @pytest.mark.parametrize("flag", ["--z", "--seq"])
+    def test_bad_json_names_the_file(self, tmp_path, capsys, flag):
+        # used to print "error: Expecting value: line 1 column 1 (char 0)"
+        bad = tmp_path / "bad.json"
+        bad.write_text("\n{not json")
+        out = tmp_path / "out"
+        assert run_cli("--germ", GERMS / "x2.json", flag, bad, "--cmd",
+                       "construct" if flag == "--seq" else "check", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {bad}: invalid JSON at line 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [{"pts": [[0.1, 0.1]]}, [[0.1, 0.1]], "points"])
+    def test_sequence_document_without_points(self, tmp_path, capsys, doc):
+        # a missing "points" key used to print "error: 'points'"
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(doc))
+        assert run_cli("--germ", GERMS / "x2y2.json", "--cmd", "construct",
+                       "--seq", seq, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --seq points must be a list of coordinate lists\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_internal_key_error_is_not_bad_input(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+        monkeypatch.setattr(lojasiewicz, "estimate_condition", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run_cli("--germ", GERMS / "x2.json", "--cmd", "check", "--out", tmp_path)
+
+    def test_germ_without_components(self, tmp_path, capsys):
+        # m = 0 used to end in "ValueError: cannot reshape array of size 0"
+        germ = tmp_path / "m0.json"
+        germ.write_text(json.dumps({"n": 1, "m": 0, "k": 2, "components": [], "z": {
+            "variant": "analytic", "form": "subspace", "coords": [1]}}))
+        out = tmp_path / "out"
+        assert run_cli("--germ", germ, "--cmd", "check", "--out", out) == 1
+        assert capsys.readouterr().err == "error: need 1 <= m <= n, got m=0, n=1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("cmd", ["check", "exponent", "trivialize", "corollary",
                                      "construct"])

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from jetsuff import germ as germ_module
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import (AnalyticZ, GermPair, PolyGermMap, SampledZ, germ_from_json,
-                          jet_at, same_k_Z_jet, scalar_powers)
+                          jet_at, read_json, same_k_Z_jet, scalar_powers)
 from jetsuff.poly import Poly
 from jetsuff.sampling import unit_shell_sample
 from oracles import (axis_cloud, distance_reference, eval_reference, fd_jacobian,
@@ -50,6 +50,12 @@ class TestEval:
     def test_must_vanish_at_origin(self):
         with pytest.raises(InvalidInputError):
             germ([{(0, 0): 1}])
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (2, 0), (1, 2)])
+    def test_component_count_between_1_and_n(self, n, m):
+        # m = 0 used to pass and end in a numpy reshape error in jacobian_many
+        with pytest.raises(InvalidInputError, match=f"^need 1 <= m <= n, got m={m}, n={n}$"):
+            PolyGermMap(n, m, 2, [Poly(n, {(2,) + (0,) * (n - 1): 1})] * m)
 
 
 class TestJacobian:
@@ -420,6 +426,16 @@ class TestJson:
         with pytest.raises(InvalidInputError, match="^malformed germ document: ") as info:
             germ_from_json(doc)
         assert str(info.value).endswith(message)
+
+    @pytest.mark.parametrize("text, line", [("{not json", 1), ('{"n": 2,\n\n}', 3),
+                                            (b"\xd0\xff{}", 1)])
+    def test_bad_json_names_file_and_line(self, tmp_path, text, line):
+        # bytes that are not UTF-8 used to end in a UnicodeDecodeError traceback
+        path = tmp_path / "bad.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(InvalidInputError) as info:
+            read_json(path)
+        assert str(info.value) == f"{path}: invalid JSON at line {line}"
 
     def test_json_integers_and_numbers_accepted(self):
         doc = {"n": 2, "m": 1, "k": 3, "components": [[

@@ -393,16 +393,42 @@ class TestLockStepOracle:
         assert type(got.value) is type(want.value) is error
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("ends, checkpoints", [(0.0, 2), (1.0, 5)])
+    @pytest.mark.parametrize("name", LOCKSTEP_PAIRS)
+    def test_flow_many_with_a_start_time_per_row(self, name, ends, checkpoints):
+        pair, consts, vf = lockstep_setup(name)
+        X0 = ball_sample(pair.f.n, 7, 3, radius=0.66 * consts.U_radius)
+        X0[1] = 0.0  # on Z
+        starts = np.linspace(0.0, 1.0, 17)[[3, 9, 0, 16, 7, 12, 9]]
+        states, nfev, errors = flow_many(vf, X0, (starts, ends), checkpoints=checkpoints)
+        assert errors == [None] * len(X0)
+        for p, (x0, t0) in enumerate(zip(X0, starts)):
+            if t0 == ends:  # stays put, as a row on Z does
+                assert same_bits(states[p], np.tile(x0, (checkpoints, 1))) and nfev[p] == 0
+                continue
+            want, k = flow_reference(vf, x0, t_span=(t0, ends), checkpoints=checkpoints)
+            assert same_bits(states[p], want) and nfev[p] == k
+        assert np.flatnonzero(nfev == 0).tolist() == ([1, 2] if ends == 0.0 else [1, 3])
+
+    def test_backward_flow_from_time_zero_is_a_copy(self):
+        pair, consts, vf = lockstep_setup("x2/x2_plus_x3")
+        y = ball_sample(2, 1, 0, radius=0.66 * consts.U_radius)[0]
+        back = backward_flow(vf, y, 0.0)
+        assert back is not y and not np.shares_memory(back, y) and same_bits(back, y)
+
     def test_first_failure_in_loop_order_wins(self):
-        # point 5 fails in its forward flow, point 2 in its backward flow from
-        # checkpoint 7; a point-by-point loop meets point 2's failure first
+        # each case fails the flows named by (point, checkpoint), the forward
+        # flow where the checkpoint is None; the isotopy must raise the failure
+        # a point-by-point loop meets first
+        cases = [({(5, None), (2, 7)}, "backward flow of point 2 from checkpoint 7"),
+                 ({(3, 7), (3, 3)}, "backward flow of point 3 from checkpoint 3"),
+                 ({(4, 7), (4, None), (6, None)}, "forward flow of point 4")]
         pair, consts, vf = lockstep_setup("x2/x2_plus_x3")
         grid = ball_sample(2, 8, 0, radius=0.66 * consts.U_radius)
-        t7 = np.linspace(0.0, 1.0, 17)[7]
-        y27 = isotopy(vf, grid).forward[2, 7]
-        assert np.all(pair.z.distance_many(grid[[2, 5]]) > 1e-14)
-        starts = {(0.0, tuple(grid[5])): "forward flow of point 5",
-                  (t7, tuple(y27)): "backward flow of point 2 from checkpoint 7"}
+        times = np.linspace(0.0, 1.0, 17)
+        forward = isotopy(vf, grid).forward
+        assert np.all(pair.z.distance_many(grid) > 1e-14)
+        starts = {}
 
         def injected(t, y):
             where = starts.get((float(t), tuple(np.asarray(y).tolist())))
@@ -419,9 +445,19 @@ class TestLockStepOracle:
                 raise error
             return W_reference(vf, t, y)
 
-        with pytest.raises(DomainExitError) as want:
-            isotopy_reference(vf, grid, rhs=rhs)
-        with pytest.raises(DomainExitError) as got:
-            isotopy(Failing(vf.F, consts), grid)
-        assert (str(got.value) == str(want.value)
-                == "injected in the backward flow of point 2 from checkpoint 7")
+        for fail, first in cases:
+            starts.clear()
+            for p, j in fail:
+                if j is None:
+                    starts[0.0, tuple(grid[p])] = f"forward flow of point {p}"
+                    continue
+                # the backward flow starts at H(x, t_j), or at x where the
+                # forward flow of x failed and left x in place
+                for y in (forward[p, j], grid[p]):
+                    starts[times[j], tuple(y)] = (f"backward flow of point {p} "
+                                                  f"from checkpoint {j}")
+            with pytest.raises(DomainExitError) as want:
+                isotopy_reference(vf, grid, rhs=rhs)
+            with pytest.raises(DomainExitError) as got:
+                isotopy(Failing(vf.F, consts), grid)
+            assert str(got.value) == str(want.value) == f"injected in the {first}"
