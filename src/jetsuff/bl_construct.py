@@ -21,7 +21,7 @@ from .report import Report
 from .sampling import ball_sample
 
 RHO_IN, RHO_OUT = 0.125, 0.25  # bump plateau and support radii, in units of dist
-EIG_GAP = 1e-8                  # least gap between lambda and a Hessian eigenvalue
+GAP_REL = 1e-3                  # least |Hessian eigenvalue - lambda| / lambda; Morse asks half
 MAX_RETRIES = 50                # lambda nudges before giving up
 SAMPLES_PER_BALL = 512          # decay samples per ball
 
@@ -98,7 +98,7 @@ def choose_lambdas(f: PolyGermMap, a_list, z: ZSpec) -> list[float]:
     """lambda_v = dist(a_v, Z)^(k-1), nudged off Hessian eigenvalues.
 
     The default makes lambda_v / dist^(k-2) = dist -> 0, and a multiplicative
-    nudge (1 + 1e-3) resolves collisions with the Hessian spectrum of f.
+    nudge (1 + 1e-3) clears the Hessian spectrum of f at a_v by GAP_REL * lambda.
     """
     A = np.atleast_2d(np.asarray(a_list, dtype=float))
     out = []
@@ -108,7 +108,7 @@ def choose_lambdas(f: PolyGermMap, a_list, z: ZSpec) -> list[float]:
             raise InvalidInputError(f"sequence point {a.tolist()} lies on Z")
         lam = d ** (f.k - 1)
         for _ in range(MAX_RETRIES):
-            if np.min(np.abs(eigs - lam)) > EIG_GAP:
+            if np.min(np.abs(eigs - lam)) > GAP_REL * lam:
                 break
             lam *= 1.001
         else:
@@ -220,15 +220,15 @@ def verify_construction(pf: PerturbationF, z: ZSpec, seed: int = 0) -> Construct
     grads = row_norms(f.jacobian_many(centers)[:, 0, :] - G).tolist()
     H = f.hessian_many(centers)[:, 0] - H
     dets = np.linalg.det(H).tolist()
-    scales = np.maximum(1.0, scalar_powers(np.linalg.norm(H, ord=2, axis=(1, 2)), n))
+    gaps = np.abs(np.linalg.eigvalsh(H)).min(axis=1).tolist()
     failures = []
-    for i, (rv, rg, det, scale) in enumerate(zip(vals, grads, dets, scales.tolist())):
+    for i, (rv, rg, gap, lam) in enumerate(zip(vals, grads, gaps, pf.lambdas.tolist())):
         if rv > 1e-12:
             failures.append(f"value residual {rv:.3e} at center {i}")
         if rg > 1e-10:
             failures.append(f"gradient residual {rg:.3e} at center {i}")
-        if abs(det) <= 1e-10 * scale:
-            failures.append(f"degenerate Hessian at center {i} (det {det:.3e})")
+        if not gap > GAP_REL / 2 * lam:
+            failures.append(f"degenerate Hessian at center {i} (least |eigenvalue| {gap:.3e})")
     offsets = ball_sample(n, SAMPLES_PER_BALL, seed, radius=RHO_OUT)
     X = (centers[:, None, :] + pf.dists[:, None, None] * offsets).reshape(-1, n)
     dz = z.distance_many(X)

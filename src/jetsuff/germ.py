@@ -276,7 +276,10 @@ def _json_scalar(value, what: str, kind: str = "integers"):
 
 def json_numbers(value, what: str) -> np.ndarray:
     """Nested lists of JSON numbers as a float array; bools, strings, nulls are rejected."""
-    out = np.asarray(value, dtype=float)
+    try:
+        out = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise InvalidInputError(f"{what} must lie in the float range") from None
     for v in np.asarray(value, dtype=object).flat:
         if type(v) not in (int, float):
             raise InvalidInputError(f"{what} must be numbers, got {v!r}")
@@ -310,7 +313,10 @@ def germ_from_json(doc: dict) -> tuple[PolyGermMap, ZSpec | None]:
                 c = t["coeff"]
                 poly_terms[e] = (Fraction(c) if isinstance(c, str)
                                  else float(_json_scalar(c, "non-string coefficients", "numbers")))
+                float(poly_terms[e])  # PolyStack takes every coefficient as a float
             comps.append(Poly(n, poly_terms))
+    except (OverflowError, ZeroDivisionError):  # "1/0", or a float() beyond its range
+        raise InvalidInputError("malformed germ document: coefficient beyond the float range") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed germ document: {exc}") from exc
     f = PolyGermMap(n, m, k, comps)

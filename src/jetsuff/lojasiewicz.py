@@ -80,44 +80,53 @@ class ViolationSequence(Report):
                 raise InvalidInputError("ratios must decay at least like 1/nu")
 
 
-def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray):
-    """(min ratio, argmin, min nu, skipped) over sample rows, or None."""
+def _off_Z(f, z: ZSpec, X: np.ndarray):
+    """The rows of X at least DIST_FLOOR from Z, their dist and nu(df), and how many were dropped."""
     d = z.distance_many(X)
     far = ~(d < DIST_FLOOR)
-    if not far.any():
-        return None
     X, d = X[far], d[far]
-    v = nu_many(f.jacobian_many(X))
-    r = v / scalar_powers(d, k - 1)
+    return X, d, nu_many(f.jacobian_many(X)), len(far) - len(X)
+
+
+def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray):
+    """(min ratio, argmin, min nu, skipped) over sample rows, or None."""
+    X, d, v, skipped = _off_Z(f, z, X)
+    if not len(X):
+        return None
+    with np.errstate(all="ignore"):  # dist^(k-1) may underflow to 0; see estimate_condition
+        r = v / scalar_powers(d, k - 1)
     i = int(np.argmin(r))
-    return float(r[i]), X[i], float(v.min()), len(far) - len(X)
+    return float(r[i]), X[i], float(v.min()), skipped
 
 
-def _check_sampling_args(radii, samples_per_annulus):
+def _annuli(n: int, radii, samples_per_annulus: int, seed: int):
+    """(radius, the seed's one Sobol shell rescaled to it) for each annulus."""
     radii = [float(r) for r in radii]
     if len(radii) < 4 or any(b >= a for a, b in zip(radii, radii[1:])) or radii[-1] <= 0:
         raise InvalidInputError("need >= 4 strictly decreasing positive radii")
     if samples_per_annulus < 256:
         raise InvalidInputError("need >= 256 samples per annulus")
-    return radii
+    shell = unit_shell_sample(n, samples_per_annulus, seed)
+    return ((r, r * shell) for r in radii)
 
 
-def _annuli(f, z: ZSpec, k: int, radii, samples_per_annulus: int, seed: int):
-    """The radii as floats and ``_ratio_stats`` on each annulus."""
-    radii = _check_sampling_args(radii, samples_per_annulus)
-    shell = unit_shell_sample(f.n, samples_per_annulus, seed)
-    stats = [_ratio_stats(f, z, k, r * shell) for r in radii]
-    for r, s in zip(radii, stats):
-        if s is None:
-            raise InvalidInputError(f"all samples at radius {r} fell into Z")
+def _table(f, z: ZSpec, k: int, radii, samples_per_annulus: int, seed: int):
+    """The radii and ``_ratio_stats`` on each annulus, each with a row off Z."""
+    radii, stats = zip(*[(r, _ratio_stats(f, z, k, X))
+                         for r, X in _annuli(f.n, radii, samples_per_annulus, seed)])
+    if None in stats:
+        raise InvalidInputError(f"all samples at radius {radii[stats.index(None)]} fell into Z")
     return radii, stats
 
 
 def estimate_condition(f, z: ZSpec, k: int, radii, samples_per_annulus: int,
                        seed: int) -> LojasiewiczReport:
     """Per-annulus minima of nu(df)/dist^(k-1) and a verdict."""
-    radii, stats = _annuli(f, z, k, radii, samples_per_annulus, seed)
+    radii, stats = _table(f, z, k, radii, samples_per_annulus, seed)
     minima = [s[0] for s in stats]
+    for r, m in zip(radii, minima):
+        if not np.isfinite(m):
+            raise InvalidInputError(f"k={k}: the minimum ratio at radius {r} is not finite")
     argmins = [tuple(float(v) for v in s[1]) for s in stats]
     skipped = sum(s[3] for s in stats)
     C_hat = float(min(minima))
@@ -139,7 +148,7 @@ def fit_exponent(f, z: ZSpec, radii, samples_per_annulus: int, seed: int) -> flo
     A condition with exponent k-1 is plausible iff the slope is at most
     k - 1 + 0.1.
     """
-    radii, stats = _annuli(f, z, 2, radii, samples_per_annulus, seed)
+    radii, stats = _table(f, z, 2, radii, samples_per_annulus, seed)
     mins = [s[2] for s in stats]
     if max(mins) < 1e-14:
         raise ConvergenceError("nu vanished on every annulus; regression degenerate")
@@ -224,16 +233,12 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     Every stacked call is row-independent, so each polish takes the steps
     it would take alone.
     """
-    shell = unit_shell_sample(f.n, SEARCH_SAMPLES, seed)
-    annuli = []
-    for j in range(SEARCH_DEPTH):
-        r = 0.5 ** (j + 1)
-        stats = _ratio_stats(f, z, k, r * shell)
-        if stats is not None:
-            annuli.append((r, stats[1]))
+    search_radii = [0.5 ** j for j in range(1, SEARCH_DEPTH + 1)]
+    annuli = [(r, s[0], s[1]) for r, X in _annuli(f.n, search_radii, SEARCH_SAMPLES, seed)
+              if (s := _ratio_stats(f, z, k, X)) is not None]
     if not annuli:
         return None
-    radius, args = (np.array(c) for c in zip(*annuli))
+    radius, minima, args = (np.array(c) for c in zip(*annuli))
     d_args = z.distance_many(args)
 
     def ratios(X, d):
@@ -270,7 +275,7 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
                 found[i] = stop.value
     x_nm = np.array([res.x for res in found])
     f_nm = np.array([res.fun for res in found])
-    better = np.isfinite(f_nm) & (f_nm < ratios(args, d_args))
+    better = np.isfinite(f_nm) & (f_nm < minima)
     x_best = np.where(better[:, None], x_nm, args)
     d_best = z.distance_many(x_best)
     cands = list(zip(x_best, ratios(x_best, d_best).tolist(), d_best.tolist()))
@@ -312,26 +317,19 @@ class CorollaryReport(Report):
 def check_corollary_hypotheses(pair: GermPair, radii, samples_per_annulus: int,
                                seed: int) -> CorollaryReport:
     """Empirical C, C1, C2 for the three Lipschitz-differential hypotheses."""
-    radii = _check_sampling_args(radii, samples_per_annulus)
-    shell = unit_shell_sample(pair.f.n, samples_per_annulus, seed)
     P = pair.P
-    C = np.inf
-    C1 = 0.0
-    c2_annuli = []
-    skipped = 0
-    for r in radii:
-        X = r * shell
-        d = pair.z.distance_many(X)
-        far = ~(d < DIST_FLOOR)
-        X, d = X[far], d[far]
-        v = nu_many(pair.f.jacobian_many(X))
+    C, C1, c2_annuli, skipped = np.inf, 0.0, [], 0
+    for _, X in _annuli(pair.f.n, radii, samples_per_annulus, seed):
+        X, d, v, dropped = _off_Z(pair.f, pair.z, X)
         regular = ~(v < DIST_FLOOR)
         X, d, v = X[regular], d[regular], v[regular]
-        skipped += len(far) - len(X)
+        skipped += dropped + len(regular) - len(X)
         C = min(C, (v / d).min(initial=np.inf))
         C1 = max(C1, (row_norms(P.eval_many(X)) / scalar_powers(v, 2)).max(initial=0.0))
         dP = np.linalg.norm(P.jacobian_many(X), ord=2, axis=(1, 2))
         c2_annuli.append(float((dP / v).max(initial=0.0)))
+    if C == np.inf:
+        raise InvalidInputError("every sample fell into Z or where nu(df) vanishes")
     C2 = max(c2_annuli)
     grow = [b > 1.5 * a for a, b in zip(c2_annuli, c2_annuli[1:])]
     diverges = all(grow) and len(grow) >= 2 and c2_annuli[0] > 0

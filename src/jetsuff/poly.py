@@ -39,7 +39,7 @@ class Poly:
             if any(isinstance(k, (bool, np.bool_)) or k != i for k, i in zip(e, ints)):
                 raise InvalidInputError(f"exponents must be integers, got {tuple(e)!r}")
             e = ints
-            if len(e) != n or any(k < 0 for k in e):
+            if len(e) != n or any(not 0 <= k < 2 ** 63 for k in e):  # PolyStack's int64
                 raise ValueError(f"bad exponent tuple {e} for n={n}")
             c = _as_coeff(c)
             if c != 0:

@@ -12,11 +12,11 @@ from pathlib import Path
 
 
 def write_json(path, doc):
-    """``doc`` as indented JSON with sorted keys and a final newline."""
+    """``doc`` as strict JSON (NaN or infinity raises ValueError), indented, keys sorted."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_table(path, header, rows):

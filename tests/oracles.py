@@ -27,7 +27,7 @@ from scipy import optimize
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from jetsuff.bl_construct import (EIG_GAP, MAX_RETRIES, RHO_IN, RHO_OUT,
+from jetsuff.bl_construct import (GAP_REL, MAX_RETRIES, RHO_IN, RHO_OUT,
                                   SAMPLES_PER_BALL, ConstructionReport, _transition)
 from jetsuff.errors import (CalibrationError, ConstructionError, CoveringViolationError,
                             DomainExitError, FieldBoundError, InvalidInputError,
@@ -478,7 +478,7 @@ def choose_lambdas_reference(f, a_list, z) -> list[float]:
         lam = d ** (f.k - 1)
         eigs = np.linalg.eigvalsh(hessian_reference(f, 0, a))
         for _ in range(MAX_RETRIES):
-            if np.min(np.abs(eigs - lam)) > EIG_GAP:
+            if np.min(np.abs(eigs - lam)) > GAP_REL * lam:
                 break
             lam *= 1.001
         else:
@@ -570,7 +570,7 @@ def verify_construction_reference(pf, z, seed: int = 0) -> ConstructionReport:
         rg = float(np.linalg.norm(f_grads[i] - pf.gradient(a)))
         H = hessian_reference(f, 0, a) - pf.hessian(a)
         det = float(np.linalg.det(H))
-        scale = max(1.0, float(np.linalg.norm(H, ord=2)) ** pf.n)
+        gap = float(np.abs(np.linalg.eigvalsh(H)).min())
         vals.append(rv)
         grads.append(rg)
         dets.append(det)
@@ -578,8 +578,8 @@ def verify_construction_reference(pf, z, seed: int = 0) -> ConstructionReport:
             failures.append(f"value residual {rv:.3e} at center {i}")
         if rg > 1e-10:
             failures.append(f"gradient residual {rg:.3e} at center {i}")
-        if abs(det) <= 1e-10 * scale:
-            failures.append(f"degenerate Hessian at center {i} (det {det:.3e})")
+        if not gap > GAP_REL / 2 * lam:
+            failures.append(f"degenerate Hessian at center {i} (least |eigenvalue| {gap:.3e})")
         X = a + d * offsets
         dz = z.distance_many(X)
         X, dz = X[dz > 0.0], dz[dz > 0.0]

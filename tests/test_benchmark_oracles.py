@@ -44,11 +44,10 @@ for name, (build, _, _) in workloads.WORKLOADS.items():
 print(json.dumps(failing))
 """
 
-# ROADMAP item 1: the x2y2 diagonal is no witness, yet construct certifies
-# it; x3 with Sobol seed 22 exits 1 ("could not avoid Hessian eigenvalue")
+# ROADMAP item 1b: the x2y2 diagonal is no witness, yet construct certifies it
 KNOWN_FAILURES = {
     1: {"witness": {"construct x2y2 diagonal"}},
-    2: {"witness": {"construct x3 #6", "construct x2y2 diagonal"}},
+    2: {"witness": {"construct x2y2 diagonal"}},
 }
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
+from jetsuff import bl_construct
 from jetsuff.bl_construct import (BUMP, RHO_IN, RHO_OUT, PerturbationF, assemble_F,
                                   choose_lambdas, verify_construction)
 from jetsuff.errors import ConstructionError, InvalidInputError
@@ -23,6 +25,12 @@ Z_AXES = AnalyticZ(n=2, form="union_hyperplanes", coords=(1, 2))
 
 def x2y2_germ():
     return PolyGermMap(2, 1, 4, [Poly(2, {(2, 2): Fraction(1)})])
+
+
+def collision_germ():
+    """x^2 + 3y^2 over {x = 0}, whose Hessian diag(2, 6) has lambda = 2 at (2, 5)."""
+    f = PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1, (0, 2): 3})])
+    return f, AnalyticZ(n=2, form="subspace", coords=(1,))
 
 
 def diagonal_sequence(N=5):
@@ -93,11 +101,11 @@ class TestChooseLambdas:
 
     def test_eigenvalue_collision_nudged(self):
         # Hessian of x^2 + 3y^2 is diag(2, 6); dist to {x=0} at (2,5) is 2,
-        # so the k=2 default lambda = 2 collides with the eigenvalue 2
-        f = PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1, (0, 2): 3})])
-        z = AnalyticZ(n=2, form="subspace", coords=(1,))
+        # so the k=2 default lambda = 2 collides with the eigenvalue 2. One
+        # nudge leaves the gap 0.002, not above GAP_REL * 2.002; two clear it
+        f, z = collision_germ()
         lam, = choose_lambdas(f, [[2.0, 5.0]], z)
-        assert lam == pytest.approx(2.002, rel=1e-9)
+        assert lam == pytest.approx(2.004002, rel=1e-9)
 
     def test_rejects_points_on_Z(self):
         with pytest.raises(InvalidInputError):
@@ -281,13 +289,15 @@ class TestStackedOracle:
                 == repr(verify_construction_reference(ref, z, seed)))
 
     @pytest.mark.parametrize("germ, points", [
-        # x3 seed 22: the nudge cannot clear the Hessian spectrum
-        ("x3", None),
+        # one nudge allowed, and the collision needs two
+        ("collision", None),
         ("x2y2", [[0.1, 0.1], [0.0, 0.05], [0.01, 0.01]]),
     ])
-    def test_lambda_errors_match_reference(self, germ, points):
+    def test_lambda_errors_match_reference(self, monkeypatch, germ, points):
         if points is None:
-            f, z, points, _ = x3_sequence(22)
+            for module in (bl_construct, oracles):
+                monkeypatch.setattr(module, "MAX_RETRIES", 1)
+            (f, z), points = collision_germ(), [[2.0, 5.0]]
         else:
             f, z = load_germ(GERMS / f"{germ}.json")
         with pytest.raises((ConstructionError, InvalidInputError)) as want:

@@ -10,6 +10,7 @@ import pytest
 from jetsuff import linmap, lojasiewicz, trivializer
 from jetsuff.cli import main
 from jetsuff.errors import CoveringViolationError, DomainExitError
+from jetsuff.report import write_json
 
 ROOT = Path(__file__).resolve().parent.parent
 GERMS = ROOT / "germs"
@@ -81,6 +82,16 @@ class TestExitCodes:
         assert run_cli("--germ", GERMS / "x2.json", "--pair",
                        GERMS / "x2_plus_x.json", "--cmd", "corollary",
                        "--out", tmp_path / "b") == 2
+
+    @pytest.mark.parametrize("germ", ["x3", "x4"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_construct_certifies_witness(self, tmp_path, germ, seed):
+        # nondegeneracy relative to lambda: these exited 2 ("degenerate
+        # Hessian") and 1 ("could not avoid Hessian eigenvalue")
+        assert run_cli("--germ", GERMS / f"{germ}.json", "--cmd", "construct",
+                       "--seed", seed, "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["construction"]["ok"] and doc["construction"]["failures"] == []
 
     def test_malformed_germ_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -211,6 +222,73 @@ class TestExitCodeTaxonomy:
         err = capsys.readouterr().err
         assert err == "error: --seq points must be a list of coordinate lists\n"
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("coeff", 10 ** 400, "coefficient beyond the float range"),
+        ("coeff", f"{10 ** 400}/3", "coefficient beyond the float range"),
+        ("coeff", "1e400", "coefficient beyond the float range"),
+        ("coeff", "1/0", "coefficient beyond the float range"),
+        ("exponents", [2 ** 63, 0], f"bad exponent tuple ({2 ** 63}, 0) for n=2"),
+    ])
+    def test_germ_numbers_beyond_range(self, tmp_path, capsys, field, value, message):
+        # each used to end in an OverflowError (ZeroDivisionError) traceback
+        germ = json.loads((GERMS / "x2.json").read_text())
+        germ["components"][0][0][field] = value
+        path = tmp_path / "germ.json"
+        path.write_text(json.dumps(germ))
+        out = tmp_path / "out"
+        assert run_cli("--germ", path, "--cmd", "check", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: malformed germ document: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["--z", "germ file", "--seq"])
+    def test_json_coordinates_beyond_float_range(self, tmp_path, capsys, via):
+        # 10^400 used to end in "OverflowError: int too large to convert to float"
+        points = [[0, 0], [10 ** 400, 1]]
+        if via == "--seq":
+            seq = tmp_path / "seq.json"
+            seq.write_text(json.dumps({"points": points}))
+            args, what = ["--germ", GERMS / "x2y2.json", "--seq", seq], "--seq points"
+        else:
+            z_doc = {"variant": "samples", "points": points}
+            args, what = z_args(tmp_path, via, z_doc), "sample cloud points"
+        out = tmp_path / "out"
+        assert run_cli(*args, "--cmd", "construct" if via == "--seq" else "check",
+                       "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {what} must lie in the float range\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["check", "trivialize"])
+    def test_k_whose_dist_power_underflows(self, tmp_path, capsys, cmd):
+        # dist^399 is 0.0 on the inner annuli of x2: check exited 0 with
+        # "Infinity" in report.json and a RuntimeWarning on stderr
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("--germ", GERMS / "x2.json", "--pair", GERMS / "x2_plus_x3.json",
+                           "--k", 400, "--cmd", cmd, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: k=400: ")
+        assert "radius 0.125 is not finite" in err
+        assert not out.exists()
+
+    def test_corollary_without_a_regular_sample(self, tmp_path, capsys):
+        # f = 0 has nu(df) = 0 everywhere: corollary exited 0 with "C": Infinity
+        germ = json.loads((GERMS / "x2.json").read_text())
+        germ["components"][0][0]["coeff"] = "0"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(germ))
+        out = tmp_path / "out"
+        assert run_cli("--germ", path, "--pair", path, "--cmd", "corollary",
+                       "--out", out) == 1
+        assert (capsys.readouterr().err
+                == "error: every sample fell into Z or where nu(df) vanishes\n")
+        assert not out.exists()
+
+    def test_report_json_is_strict(self, tmp_path):
+        with pytest.raises(ValueError, match="Out of range float"):
+            write_json(tmp_path / "out" / "report.json", {"C": float("inf")})
+        assert not (tmp_path / "out").exists()
 
     def test_internal_key_error_is_not_bad_input(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from jetsuff import lojasiewicz
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
 from jetsuff.linmap import LinearMap
@@ -17,7 +18,7 @@ from jetsuff.lojasiewicz import (POLISH, LojasiewiczReport, ViolationSequence,
 from jetsuff.poly import Poly
 from jetsuff.sampling import unit_shell_sample
 from oracles import (corollary_reference, find_violation_sequence_reference,
-                     ratio_stats_reference)
+                     ratio_stats_reference, same_bits)
 
 RADII = [0.5, 0.25, 0.125, 0.0625]
 Z_HYP = AnalyticZ(n=2, form="subspace", coords=(1,))
@@ -306,6 +307,64 @@ class TestSearchAgainstReference:
         f, z = bundled("x3")
         assert find_violation_sequence(f, z, f.k, 0) is not None
         assert built == []
+
+
+class TestAnnulusTable:
+    """Every annulus scan draws its shell and drops the rows near Z in one place."""
+
+    def test_one_shell_per_scan(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(lojasiewicz, "unit_shell_sample",
+                            lambda *args: drawn.append(args) or unit_shell_sample(*args))
+        f, z = bundled("x3")
+        scans = [lambda: estimate_condition(f, z, f.k, RADII, 512, 0),
+                 lambda: fit_exponent(f, z, RADII, 512, 0),
+                 lambda: check_corollary_hypotheses(COROLLARY_PAIRS["x3/x3_plus_x4"](),
+                                                    RADII, 512, 0),
+                 lambda: find_violation_sequence(f, z, f.k, 0)]
+        for scan in scans:
+            drawn.clear()
+            scan()
+            assert len(drawn) == 1
+
+    @pytest.mark.parametrize("radii, count, message", [
+        (RADII[:3], 512, "need >= 4 strictly decreasing positive radii"),
+        (RADII[::-1], 512, "need >= 4 strictly decreasing positive radii"),
+        (RADII, 128, "need >= 256 samples per annulus"),
+    ])
+    def test_every_scan_checks_its_radii(self, radii, count, message):
+        f, z = bundled("x2")
+        pair = COROLLARY_PAIRS["x2/x2_plus_x4"]()
+        for scan in (lambda: estimate_condition(f, z, f.k, radii, count, 0),
+                     lambda: fit_exponent(f, z, radii, count, 0),
+                     lambda: check_corollary_hypotheses(pair, radii, count, 0)):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                scan()
+
+    @pytest.mark.parametrize("depth, count, message", [
+        (3, 512, "need >= 4 strictly decreasing positive radii"),
+        (12, 128, "need >= 256 samples per annulus"),
+    ])
+    def test_search_checks_its_radii(self, monkeypatch, depth, count, message):
+        # the search scans SEARCH_DEPTH annuli of radius 1/2, 1/4, ...
+        monkeypatch.setattr(lojasiewicz, "SEARCH_DEPTH", depth)
+        monkeypatch.setattr(lojasiewicz, "SEARCH_SAMPLES", count)
+        f, z = bundled("x3")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            find_violation_sequence(f, z, f.k, 0)
+
+    @pytest.mark.parametrize("name", ["x3", "x2y2", "z2"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_search_starts_from_the_estimate_argmins(self, monkeypatch, name, seed):
+        # the search's first four annuli are the estimate's, from one table
+        starts = []
+        nelder_mead = lojasiewicz._nelder_mead
+        monkeypatch.setattr(lojasiewicz, "_nelder_mead",
+                            lambda x0: starts.append(x0) or nelder_mead(x0))
+        f, z = search_germ(name)
+        find_violation_sequence(f, z, f.k, seed)
+        rep = estimate_condition(f, z, f.k, RADII, lojasiewicz.SEARCH_SAMPLES, seed)
+        assert same_bits(starts[:4], rep.argmins)
 
 
 def drive(run, fun):
