@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConstructionError, InvalidInputError
 from .germ import PolyGermMap, ZSpec, jet_at, scalar_powers
 from .linmap import row_norms
+from .lojasiewicz import falls_like_inverse_nu
 from .report import Report
 from .sampling import ball_sample
 
@@ -140,7 +141,7 @@ class PerturbationF:
             raise InvalidInputError("sequence lengths disagree")
         self._values = f.eval_many(self.centers)[:, 0]
         self._grads = f.jacobian_many(self.centers)[:, 0, :]
-        self._d2 = np.array([d ** 2 for d in self.dists])  # scalar powers: array ** 2 rounds differently
+        self._d2 = scalar_powers(self.dists, 2)
 
     def many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """F, its gradient and its Hessian at the rows of X (shape (N, n)),
@@ -209,7 +210,7 @@ class ConstructionReport(Report):
 
 
 def verify_construction(pf: PerturbationF, z: ZSpec, seed: int = 0) -> ConstructionReport:
-    """Check the per-center identities of f - F, Morse nondegeneracy and decay.
+    """Check the per-center identities of f - F, Morse nondegeneracy and 1/nu decay.
 
     Decay sampling uses one fixed set of relative offsets scaled into each
     ball, so the per-ball maxima are directly comparable across scales.
@@ -236,9 +237,10 @@ def verify_construction(pf: PerturbationF, z: ZSpec, seed: int = 0) -> Construct
     ratio = np.zeros(len(X))  # |F| / dist^k >= 0, so 0 stands in for skipped rows
     ratio[keep] = np.abs(pf.many(X[keep])[0]) / scalar_powers(dz[keep], k)
     decay = ratio.reshape(len(centers), -1).max(axis=1).tolist()
-    for i in range(1, len(decay)):
-        if not decay[i] < decay[i - 1]:
-            failures.append(f"decay not strict between balls {i - 1} and {i}")
+    slow = [i for i in range(len(decay)) if not falls_like_inverse_nu(decay[:i + 1])]
+    if slow:  # name the first ball that breaks the bound
+        i = slow[0]
+        failures.append(f"decay slower than 1/nu at ball {i}: {decay[i]:.3e} > {decay[0]:.3e}/{i + 1}")
     return ConstructionReport(
         value_residuals=tuple(vals), gradient_residuals=tuple(grads),
         hessian_dets=tuple(dets), decay=tuple(decay),

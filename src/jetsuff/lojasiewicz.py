@@ -59,6 +59,11 @@ class LojasiewiczReport(Report):
                                                        self.argmins))))
 
 
+def falls_like_inverse_nu(values) -> bool:
+    """The witness rule: the nu-th value (nu = 1, 2, ...) is at most the first over nu."""
+    return all(v <= values[0] / i + 1e-15 for i, v in enumerate(values, start=1))
+
+
 @dataclass(frozen=True)
 class ViolationSequence(Report):
     """Points off Z approaching 0 whose condition ratios decay to 0."""
@@ -74,10 +79,8 @@ class ViolationSequence(Report):
         for r0, r1 in zip(self.ratios, self.ratios[1:]):
             if not r1 < r0:
                 raise InvalidInputError("ratios must strictly decrease")
-        r1 = self.ratios[0]
-        for i, r in enumerate(self.ratios, start=1):
-            if r > r1 / i + 1e-15:
-                raise InvalidInputError("ratios must decay at least like 1/nu")
+        if not falls_like_inverse_nu(self.ratios):
+            raise InvalidInputError("ratios must decay at least like 1/nu")
 
 
 def _off_Z(f, z: ZSpec, X: np.ndarray):
@@ -93,7 +96,7 @@ def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray):
     X, d, v, skipped = _off_Z(f, z, X)
     if not len(X):
         return None
-    with np.errstate(all="ignore"):  # dist^(k-1) may underflow to 0; see estimate_condition
+    with np.errstate(all="ignore"):  # dist^(k-1) may underflow to 0; see _require_finite
         r = v / scalar_powers(d, k - 1)
     i = int(np.argmin(r))
     return float(r[i]), X[i], float(v.min()), skipped
@@ -119,14 +122,19 @@ def _table(f, z: ZSpec, k: int, radii, samples_per_annulus: int, seed: int):
     return radii, stats
 
 
+def _require_finite(k: int, radii, minima):
+    # dist^(k-1) underflows to 0 near Z for a large k
+    for r, m in zip(radii, minima):
+        if not np.isfinite(m):
+            raise InvalidInputError(f"k={k}: the minimum ratio at radius {r} is not finite")
+
+
 def estimate_condition(f, z: ZSpec, k: int, radii, samples_per_annulus: int,
                        seed: int) -> LojasiewiczReport:
     """Per-annulus minima of nu(df)/dist^(k-1) and a verdict."""
     radii, stats = _table(f, z, k, radii, samples_per_annulus, seed)
     minima = [s[0] for s in stats]
-    for r, m in zip(radii, minima):
-        if not np.isfinite(m):
-            raise InvalidInputError(f"k={k}: the minimum ratio at radius {r} is not finite")
+    _require_finite(k, radii, minima)
     argmins = [tuple(float(v) for v in s[1]) for s in stats]
     skipped = sum(s[3] for s in stats)
     C_hat = float(min(minima))
@@ -230,8 +238,8 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
 
     The polishes of all annuli run in lock step: each round evaluates the
     pending vertex of every unfinished polish in one stacked objective call.
-    Every stacked call is row-independent, so each polish takes the steps
-    it would take alone.
+    Every stacked call is row-independent, so each polish takes the steps it
+    would take alone and returns the ratio at its point, as the table does.
     """
     search_radii = [0.5 ** j for j in range(1, SEARCH_DEPTH + 1)]
     annuli = [(r, s[0], s[1]) for r, X in _annuli(f.n, search_radii, SEARCH_SAMPLES, seed)
@@ -239,15 +247,8 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     if not annuli:
         return None
     radius, minima, args = (np.array(c) for c in zip(*annuli))
+    _require_finite(k, radius, minima)
     d_args = z.distance_many(args)
-
-    def ratios(X, d):
-        # d ** (k-1) as a Python float power per row, as _ratio_stats takes it
-        out = np.full(len(X), np.inf)
-        far = ~(d < DIST_FLOOR)
-        if far.any():
-            out[far] = nu_many(f.jacobian_many(X[far])) / scalar_powers(d[far], k - 1)
-        return out
 
     def objective(X, which):
         # trust region: stay in the annulus and keep dist comparable,
@@ -257,8 +258,10 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
         rows = np.flatnonzero((0.45 * r <= norm) & (norm <= 1.05 * r))
         if len(rows):
             d, d_arg = z.distance_many(X[rows]), d_args[which[rows]]
-            band = (0.45 * d_arg <= d) & (d <= 2.0 * d_arg)
-            out[rows[band]] = ratios(X[rows[band]], d[band])
+            keep = (0.45 * d_arg <= d) & (d <= 2.0 * d_arg) & ~(d < DIST_FLOOR)
+            rows, d = rows[keep], d[keep]
+        if len(rows):
+            out[rows] = nu_many(f.jacobian_many(X[rows])) / scalar_powers(d, k - 1)
         return out
 
     runs = [_nelder_mead(a) for a in args]
@@ -278,7 +281,7 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     better = np.isfinite(f_nm) & (f_nm < minima)
     x_best = np.where(better[:, None], x_nm, args)
     d_best = z.distance_many(x_best)
-    cands = list(zip(x_best, ratios(x_best, d_best).tolist(), d_best.tolist()))
+    cands = list(zip(x_best, np.where(better, f_nm, minima).tolist(), d_best.tolist()))
     if cands[-1][1] > 0.5 * cands[0][1]:
         return None  # ratios bounded below on the sampled range
 
@@ -291,8 +294,7 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     # thin until the 1/nu decay invariant is met
     for stride in (1, 2, 3, 4):
         sel = list(range(0, len(pts), stride))
-        rr = [rats[i] for i in sel]
-        if all(rr[i] <= rr[0] / (i + 1) + 1e-15 for i in range(len(rr))) and len(rr) >= 3:
+        if len(sel) >= 3 and falls_like_inverse_nu([rats[i] for i in sel]):
             return ViolationSequence(
                 points=tuple(tuple(float(v) for v in pts[i]) for i in sel),
                 ratios=tuple(float(rats[i]) for i in sel),

@@ -53,12 +53,6 @@ class Poly:
         return cls(n, {})
 
     @classmethod
-    def variable(cls, n: int, i: int) -> "Poly":
-        e = [0] * n
-        e[i] = 1
-        return cls(n, {tuple(e): 1})
-
-    @classmethod
     def constant(cls, n: int, c) -> "Poly":
         return cls(n, {(0,) * n: c})
 
@@ -151,18 +145,6 @@ class Poly:
         if self._stack is None:
             self._stack = PolyStack(self.n, [self])
         return self._stack.eval_many(np.asarray(X, dtype=float))[:, 0]
-
-    def eval_exact(self, x):
-        """Evaluate with Fraction arithmetic (x entries coerced to Fraction)."""
-        x = [Fraction(v) if not isinstance(v, Fraction) else v for v in x]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for xi, ei in zip(x, e):
-                if ei:
-                    v = v * xi ** ei
-            total = total + v
-        return total
 
 
 class PolyStack:

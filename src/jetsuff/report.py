@@ -38,10 +38,7 @@ def _plain(value):
 
 class Report:
     """Mixin for frozen dataclass reports: ``to_dict`` gives every field as
-    JSON-ready dicts and lists, ``write_json`` writes it with sorted keys."""
+    JSON-ready dicts and lists."""
 
     def to_dict(self) -> dict:
         return _plain(asdict(self))
-
-    def write_json(self, path):
-        write_json(path, self.to_dict())

@@ -55,6 +55,12 @@ def _sobol(d: int, count: int, seed: int) -> np.ndarray:
     return q[:count] * 2.0 ** -SOBOL_BITS
 
 
+def _gaussian_directions(u: np.ndarray) -> np.ndarray:
+    """Unit rows from Sobol coordinates: the Gaussian map ndtri, then each row normalised."""
+    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 def unit_shell_sample(n: int, count: int, seed: int) -> np.ndarray:
     """Quasi-uniform points in the shell 1/2 <= |x| <= 1 of R^n.
 
@@ -62,8 +68,7 @@ def unit_shell_sample(n: int, count: int, seed: int) -> np.ndarray:
     that annulus statistics are exactly scale-equivariant.
     """
     u = _sobol(n + 1, count, seed)
-    dirs = ndtri(np.clip(u[:, :n], 1e-12, 1 - 1e-12))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _gaussian_directions(u[:, :n])
     lo, hi = 0.5 ** n, 1.0
     r = (lo + u[:, n] * (hi - lo)) ** (1.0 / n)
     return dirs * r[:, None]
@@ -72,8 +77,7 @@ def unit_shell_sample(n: int, count: int, seed: int) -> np.ndarray:
 def ball_sample(n: int, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
     """Quasi-uniform points in the ball of given radius."""
     u = _sobol(n + 1, count, seed)
-    dirs = ndtri(np.clip(u[:, :n], 1e-12, 1 - 1e-12))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _gaussian_directions(u[:, :n])
     r = u[:, n] ** (1.0 / n)
     return radius * dirs * r[:, None]
 
@@ -82,6 +86,4 @@ def sphere_sample(m: int, count: int, seed: int) -> np.ndarray:
     """Quasi-uniform unit vectors in R^m (Sobol-driven Gaussian map)."""
     if m == 1:
         return np.array([[1.0], [-1.0]])
-    u = _sobol(m, count, seed)
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    return _gaussian_directions(_sobol(m, count, seed))

@@ -192,23 +192,30 @@ def test_criterion_07_field_bound_and_gronwall(trivialization):
 
 
 def test_criterion_08_counterexample_construction():
+    # x1^3 at k = 2 over {x1 = 0} fails the condition (nu/dist = 3|x1|), so
+    # the construction must certify it; x2y2 at k = 4 over the axes holds it
+    # along the diagonal (nu/dist^3 = 2 sqrt 2), so no witness may pass there
+    def construct(f, z):
+        pts = np.array([[3.0 ** -v, 3.0 ** -v] for v in range(1, 6)])
+        dists = np.array([z.distance(p) for p in pts])
+        pf = assemble_F(f, pts, dists, choose_lambdas(f, pts, z))
+        return verify_construction(pf, z)
+
     t0 = time.monotonic()
-    f = PolyGermMap(2, 1, 4, [Poly(2, {(2, 2): Fraction(1)})])
-    pts = np.array([[3.0 ** -v, 3.0 ** -v] for v in range(1, 6)])
-    dists = np.array([Z_AXES.distance(p) for p in pts])
-    lams = choose_lambdas(f, pts, Z_AXES)
-    pf = assemble_F(f, pts, dists, lams)
-    rep = verify_construction(pf, Z_AXES)
+    rep = construct(PolyGermMap(2, 1, 2, [Poly(2, {(3, 0): Fraction(1)})]), Z_LINE)
     elapsed = time.monotonic() - t0
+    diagonal = construct(PolyGermMap(2, 1, 4, [Poly(2, {(2, 2): Fraction(1)})]), Z_AXES)
     ok = (rep.ok
           and max(rep.value_residuals) <= 1e-10
           and max(rep.gradient_residuals) <= 1e-10
           and min(abs(d) for d in rep.hessian_dets) > 0
           and all(a > b for a, b in zip(rep.decay, rep.decay[1:]))
-          and elapsed < 30)
+          and elapsed < 30
+          and not diagonal.ok)
     _report(f"counterexample construction: residuals <= "
             f"{max(rep.value_residuals + rep.gradient_residuals):.1e}, decay "
-            f"{[round(d, 4) for d in rep.decay]}, {elapsed:.1f}s", ok)
+            f"{[round(d, 4) for d in rep.decay]}, {elapsed:.1f}s; x2y2 diagonal "
+            f"refused ({'; '.join(diagonal.failures)})", ok)
 
 
 def test_criterion_09_corollary_checker():

@@ -186,15 +186,30 @@ class TestAssembly:
 
 class TestVerification:
     def test_full_construction_passes(self):
-        f = x2y2_germ()
-        pts, dists = diagonal_sequence()
-        pf = assemble_F(f, pts, dists, choose_lambdas(f, pts, Z_AXES))
-        rep = verify_construction(pf, Z_AXES)
+        # x1^3 at k = 2 over {x1 = 0}: the condition fails, a witness exists
+        f = PolyGermMap(2, 1, 2, [Poly(2, {(3, 0): Fraction(1)})])
+        z = AnalyticZ(n=2, form="subspace", coords=(1,))
+        pts, _ = diagonal_sequence()
+        dists = z.distance_many(pts)
+        pf = assemble_F(f, pts, dists, choose_lambdas(f, pts, z))
+        rep = verify_construction(pf, z)
         assert rep.ok, rep.failures
         assert all(v <= 1e-12 for v in rep.value_residuals)
         assert all(g <= 1e-10 for g in rep.gradient_residuals)
         assert all(abs(d) > 0 for d in rep.hessian_dets)
         assert all(b < a for a, b in zip(rep.decay, rep.decay[1:]))
+
+    def test_x2y2_diagonal_not_certified(self):
+        # nu/dist^3 = 2 sqrt 2 along the diagonal, so the condition holds
+        # there and the flat decay must not pass as a witness
+        f = x2y2_germ()
+        pts, dists = diagonal_sequence()
+        rep = verify_construction(assemble_F(f, pts, dists, choose_lambdas(f, pts, Z_AXES)),
+                                  Z_AXES)
+        assert not rep.ok
+        assert rep.failures == (
+            f"decay slower than 1/nu at ball 1: {rep.decay[1]:.3e} > {rep.decay[0]:.3e}/2",)
+        assert max(rep.decay) / min(rep.decay) < 1.01
 
     def test_disjointness_margin(self):
         pts, dists = diagonal_sequence()

@@ -258,10 +258,11 @@ class TestExitCodeTaxonomy:
         assert capsys.readouterr().err == f"error: {what} must lie in the float range\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("cmd", ["check", "trivialize"])
+    @pytest.mark.parametrize("cmd", ["check", "trivialize", "construct"])
     def test_k_whose_dist_power_underflows(self, tmp_path, capsys, cmd):
         # dist^399 is 0.0 on the inner annuli of x2: check exited 0 with
-        # "Infinity" in report.json and a RuntimeWarning on stderr
+        # "Infinity" in report.json and a RuntimeWarning on stderr, and the
+        # violation search of construct started Nelder-Mead from inf minima
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -428,7 +429,18 @@ def test_readme_has_every_command():
     assert cmds == {"check", "exponent", "trivialize", "corollary", "construct"}
 
 
-@pytest.mark.parametrize("argv", readme_cli_lines(), ids=lambda a: a[a.index("--cmd") + 1])
+def readme_ids(lines):
+    """Each line's ``--cmd``; a command's later lines add their germ's stem."""
+    ids, seen = [], set()
+    for argv in lines:
+        cmd = argv[argv.index("--cmd") + 1]
+        stem = Path(argv[argv.index("--germ") + 1]).stem
+        ids.append(f"{cmd}-{stem}" if cmd in seen else cmd)
+        seen.add(cmd)
+    return ids
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=readme_ids(readme_cli_lines()))
 def test_readme_cli_example_runs(tmp_path, monkeypatch, argv):
     # as written, from the repository root, with the output under tmp_path
     monkeypatch.chdir(ROOT)

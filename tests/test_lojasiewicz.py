@@ -13,9 +13,10 @@ from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
 from jetsuff.linmap import LinearMap
 from jetsuff.lojasiewicz import (POLISH, LojasiewiczReport, ViolationSequence,
                                  _nelder_mead, _ratio_stats, check_corollary_hypotheses,
-                                 estimate_condition, find_violation_sequence,
-                                 fit_exponent)
+                                 estimate_condition, falls_like_inverse_nu,
+                                 find_violation_sequence, fit_exponent)
 from jetsuff.poly import Poly
+from jetsuff.report import write_json
 from jetsuff.sampling import unit_shell_sample
 from oracles import (corollary_reference, find_violation_sequence_reference,
                      ratio_stats_reference, same_bits)
@@ -82,7 +83,7 @@ class TestEstimate:
 
     def test_report_roundtrip(self, tmp_path):
         rep = estimate_condition(power_germ(2), Z_HYP, 2, RADII, 512, 0)
-        rep.write_json(tmp_path / "r.json")
+        write_json(tmp_path / "r.json", rep.to_dict())
         rep.write_csv(tmp_path / "r.csv")
         assert (tmp_path / "r.json").exists()
         lines = (tmp_path / "r.csv").read_text().strip().splitlines()
@@ -100,6 +101,23 @@ class TestFitExponent:
         f = PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1, (0, 2): 1})])
         theta = fit_exponent(f, Z_ORIGIN, RADII, 512, 0)
         assert theta == pytest.approx(1.0, abs=0.05)
+
+
+class TestFallsLikeInverseNu:
+    def test_equality_at_the_bound_passes(self):
+        assert falls_like_inverse_nu([6.0, 3.0, 2.0, 1.5])
+
+    def test_slack_of_1e_15(self):
+        assert falls_like_inverse_nu([1.0, 0.5 + 1e-15])
+        assert not falls_like_inverse_nu([1.0, 0.5 + 4e-15])
+
+    def test_flat_sequence_fails(self):
+        # the per-ball decay of the x2y2 diagonal, where the condition holds
+        assert not falls_like_inverse_nu([1.534576183200281, 1.5310598879004687,
+                                          1.5298877894671978, 1.5294970899894407])
+
+    def test_one_element_passes(self):
+        assert falls_like_inverse_nu([2.5])
 
 
 class TestViolationSequence:

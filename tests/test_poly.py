@@ -9,9 +9,19 @@ from jetsuff.errors import InvalidInputError
 from jetsuff.poly import Poly
 
 
+def eval_exact(p, x):
+    """p at the point x in Fraction arithmetic."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        for xi, ei in zip(x, e):
+            c = c * Fraction(xi) ** ei
+        total += c
+    return total
+
+
 def test_basic_algebra():
-    x = Poly.variable(2, 0)
-    y = Poly.variable(2, 1)
+    x = Poly(2, {(1, 0): 1})
+    y = Poly(2, {(0, 1): 1})
     p = x * x + y.scale(3)
     assert p.terms == {(2, 0): Fraction(1), (0, 1): Fraction(3)}
     assert (p - p) == Poly.zero(2)
@@ -83,7 +93,7 @@ def test_shift_evaluates_consistently(p, a):
     q = p.shifted(a)
     # q(u) = p(a + u) exactly
     for u in ([Fraction(0), Fraction(0)], [Fraction(1), Fraction(-2)]):
-        assert q.eval_exact(u) == p.eval_exact([ai + ui for ai, ui in zip(a, u)])
+        assert eval_exact(q, u) == eval_exact(p, [ai + ui for ai, ui in zip(a, u)])
 
 
 def test_eval_many_matches_eval():
