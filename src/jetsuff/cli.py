@@ -3,10 +3,10 @@
 Loads germ definitions from JSON, runs one command (``--cmd``) and writes
 machine-readable reports into the output directory. Exit status: 0 when the
 checked property holds, 2 when it fails (a violation was found, no minor is
-active off Z, the field broke its bound, or a trajectory left the ball), 1
-on bad input or a broken minor identity. Reports embed
-a hash of the configuration and the package version; the timestamp field is
-the only nondeterministic entry.
+active off Z, the field broke its bound, a trajectory left the ball, or
+``construct`` certified no witness), 1 on bad input or a broken minor
+identity. Reports embed a hash of the configuration and the package
+version; the timestamp field is the only nondeterministic entry.
 """
 
 from __future__ import annotations
@@ -174,8 +174,9 @@ def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
         dists = z.distance_many(points)
     else:
         seq = lojasiewicz.find_violation_sequence(f, z, f.k, config.seed)
-        if seq is None:
-            raise ConvergenceError("no violating sequence found; supply --seq")
+        if seq is None:  # not certified, as a sequence that fails its checks
+            print("not certified: no violating sequence found; supply --seq", file=sys.stderr)
+            return EXIT_VIOLATION
         points, dists = np.asarray(seq.points), np.asarray(seq.dists)
     lambdas = bl_construct.choose_lambdas(f, points, z)
     pf = bl_construct.assemble_F(f, points, dists, lambdas)

@@ -226,9 +226,10 @@ class SampledZ(ZSpec):
         return inside[rng.integers(0, len(inside), size=count)]
 
 
-def scalar_powers(values, p: int) -> np.ndarray:
+def scalar_powers(values, p: float) -> np.ndarray:
     """``v ** p`` for each entry in Python float arithmetic (C ``pow``), which
-    NumPy's array ``**`` does not reproduce bit for bit for squares and cubes."""
+    NumPy's array ``**`` does not reproduce bit for bit for squares, cubes
+    and the fractional powers of RK45's step control."""
     return np.array([v ** p for v in np.asarray(values, dtype=float).tolist()])
 
 

@@ -73,6 +73,8 @@ class ViolationSequence(Report):
     dists: tuple[float, ...]
 
     def __post_init__(self):
+        if not 0 < len(self.points) == len(self.ratios) == len(self.dists):
+            raise InvalidInputError("points, ratios and dists must be nonempty and of one length")
         for d0, d1 in zip(self.dists, self.dists[1:]):
             if not d1 < 0.5 * d0:
                 raise InvalidInputError("distances must at least halve")

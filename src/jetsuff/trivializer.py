@@ -11,6 +11,7 @@ Integrating y' = W(t, y) yields the isotopy H and its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -292,84 +293,17 @@ class IsotopyResult:
                      for j, t in enumerate(self.times)))
 
 
-def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _rk45(t0: float, y0: np.ndarray, t_bound: float, t_eval: np.ndarray,
-          max_step: float, tol: float, radius: float):
-    """``solve_ivp(method="RK45", t_eval=t_eval)`` for one trajectory in
-    scipy's arithmetic and order, as a generator: it yields (t, y) for each
-    right-hand side, takes W back by ``send``, and returns the states at
-    ``t_eval`` (T, n) or raises DomainExitError as ``flow`` does."""
-    C, A, B, E, P = RK45.C, RK45.A, RK45.B, RK45.E, RK45.P
-    order, exponent = RK45.error_estimator_order, -1 / (RK45.error_estimator_order + 1)
-    rtol, atol = max(tol, 100 * EPS), tol  # scipy raises rtol to 100 eps
-    direction, interval = np.sign(t_bound - t0), abs(t_bound - t0)
-    t, y = t0, y0
-    f = yield t, y
-    # initial step (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = yield t0 + h0 * direction, y + h0 * direction * f
-    d2 = _rms((f1 - f) / scale) / h0
-    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / (order + 1)))
-    h_abs = min(100 * h0, h1, interval, max_step)
-    K, ys, emitted = np.empty((RK45.n_stages + 1, y.size)), [], 0
-    while not direction * (t - t_bound) >= 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise DomainExitError("integration failed: Required step size "
-                                      "is less than spacing between numbers.")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-                K[s] = yield t + c * h, y + np.dot(K[:s].T, a[:s]) * h
-            y_new = y + h * np.dot(K[:-1].T, B)
-            K[-1] = f_new = yield t + h, y_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, E) * h / scale)
-            if error_norm < 1:
-                factor = (MAX_FACTOR if error_norm == 0 else
-                          min(MAX_FACTOR, SAFETY * error_norm ** exponent))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
-            rejected = True
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
-        # the step's quartic interpolant at the checkpoints it passed
-        # (t_eval runs in the direction of integration)
-        passed = np.count_nonzero(direction * (t_eval - t) <= 0)
-        if passed > emitted:
-            step = t - t_old
-            x = np.tile((t_eval[emitted:passed] - t_old) / step, (P.shape[1], 1))
-            out = step * np.dot(K.T.dot(P), np.cumprod(x, axis=0))
-            out += y_old[:, None]
-            ys.append(out)
-            emitted = passed
-    states = np.hstack(ys).T
-    if np.any(np.linalg.norm(states, axis=1) > radius * (1 + 1e-9)):
-        raise DomainExitError("trajectory left the calibrated ball")
-    return states
-
-
 def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
               checkpoints: int = CHECKPOINTS) -> tuple[np.ndarray, np.ndarray, list]:
-    """``flow`` for each row of X0 (N, n), in lock step: each row takes the
-    RK45 steps ``solve_ivp`` takes for it alone, and the W values all live
-    rows need next are one ``eval_many`` call. ``t_span[0]`` is one start
-    time or one per row (N,); a row on Z or starting at ``t_span[1]`` stays
-    put. Returns the states (N, T, n), W calls per row (N,) and per row the
-    error ``flow`` raises, or None; a failing row stops there."""
+    """``flow`` for each row of X0 (N, n): each row takes the RK45 steps of
+    ``solve_ivp(method="RK45", t_eval=...)`` for it alone, in scipy's
+    arithmetic. Every step attempt costs every row 6 W calls, so all live
+    rows are at one stage: t, h, y and the stages live in arrays, each stage
+    is one ``eval_many`` call, and accept, reject, finish and fail are masks.
+    ``t_span[0]`` is one start time or one per row (N,); a row on Z or
+    starting at ``t_span[1]`` stays put. Returns the states (N, T, n), W calls
+    per row (N,) and per row the error ``flow`` raises, or None; a failing
+    row stops there and keeps x0 as its states."""
     if not 0.0 < tol < np.inf:
         raise InvalidInputError("tol must be finite and positive")
     X0 = np.asarray(X0, dtype=float)
@@ -377,28 +311,99 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
     states = np.repeat(X0[:, None, :], checkpoints, axis=1)
     nfev, errors = np.zeros(len(X0), dtype=int), [None] * len(X0)
     max_step = min(0.5, 0.1 / vf.constants.C_dprime)
-    moving = ~(vf.z.distance_many(X0) <= 1e-14) & (starts != t1)
-    runs = {p: _rk45(float(starts[p]), X0[p], t1, np.linspace(starts[p], t1, checkpoints),
-                     max_step, tol, vf.constants.U_radius)
-            for p in np.flatnonzero(moving).tolist()}
-    pending = {p: next(run) for p, run in runs.items()}
-    while pending:
-        rows = list(pending)
-        W, errs = vf.eval_many([pending[p][0] for p in rows],
-                               np.array([pending[p][1] for p in rows]))
-        for p, w, error in zip(rows, W, errs):
-            nfev[p] += 1
-            try:
-                if error is None:
-                    pending[p] = runs[p].send(w)
-                    continue
-            except StopIteration as done:
-                states[p] = done.value
-            except DomainExitError as exc:
-                error = exc
-            errors[p] = error
-            del pending[p]
-    return states, nfev, errors
+    A, B, C, E, P = RK45.A, RK45.B, RK45.C, RK45.E, RK45.P
+    order, exponent = RK45.error_estimator_order, -1 / (RK45.error_estimator_order + 1)
+    rtol, atol = max(tol, 100 * EPS), tol  # scipy raises rtol to 100 eps
+    n, bound = X0.shape[1], vf.constants.U_radius * (1 + 1e-9)
+    r = SimpleNamespace()  # one array entry per live row; keep drops rows from all
+    r.p = np.flatnonzero(~(vf.z.distance_many(X0) <= 1e-14) & (starts != t1))
+    r.t, r.y = starts[r.p], X0[r.p]
+    r.direction, r.interval = np.sign(t1 - r.t), np.abs(t1 - r.t)
+    r.t_eval = np.linspace(r.t, t1, checkpoints, axis=1)
+
+    def keep(mask):
+        if not mask.all():
+            vars(r).update({k: v[mask] for k, v in vars(r).items()})
+
+    def stop(mask, errs):
+        """End the rows in ``mask``, each with its error and x0 as its states."""
+        for p, error in zip(r.p[mask].tolist(), errs):
+            errors[p], states[p] = error, X0[p]
+        keep(~mask)
+
+    def rhs(t, Y):
+        """W at the live rows; a row whose W fails stops with its error."""
+        W, errs = vf.eval_many(t, Y) if len(Y) else (Y, [])
+        nfev[r.p] += 1
+        ok = np.array([e is None for e in errs], dtype=bool)
+        stop(~ok, [e for e in errs if e is not None])
+        return W[ok]
+
+    def rms(x):
+        return row_norms(x) / n ** 0.5
+
+    # initial step (Hairer, Norsett & Wanner, Solving ODEs I, II.4)
+    r.f = rhs(r.t, r.y)
+    r.scale = atol + np.abs(r.y) * rtol
+    d0, r.d1 = rms(r.y / r.scale), rms(r.f / r.scale)
+    small = (d0 < 1e-5) | (r.d1 < 1e-5)
+    r.h0 = np.minimum(np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, r.d1)), r.interval)
+    f1 = rhs(r.t + r.h0 * r.direction, r.y + (r.h0 * r.direction)[:, None] * r.f)
+    d2 = rms((f1 - r.f) / r.scale) / r.h0
+    steep = ~((r.d1 <= 1e-15) & (d2 <= 1e-15))
+    h1 = np.maximum(1e-6, r.h0 * 1e-3)
+    h1[steep] = scalar_powers(0.01 / np.maximum(r.d1, d2)[steep], 1 / (order + 1))
+    r.h_abs = np.minimum(np.minimum(np.minimum(100 * r.h0, h1), r.interval), max_step)
+    r.K = np.empty((len(r.p), RK45.n_stages + 1, n))
+    r.rejected, r.emitted = np.zeros(len(r.p), dtype=bool), np.zeros(len(r.p), dtype=int)
+    while True:
+        done = r.direction * (r.t - t1) >= 0
+        out = np.zeros_like(done)
+        out[done] = np.any(np.linalg.norm(states[r.p[done]], axis=-1) > bound, axis=1)
+        stop(out, [DomainExitError("trajectory left the calibrated ball") for _ in r.p[out]])
+        keep(~done[~out])  # the rows that finished inside the ball
+        # a new step starts where the last attempt was accepted
+        min_step = 10 * np.abs(np.nextafter(r.t, r.direction * np.inf) - r.t)
+        r.h_abs = np.where(r.rejected, r.h_abs, np.where(
+            r.h_abs > max_step, max_step, np.maximum(r.h_abs, min_step)))
+        tiny = r.h_abs < min_step
+        stop(tiny, [DomainExitError("integration failed: Required step size is less than "
+                                    "spacing between numbers.") for _ in r.p[tiny]])
+        if not len(r.p):
+            return states, nfev, errors
+        t_new = r.t + r.h_abs * r.direction
+        r.t_new = np.where(r.direction * (t_new - t1) > 0, t1, t_new)
+        r.h = r.t_new - r.t
+        r.h_abs = np.abs(r.h)
+        r.K[:, 0] = r.f
+        for s in range(1, RK45.n_stages):
+            dy = np.matmul(r.K[:, :s].transpose(0, 2, 1), A[s, :s]) * r.h[:, None]
+            r.K[:, s] = rhs(r.t + C[s] * r.h, r.y + dy)
+        r.y_new = r.y + r.h[:, None] * np.matmul(r.K[:, :-1].transpose(0, 2, 1), B)
+        r.K[:, -1] = rhs(r.t + r.h, r.y_new)
+        scale = atol + np.maximum(np.abs(r.y), np.abs(r.y_new)) * rtol
+        err = rms(np.matmul(r.K.transpose(0, 2, 1), E) * r.h[:, None] / scale)
+        # scipy's step-size factors, each power a scalar one (row bits)
+        power = np.full(len(err), np.nan)
+        power[err > 0] = scalar_powers(err[err > 0], exponent)
+        grow = np.where(err == 0, MAX_FACTOR, np.fmin(MAX_FACTOR, SAFETY * power))
+        accept = err < 1
+        r.h_abs = r.h_abs * np.where(accept, np.where(r.rejected, np.fmin(1, grow), grow),
+                                     np.fmax(MIN_FACTOR, SAFETY * power))
+        r.rejected = ~accept
+        t_old, y_old = r.t, r.y
+        r.t = np.where(accept, r.t_new, r.t)
+        r.y = np.where(accept[:, None], r.y_new, r.y)
+        r.f = np.where(accept[:, None], r.K[:, -1], r.f)
+        # each accepted step's quartic interpolant at the checkpoints it passed
+        # (t_eval runs in the direction of integration)
+        passed = np.count_nonzero(r.direction[:, None] * (r.t_eval - r.t[:, None]) <= 0, axis=1)
+        emit = np.flatnonzero(accept & (passed > r.emitted))
+        for i, Q in zip(emit.tolist(), np.matmul(r.K[emit].transpose(0, 2, 1), P)):
+            a, b, step = r.emitted[i], passed[i], r.t[i] - t_old[i]
+            x = np.tile((r.t_eval[i, a:b] - t_old[i]) / step, (P.shape[1], 1))
+            states[r.p[i], a:b] = (step * np.dot(Q, np.cumprod(x, axis=0)) + y_old[i][:, None]).T
+        r.emitted = np.where(accept, passed, r.emitted)
 
 
 def flow(vf: VectorFieldW, x0, t_span=(0.0, 1.0), tol: float = 1e-9,

@@ -93,6 +93,16 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["construction"]["ok"] and doc["construction"]["failures"] == []
 
+    @pytest.mark.parametrize("germ", ["x2", "x2y2"])
+    def test_construct_without_a_sequence_is_not_certified(self, tmp_path, capsys, germ):
+        # the condition holds, so the search finds no sequence: exit 2, as a
+        # sequence that fails its checks, not 1 (bad input)
+        assert run_cli("--germ", GERMS / f"{germ}.json", "--cmd", "construct",
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == "not certified: no violating sequence found; supply --seq\n"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_germ_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -142,6 +142,21 @@ class TestViolationSequence:
             ViolationSequence(points=((0.1, 0), (0.06, 0)),
                               ratios=(1.0, 0.9), dists=(0.1, 0.06))
 
+    @pytest.mark.parametrize("points, ratios, dists", [
+        ((), (), ()),
+        (((0.1, 0), (0.04, 0)), (1.0,), (0.1, 0.04)),
+        (((0.1, 0),), (1.0, 0.4), (0.1,)),
+        (((0.1, 0), (0.04, 0)), (1.0, 0.4), (0.1,)),
+    ])
+    def test_empty_or_ragged_fields_rejected(self, points, ratios, dists):
+        with pytest.raises(InvalidInputError, match="nonempty and of one length"):
+            ViolationSequence(points=points, ratios=ratios, dists=dists)
+
+    def test_one_length_passes(self):
+        seq = ViolationSequence(points=((0.1, 0), (0.04, 0)), ratios=(1.0, 0.4),
+                                dists=(0.1, 0.04))
+        assert len(seq.points) == len(seq.ratios) == len(seq.dists) == 2
+
 
 class TestCorollary:
     def pair(self, extra_terms):

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from jetsuff.errors import (CalibrationError, CoveringViolationError, DomainExitError,
                             FieldBoundError, InvalidInputError)
 from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, load_germ
+from jetsuff.linmap import row_norms
 from jetsuff.lojasiewicz import estimate_condition
 from jetsuff.poly import Poly
 from jetsuff.sampling import ball_sample
@@ -198,8 +199,8 @@ class TestVectorField:
 
 class TestFlow:
     def test_tableau_is_scipys(self):
-        # _rk45 takes scipy's steps only with scipy's coefficients; a scipy
-        # release that changes them fails here
+        # flow_many takes scipy's steps only with scipy's coefficients; a
+        # scipy release that changes them fails here
         import scipy.integrate
         ours, theirs = RK45, scipy.integrate.RK45
         for name in "CABEP":
@@ -461,3 +462,103 @@ class TestLockStepOracle:
             with pytest.raises(DomainExitError) as got:
                 isotopy(Failing(vf.F, consts), grid)
             assert str(got.value) == str(want.value) == f"injected in the {first}"
+
+
+class TestStackedArithmetic:
+    """The premise of the array-state RK45 in ``flow_many``: each stacked
+    product over (N, 7, n) stages, and ``row_norms`` as the RMS norm, give
+    every row the bits of scipy's one-row ``np.dot`` and ``norm``. A numpy
+    or BLAS release that breaks it fails here, not as drift in H."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_stacked_products_match_per_row_dot(self, n):
+        rng = np.random.default_rng(n)
+        K = rng.standard_normal((300, 7, n)) * np.exp(rng.uniform(-20, 2, (300, 1, 1)))
+        Kt = K.transpose(0, 2, 1)
+        for s in range(1, RK45.n_stages):  # the stage sums
+            want = [np.dot(k[:s].T, RK45.A[s, :s]) for k in K]
+            assert same_bits(np.matmul(Kt[:, :, :s], RK45.A[s, :s]), want), s
+        assert same_bits(np.matmul(Kt[:, :, :-1], RK45.B), [np.dot(k[:-1].T, RK45.B) for k in K])
+        assert same_bits(np.matmul(Kt, RK45.E), [np.dot(k.T, RK45.E) for k in K])
+        assert same_bits(np.matmul(Kt, RK45.P), [k.T.dot(RK45.P) for k in K])
+        x = K[:, 0] * 1e-3
+        assert same_bits(row_norms(x) / n ** 0.5, [np.linalg.norm(v) / v.size ** 0.5 for v in x])
+
+
+class StubField:
+    """y' = g(t, y), entry by entry, in place of W: ``flow_many`` reads it
+    from ``eval_many`` and ``flow_reference`` through its ``rhs`` hook. Where
+    |y_0| exceeds ``limit`` the field fails, as W fails off its bound."""
+
+    z = Z_HYP
+    constants = TrivializationConstants(C=1.0, C_prime=1.0, C_dprime=0.2,
+                                        U_radius=1e300, r0=1.0)
+
+    def __init__(self, g, limit=np.inf):
+        self.g, self.limit = g, limit
+
+    def error(self, y):
+        return FieldBoundError(f"|y_0| = {abs(y[0])!r} > {self.limit}")
+
+    def rhs(self, t, y):
+        if abs(y[0]) > self.limit:
+            raise self.error(y)
+        return self.g(t, y)
+
+    def eval_many(self, xis, X):
+        return (self.g(np.asarray(xis)[:, None], X),
+                [self.error(y) if abs(y[0]) > self.limit else None for y in X])
+
+
+def switched_on(t, y):
+    """0 before t = 1/2, then y' = -40 y: the step over the switch fails."""
+    return np.where(t < 0.5, 0.0, -40.0) * y
+
+
+def blow_up(t, y):
+    """y' = y^2, which leaves every bound at t = 1/y(0)."""
+    return y * y
+
+
+class TestStepControl:
+    """Rejected attempts and the ``min_step`` failure, row by row against one
+    ``solve_ivp`` per row on a stub field."""
+
+    def test_rejected_steps_are_retried_as_scipy_retries_them(self):
+        from scipy.integrate import solve_ivp
+        vf = StubField(switched_on)
+        X0 = np.array([[0.3, 0.2], [0.1, -0.4], [-2.0, 1e-3]])
+        states, nfev, errors = flow_many(vf, X0)
+        assert errors == [None] * len(X0)
+        for p, x0 in enumerate(X0):
+            want, k = flow_reference(vf, x0, rhs=vf.rhs)
+            assert same_bits(states[p], want) and nfev[p] == k
+            sol = solve_ivp(vf.rhs, (0.0, 1.0), x0, method="RK45", rtol=1e-9,
+                            atol=1e-9, max_step=0.5)
+            assert sol.nfev == k and len(sol.t) - 1 < (k - 2) / 6  # some rejected
+
+    def test_min_step_failure_has_the_reference_message(self):
+        vf = StubField(blow_up)
+        x0 = np.array([0.1, 3.0])
+        with pytest.raises(DomainExitError) as want:
+            flow_reference(vf, x0, rhs=vf.rhs)
+        states, nfev, (error,) = flow_many(vf, x0[None, :])
+        assert type(error) is DomainExitError and str(error) == str(want.value)
+        assert "Required step size is less than spacing" in str(error)
+        assert same_bits(states[0], np.tile(x0, (17, 1))) and nfev[0] > 1000
+
+    def test_mixed_batch_keeps_solo_bits(self):
+        # row 1 fails its field inside a step attempt, row 3 the min_step
+        # test; rows 0 and 2 still finish with the bits of their solo solves
+        vf = StubField(blow_up, limit=5.0)
+        X0 = np.array([[0.3, 0.2], [2.0, 0.5], [-0.6, 0.4], [0.1, 3.0]])
+        states, nfev, errors = flow_many(vf, X0)
+        for p in (0, 2):
+            want, k = flow_reference(vf, X0[p], rhs=vf.rhs)
+            assert errors[p] is None and same_bits(states[p], want) and nfev[p] == k
+        for p, error in ((1, FieldBoundError), (3, DomainExitError)):
+            with pytest.raises(error) as want:
+                flow_reference(vf, X0[p], rhs=vf.rhs)
+            assert type(errors[p]) is error and str(errors[p]) == str(want.value)
+            assert same_bits(states[p], np.tile(X0[p], (17, 1)))
+        assert (nfev[1] - 2) % 6 != 0  # in mid-attempt: not a step's last stage
