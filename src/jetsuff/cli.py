@@ -25,7 +25,8 @@ from . import __version__, bl_construct, lojasiewicz, trivializer
 from .errors import (CalibrationError, ConstructionError, ConvergenceError,
                      CoveringViolationError, DomainExitError, InvalidInputError,
                      MinorIdentityError)
-from .germ import GermPair, json_numbers, load_germ, read_json, zspec_from_json
+from .germ import GermPair, _rows, json_numbers, load_germ, read_json, zspec_from_json
+from .linmap import row_norms
 from .report import write_json
 from .sampling import ball_sample
 
@@ -171,6 +172,13 @@ def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
             raise InvalidInputError("--seq points must be a list of coordinate lists") from None
         if not np.all(np.isfinite(points)):
             raise InvalidInputError("--seq points must be finite")
+        points = _rows(points, f.n)
+        # the germ lives at 0 and every scan stays in the unit ball
+        with np.errstate(over="ignore"):  # a norm beyond the float range is > 1 all the same
+            outside = np.flatnonzero(row_norms(points) > 1)
+        if len(outside):
+            raise InvalidInputError(f"--seq point {points[outside[0]].tolist()} "
+                                    "lies outside the unit ball")
         dists = z.distance_many(points)
     else:
         seq = lojasiewicz.find_violation_sequence(f, z, f.k, config.seed)

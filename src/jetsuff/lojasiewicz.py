@@ -13,7 +13,6 @@ larger k); ``fails``: monotone decay by a factor >= 2; else ``inconclusive``.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,69 +165,71 @@ def fit_exponent(f, z: ZSpec, radii, samples_per_annulus: int, seed: int) -> flo
     return float(slope)
 
 
-NelderMeadResult = namedtuple("NelderMeadResult", "x fun nit final_simplex")
+def _nelder_mead(objective, X0):
+    """scipy's Nelder-Mead (``optimize.minimize(method="Nelder-Mead")`` with
+    ``options=POLISH``, no bounds, not adaptive) from every row of X0 at once.
 
-
-def _nelder_mead(x0):
-    """scipy's Nelder-Mead (``optimize.minimize(method="Nelder-Mead")``
-    with ``options=POLISH``, no bounds, not adaptive) as a generator: it yields
-    each point to evaluate and is sent the objective's value there, so many
-    runs can share one stacked objective call. Step for step scipy's own
-    arithmetic, so it visits the same points and returns the same ``x``,
-    ``fun``, ``nit`` and ``final_simplex``, bit for bit."""
+    ``objective(X, which)`` returns the values at the rows of X, row i a point
+    of the run from ``X0[which[i]]``, each row on its own. The simplices and
+    their values are arrays over the live runs, which are all at one
+    iteration, and each phase is a row mask, so every run takes scipy's steps
+    with scipy's arithmetic, bit for bit. An iteration makes at most three
+    stacked calls: the reflections, then the expansions and contractions, then
+    the shrinks. Returns the final simplices (R, N+1, N), each sorted so its
+    best vertex comes first, their values (R, N+1) and ``nit`` (R,); scipy's
+    ``x`` and ``fun`` are ``S[:, 0]`` and ``F.min(1)``."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
     maxiter, xatol, fatol = POLISH["maxiter"], POLISH["xatol"], POLISH["fatol"]
-    x0 = np.asarray(x0, dtype=float)
-    N = len(x0)
-    sim = np.empty((N + 1, N))
-    sim[0] = x0
-    for j in range(N):
-        y = x0.copy()
-        y[j] = (1 + nonzdelt) * y[j] if y[j] != 0 else zdelt
-        sim[j + 1] = y
-    fsim = np.full(N + 1, np.inf)
-    for j in range(N + 1):
-        fsim[j] = yield sim[j]
+    X0 = np.asarray(X0, dtype=float)
+    R, N = X0.shape
+    live = np.arange(R)  # the runs still iterating; sim and fsim hold their rows
+    sim = np.repeat(X0[:, None], N + 1, axis=1)
+    sim[:, np.arange(1, N + 1), np.arange(N)] = np.where(X0 != 0, (1 + nonzdelt) * X0, zdelt)
+    fsim = objective(sim.reshape(-1, N), np.repeat(live, N + 1)).reshape(R, N + 1)
+
+    def sort(sim, fsim):
+        ind = fsim.argsort(axis=1)
+        return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+
     for _ in range(2):  # scipy sorts twice before the first iteration
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind)
-    nit = 1
-    while nit < maxiter:
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = yield xr
-        shrink = False
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = yield xe
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:  # outside contraction
-            xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-            fxc = yield xc
-            shrink = not fxc <= fxr
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-        else:  # inside contraction
-            xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = yield xcc
-            shrink = not fxcc < fsim[-1]
-            if not shrink:
-                sim[-1], fsim[-1] = xcc, fxcc
-        if shrink:
-            for j in range(1, N + 1):
-                sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                fsim[j] = yield sim[j]
-        nit += 1
-        ind = fsim.argsort()
-        sim, fsim = sim.take(ind, 0), fsim.take(ind)
-    return NelderMeadResult(x=sim[0], fun=fsim.min(), nit=nit,
-                            final_simplex=(sim, fsim))
+        sim, fsim = sort(sim, fsim)
+    S, F, nit = np.empty_like(sim), np.empty_like(fsim), np.full(R, maxiter)
+    for it in range(1, maxiter):
+        # scipy's convergence test, its fatol half only where xatol holds
+        stop = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+        stop[stop] = np.abs(fsim[stop, :1] - fsim[stop, 1:]).max(axis=1) <= fatol
+        if stop.any():
+            S[live[stop]], F[live[stop]], nit[live[stop]] = sim[stop], fsim[stop], it
+            live, sim, fsim = live[~stop], sim[~stop], fsim[~stop]
+            if not len(live):
+                return S, F, nit
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        worst = sim[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = objective(xr, live)
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+        inside = ~expand & ~reflect & ~outside
+        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
+                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
+                               (1 - psi) * xbar + psi * worst))
+        f2 = np.full(len(live), np.nan)
+        if not reflect.all():
+            f2[~reflect] = objective(x2[~reflect], live[~reflect])
+        take2 = expand & (f2 < fxr) | outside & (f2 <= fxr) | inside & (f2 < fsim[:, -1])
+        shrink = (outside | inside) & ~take2
+        move = ~shrink
+        sim[move, -1] = np.where(take2[:, None], x2, xr)[move]
+        fsim[move, -1] = np.where(take2, f2, fxr)[move]
+        if shrink.any():
+            sim[shrink, 1:] = sim[shrink, :1] + sigma * (sim[shrink, 1:] - sim[shrink, :1])
+            fsim[shrink, 1:] = objective(sim[shrink, 1:].reshape(-1, N),
+                                         np.repeat(live[shrink], N)).reshape(-1, N)
+        sim, fsim = sort(sim, fsim)
+    S[live], F[live] = sim, fsim  # the runs that reached maxiter
+    return S, F, nit
 
 
 def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
@@ -238,10 +239,11 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     then thinned until distances halve and ratios decay at least like
     1/nu. Returns None when the ratios stay bounded below.
 
-    The polishes of all annuli run in lock step: each round evaluates the
-    pending vertex of every unfinished polish in one stacked objective call.
-    Every stacked call is row-independent, so each polish takes the steps it
-    would take alone and returns the ratio at its point, as the table does.
+    One ``_nelder_mead`` call polishes every annulus: its simplex is a row
+    of one array, and each stacked objective call evaluates the rows of the
+    unfinished annuli in one phase. The objective is row-independent, so
+    each polish takes the steps it would take alone and returns the ratio at
+    its point, as the table does.
     """
     search_radii = [0.5 ** j for j in range(1, SEARCH_DEPTH + 1)]
     annuli = [(r, s[0], s[1]) for r, X in _annuli(f.n, search_radii, SEARCH_SAMPLES, seed)
@@ -266,20 +268,8 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
             out[rows] = nu_many(f.jacobian_many(X[rows])) / scalar_powers(d, k - 1)
         return out
 
-    runs = [_nelder_mead(a) for a in args]
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    found = [None] * len(runs)
-    while pending:
-        which = np.fromiter(pending, dtype=int)
-        values = objective(np.array(list(pending.values())), which)
-        for i, v in zip(which.tolist(), values.tolist()):
-            try:
-                pending[i] = runs[i].send(v)
-            except StopIteration as stop:
-                del pending[i]
-                found[i] = stop.value
-    x_nm = np.array([res.x for res in found])
-    f_nm = np.array([res.fun for res in found])
+    S, F, _ = _nelder_mead(objective, args)
+    x_nm, f_nm = S[:, 0], F.min(axis=1)
     better = np.isfinite(f_nm) & (f_nm < minima)
     x_best = np.where(better[:, None], x_nm, args)
     d_best = z.distance_many(x_best)

@@ -5,7 +5,7 @@ the deformation F(xi, x) = f(x) + xi*P(x), P = f1 - f, is made independent
 of xi by flowing along the field W that solves (d_xF) W^T = -P^T. W is
 assembled by Cramer's rule over maximal minors, blended by a smooth
 partition of unity supported where each minor dominates, and set to 0 on Z.
-Integrating y' = W(t, y) yields the isotopy H and its inverse.
+Integrating y' = W(t, y) gives the isotopy H and its inverse.
 """
 
 from __future__ import annotations

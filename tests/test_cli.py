@@ -14,6 +14,9 @@ from jetsuff.report import write_json
 
 ROOT = Path(__file__).resolve().parent.parent
 GERMS = ROOT / "germs"
+# points beyond radius 1, where no scan looks
+OUTSIDE_BALL = [[[2, 0.5], [0.9, 0.2], [0.4, 0.05]],
+                [[1e100, 1e100], [1e40, 1e40], [1e10, 1e10]]]
 
 
 def run_cli(*args):
@@ -363,16 +366,35 @@ class TestExitCodeTaxonomy:
         ([[0.1, 0.0], [0.01, 0.01], [0.001, 0.001]], "lies on Z"),
         ([[0.1, 0.1], [0.01]], "coordinate lists"),
         ([0.1, 0.1], "shape"),
+        (OUTSIDE_BALL[0], "--seq point [2.0, 0.5] lies outside the unit ball"),
+        (OUTSIDE_BALL[1], "--seq point [1e+100, 1e+100] lies outside the unit ball"),
+        ([[0.5, 0.5], [1e200, 1e200], [0.1, 0.1]],
+         "--seq point [1e+200, 1e+200] lies outside the unit ball"),
     ])
     def test_bad_sequence_file(self, tmp_path, capsys, points, message):
-        seq = tmp_path / "seq.json"
-        seq.write_text(json.dumps({"points": points}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run_cli("--germ", GERMS / "x2y2.json", "--cmd", "construct",
-                           "--seq", seq, "--out", tmp_path) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+        assert_bad_sequence(tmp_path, capsys, "x2y2", points, message)
+
+    @pytest.mark.parametrize("germ", ["x3", "x4"])
+    @pytest.mark.parametrize("points", OUTSIDE_BALL)
+    def test_sequence_outside_the_unit_ball(self, tmp_path, capsys, germ, points):
+        # x3 used to certify both (exit 0) and x4 the first; x4 ended the
+        # second in a ValueError traceback (NaN in report.json)
+        point = [float(v) for v in points[0]]
+        assert_bad_sequence(tmp_path, capsys, germ, points,
+                            f"--seq point {point} lies outside the unit ball")
+
+
+def assert_bad_sequence(tmp_path, capsys, germ, points, message):
+    """construct with ``points`` as --seq exits 1 with one error line that
+    says ``message``, and no RuntimeWarning."""
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"points": points}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli("--germ", GERMS / f"{germ}.json", "--cmd", "construct",
+                       "--seq", seq, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
 
 
 def _strip_timestamp(path: Path) -> str:

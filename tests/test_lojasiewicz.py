@@ -1,5 +1,6 @@
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,24 +394,29 @@ class TestAnnulusTable:
         starts = []
         nelder_mead = lojasiewicz._nelder_mead
         monkeypatch.setattr(lojasiewicz, "_nelder_mead",
-                            lambda x0: starts.append(x0) or nelder_mead(x0))
+                            lambda objective, X0: starts.extend(X0)
+                            or nelder_mead(objective, X0))
         f, z = search_germ(name)
         find_violation_sequence(f, z, f.k, seed)
         rep = estimate_condition(f, z, f.k, RADII, lojasiewicz.SEARCH_SAMPLES, seed)
         assert same_bits(starts[:4], rep.argmins)
 
 
-def drive(run, fun):
-    """A Nelder-Mead generator driven by the scalar ``fun``: its result and
-    the number of points it asked for."""
-    nfev = 0
-    x = next(run)
-    while True:
-        nfev += 1
-        try:
-            x = run.send(fun(x.copy()))
-        except StopIteration as stop:
-            return stop.value, nfev
+def drive(funs, X0):
+    """One ``_nelder_mead`` call from the rows of X0, row i's points valued by
+    the scalar ``funs[i]``: per row its result, under scipy's names, and the
+    number of points it asked for."""
+    X0 = np.array(X0, dtype=float)
+    nfev = np.zeros(len(X0), dtype=int)
+
+    def objective(X, which):
+        np.add.at(nfev, which, 1)
+        return np.array([funs[i](x.copy()) for x, i in zip(X, which)], dtype=float)
+
+    S, F, nit = _nelder_mead(objective, X0)
+    return [(SimpleNamespace(x=S[i, 0], fun=F[i].min(), nit=nit[i],
+                             final_simplex=(S[i], F[i])), nfev[i])
+            for i in range(len(X0))]
 
 
 def ball_objective(center):
@@ -419,9 +425,11 @@ def ball_objective(center):
                       else np.inf)
 
 
-def assert_same_as_scipy(fun, x0):
+def assert_same_as_scipy(fun, x0, run=None):
+    """``run`` (a result and its nfev, from ``drive``) is scipy's on x0 alone;
+    without one, x0 runs alone."""
     want = optimize.minimize(fun, x0, method="Nelder-Mead", options=POLISH)
-    got, nfev = drive(_nelder_mead(np.array(x0, dtype=float)), fun)
+    [(got, nfev)] = [run] if run else drive([fun], [x0])
     assert np.array_equal(got.x, want.x)
     assert got.fun == want.fun
     assert (got.nit, nfev) == (want.nit, want.nfev)
@@ -453,6 +461,23 @@ class TestNelderMeadReplay:
         # without a shrink an iteration asks for one or two points
         assert nfev > 4 + 2 * (got.nit - 1)
 
+    def test_mixed_batch(self):
+        # one call whose rows are in different phases at each iteration
+        cases = [(optimize.rosen, [-1.2, 1.0]),
+                 (optimize.rosen, [0.5, -0.3]),
+                 (lambda x: abs(x[0]) + 10 * abs(x[1]), [1.0, 0.7]),
+                 (ball_objective(np.array([1.5, 0.5])), [0.5, 0.0]),    # reaches maxiter
+                 (ball_objective(np.array([1.25, 1.65])), [0.11, 0.23]),  # shrinks
+                 (lambda x: np.inf, [0.3, -0.2])]                         # inf everywhere
+        with np.errstate(invalid="ignore"):  # inf - inf in the fatol test, as in scipy
+            runs = drive([fun for fun, _ in cases], [x0 for _, x0 in cases])
+            for (fun, x0), run in zip(cases, runs):
+                assert_same_as_scipy(fun, x0, run)
+        (maxed, _), (shrunk, nfev) = runs[3], runs[4]
+        assert maxed.nit == POLISH["maxiter"]
+        assert nfev > 3 + 2 * (shrunk.nit - 1)
+        assert np.isinf(runs[5][0].fun)
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.sampled_from([2, 3]), data=st.data())
     def test_random_trust_regions(self, n, data):
@@ -461,3 +486,33 @@ class TestNelderMeadReplay:
         x0 = data.draw(st.lists(st.floats(-0.5, 0.5, allow_nan=False),
                                 min_size=n, max_size=n))
         assert_same_as_scipy(ball_objective(center), x0)
+
+
+class TestStackedSimplex:
+    """The premise of the array-state ``_nelder_mead``: the row-wise sort and
+    the stacked centroid give every simplex the bits of scipy's one-simplex
+    ``argsort``/``take`` and ``np.add.reduce``. A numpy release that breaks
+    it fails here, not as drift in the violation sequences."""
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_rowwise_sort_matches_one_simplex_sort(self, N):
+        rng = np.random.default_rng(N)
+        # ties, infinities and nan among the values
+        F = rng.choice([-1.0, 0.0, 0.5, 2.0, np.inf, -np.inf, np.nan], (2000, N + 1))
+        F[::2] = rng.standard_normal((1000, N + 1))
+        S = rng.standard_normal((2000, N + 1, N))
+        ind = F.argsort(axis=1)
+        got_S = np.take_along_axis(S, ind[:, :, None], 1)
+        got_F = np.take_along_axis(F, ind, 1)
+        for s, f, i, gs, gf in zip(S, F, ind, got_S, got_F):
+            want = f.argsort()
+            assert np.array_equal(i, want)
+            assert same_bits(gs, s.take(want, 0))
+            assert np.array_equal(gf, f.take(want), equal_nan=True)
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_stacked_centroid_matches_one_simplex_sum(self, N):
+        rng = np.random.default_rng(N)
+        S = rng.standard_normal((2000, N + 1, N)) * np.exp(rng.uniform(-30, 5, (2000, N + 1, 1)))
+        want = [np.add.reduce(s[:-1], 0) / N for s in S]
+        assert same_bits(np.add.reduce(S[:, :-1], 1) / N, want)
