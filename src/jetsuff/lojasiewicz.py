@@ -190,7 +190,8 @@ def _nelder_mead(objective, X0):
 
     def sort(sim, fsim):
         ind = fsim.argsort(axis=1)
-        return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+        rows = np.arange(len(ind))[:, None]
+        return sim[rows, ind], fsim[rows, ind]
 
     for _ in range(2):  # scipy sorts twice before the first iteration
         sim, fsim = sort(sim, fsim)

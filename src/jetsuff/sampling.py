@@ -3,18 +3,31 @@
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import statistics
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.special import ndtri
 
 SOBOL_BITS = 30  # scipy's default: Sobol points are multiples of 2^-30
 # Joe and Kuo's primitive polynomials and initial direction numbers, one row
-# per dimension, read from the table scipy ships (without importing scipy.stats)
-SOBOL_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+# per dimension, read from the table scipy ships, located without importing
+# scipy (its package __init__ alone costs more start-up than this module)
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ImportError("scipy is not installed; jetsuff reads its Sobol direction numbers")
+SOBOL_TABLE = Path(_SCIPY.submodule_search_locations[0]) / "stats" / "_sobol_direction_numbers.npz"
 _MSB_FIRST = np.arange(SOBOL_BITS - 1, -1, -1)  # shift of the i-th highest bit
+# Wichura's AS241 rational for |p - 1/2| <= 0.425, highest power first, with
+# the digits of the standard library's NormalDist.inv_cdf
+_AS241_NUM = (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4, 6.72657_70927_00870_0853e+4,
+              4.59219_53931_54987_1457e+4, 1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+              1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0)
+_AS241_DEN = (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_95800_09271_0610e+4,
+              2.12137_94301_58659_5867e+4, 5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+              4.23133_30701_60091_1252e+1, 1.0)
 
 
 @functools.cache
@@ -55,9 +68,23 @@ def _sobol(d: int, count: int, seed: int) -> np.ndarray:
     return q[:count] * 2.0 ** -SOBOL_BITS
 
 
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """``statistics.NormalDist().inv_cdf`` at every entry of p in (0, 1), bit
+    for bit: the central rational in numpy, by Horner in the standard library's
+    order; the tails, which take libm's log, through the standard library's kernel."""
+    q = p - 0.5
+    r = 0.180625 - q * q
+    x = np.polyval(_AS241_NUM, r) * q / np.polyval(_AS241_DEN, r)
+    tail = np.abs(q) > 0.425
+    x[tail] = np.fromiter(map(statistics._normal_dist_inv_cdf, p[tail].tolist(),
+                              repeat(0.0), repeat(1.0)), float, np.count_nonzero(tail))
+    return x
+
+
 def _gaussian_directions(u: np.ndarray) -> np.ndarray:
-    """Unit rows from Sobol coordinates: the Gaussian map ndtri, then each row normalised."""
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    """Unit rows from Sobol coordinates: the standard normal quantile (AS241)
+    of each clipped coordinate, then each row normalised."""
+    g = _normal_quantile(np.clip(u, 1e-12, 1 - 1e-12))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 

@@ -13,6 +13,9 @@ isotopy loop that ``VectorFieldW.eval_many`` and the lock-step
 and ``verify_construction_reference`` are the one-point negative side, and
 ``find_violation_sequence_reference`` is the violation search whose ratio
 went through a ``LinearMap`` and ``nu`` at every Nelder-Mead evaluation.
+``gaussian_directions_reference`` is the Gaussian map through scipy's
+``ndtri``, which the standard library's AS241 quantile replaced; it is the
+one reference met within a stated ulp bound rather than bit for bit.
 
 The ``*_reference`` functions are the one-point formulas that jetsuff used
 before every quantity got one stacked implementation (polynomial values,
@@ -26,6 +29,7 @@ import numpy as np
 from scipy import optimize
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
+from scipy.special import ndtri
 
 from jetsuff.bl_construct import (GAP_REL, MAX_RETRIES, RHO_IN, RHO_OUT,
                                   SAMPLES_PER_BALL, ConstructionReport, _transition)
@@ -46,6 +50,12 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and np.array_equal(a, b)
             and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def gaussian_directions_reference(u: np.ndarray) -> np.ndarray:
+    """Unit rows from Sobol coordinates through scipy's ``ndtri``."""
+    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def nu_bruteforce(entries: np.ndarray, count: int = 100_000, seed: int = 0) -> float:

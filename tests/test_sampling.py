@@ -1,16 +1,24 @@
-"""The numpy Sobol generator and ``ndtri`` against the scipy.stats calls they
-replace, bit for bit. A scipy release that changes either fails here instead
-of moving every sample pattern."""
+"""The numpy Sobol generator against the scipy.stats call it replaces, bit
+for bit, and the AS241 normal quantile against the standard library's
+``NormalDist.inv_cdf``, bit for bit. A scipy or Python release that changes
+either fails here instead of moving every sample pattern."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 from scipy.stats import norm, qmc
 
-from jetsuff.sampling import _directions, _sobol, ndtri
+from jetsuff.sampling import _directions, _gaussian_directions, _normal_quantile, _sobol
+from oracles import gaussian_directions_reference
 
 SEEDS = range(40)
+EPS = np.finfo(float).eps
+# Each Gaussian draw is within 7 ulp of ndtri's, so its row norm moves by at
+# most 7 eps relative and each unit-vector entry (at most 1 in size) by at
+# most 2 * 7 eps plus the rounding of the norm and the division
+DIRECTION_ATOL = 16 * EPS
 
 
 def scipy_sobol(d, count, seed):
@@ -29,12 +37,29 @@ def test_sobol_is_scipys(d, count):
 
 @pytest.mark.parametrize("count", [17, 1000, 4096])
 @pytest.mark.parametrize("d", [1, 3, 5])
-def test_ndtri_is_norm_ppf(d, count):
+def test_quantile_is_normaldist_inv_cdf(d, count):
+    inv_cdf = statistics.NormalDist().inv_cdf
+    # the clip ends, the branch edges of AS241 and the centre
+    edges = np.array([[1e-12], [1 - 1e-12], [0.075], [0.925], [0.5]])
     for seed in SEEDS:
-        u = np.clip(_sobol(d, count, seed), 1e-12, 1 - 1e-12)
-        got, want = ndtri(u), norm.ppf(u)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()  # the sign of zero too
+        u = np.vstack([np.clip(_sobol(d, count, seed), 1e-12, 1 - 1e-12),
+                       np.repeat(edges, d, axis=1)])
+        got = _normal_quantile(u)
+        want = np.array([[inv_cdf(p) for p in row] for row in u.tolist()])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"seed={seed}"  # the sign of zero too
+        ref = norm.ppf(u)
+        assert (np.abs(got - ref) <= 7 * np.spacing(np.abs(ref))).all(), f"seed={seed}"
+
+
+@pytest.mark.parametrize("count", [17, 1000, 4096])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_gaussian_directions_match_the_ndtri_map(d, count):
+    for seed in range(4):
+        u = _sobol(d, count, seed)
+        got, want = _gaussian_directions(u), gaussian_directions_reference(u)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=DIRECTION_ATOL)
 
 
 def test_direction_numbers_are_cached_read_only():
