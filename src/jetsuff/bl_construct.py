@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, InvalidInputError
-from .germ import PolyGermMap, ZSpec, jet_at, scalar_powers
+from .germ import PolyGermMap, ZSpec, int_power, jet_at
 from .linmap import row_norms
 from .lojasiewicz import falls_like_inverse_nu
 from .report import Report
@@ -84,7 +84,7 @@ class BumpFunction:
         on |= d2a != 0.0
         S, s = S[on], s[on]
         outer = S[:, :, None] * S[:, None, :]
-        s1, s2, s3 = (v[:, None, None] for v in (s, scalar_powers(s, 2), scalar_powers(s, 3)))
+        s1, s2, s3 = (v[:, None, None] for v in (s, int_power(s, 2), int_power(s, 3)))
         hess[on] = (d2a[on, None, None] * outer / s2
                     + da[on, None, None] * (np.eye(n) / s1 - outer / s3))
         return a, grad, hess
@@ -141,7 +141,6 @@ class PerturbationF:
             raise InvalidInputError("sequence lengths disagree")
         self._values = f.eval_many(self.centers)[:, 0]
         self._grads = f.jacobian_many(self.centers)[:, 0, :]
-        self._d2 = scalar_powers(self.dists, 2)
 
     def many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """F, its gradient and its Hessian at the rows of X (shape (N, n)),
@@ -161,7 +160,7 @@ class PerturbationF:
         F, G, H = np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n))
         F[rows] = a * quad
         G[rows] = da * quad[:, None] + a[:, None] * dquad
-        H[rows] = (d2a / self._d2[ball, None, None] * quad[:, None, None]
+        H[rows] = (d2a / int_power(d, 2)[:, :, None] * quad[:, None, None]
                    + da[:, :, None] * dquad[:, None, :] + dquad[:, :, None] * da[:, None, :]
                    + (a * lam)[:, None, None] * np.eye(n))
         return F, G, H
@@ -235,7 +234,7 @@ def verify_construction(pf: PerturbationF, z: ZSpec, seed: int = 0) -> Construct
     dz = z.distance_many(X)
     keep = dz > 0.0
     ratio = np.zeros(len(X))  # |F| / dist^k >= 0, so 0 stands in for skipped rows
-    ratio[keep] = np.abs(pf.many(X[keep])[0]) / scalar_powers(dz[keep], k)
+    ratio[keep] = np.abs(pf.many(X[keep])[0]) / int_power(dz[keep], k)
     decay = ratio.reshape(len(centers), -1).max(axis=1).tolist()
     slow = [i for i in range(len(decay)) if not falls_like_inverse_nu(decay[:i + 1])]
     if slow:  # name the first ball that breaks the bound

@@ -226,10 +226,20 @@ class SampledZ(ZSpec):
         return inside[rng.integers(0, len(inside), size=count)]
 
 
+def int_power(x, p: int) -> np.ndarray:
+    """``x ** p`` entry by entry (integer p >= 0) with a PolyStack column's bits, no pow:
+    the left-to-right product of the squares x, x^2, x^4, ... the bits of p select."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)  # 1 * x is x, bit for bit
+    while p:
+        out, p = out * x if p & 1 else out, p >> 1
+        x = x * x if p else x
+    return out
+
+
 def scalar_powers(values, p: float) -> np.ndarray:
-    """``v ** p`` for each entry in Python float arithmetic (C ``pow``), which
-    NumPy's array ``**`` does not reproduce bit for bit for squares, cubes
-    and the fractional powers of RK45's step control."""
+    """``v ** p`` for each entry by Python's float ``pow``, which numpy's array
+    ``**`` does not reproduce: RK45's two fractional step-control powers."""
     return np.array([v ** p for v in np.asarray(values, dtype=float).tolist()])
 
 

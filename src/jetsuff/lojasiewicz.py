@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .germ import GermPair, ZSpec, scalar_powers
+from .germ import GermPair, ZSpec, int_power
 from .linmap import nu_many, row_norms
 from .report import Report, write_table
 from .sampling import unit_shell_sample
@@ -98,7 +98,7 @@ def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray):
     if not len(X):
         return None
     with np.errstate(all="ignore"):  # dist^(k-1) may underflow to 0; see _require_finite
-        r = v / scalar_powers(d, k - 1)
+        r = v / int_power(d, k - 1)
     i = int(np.argmin(r))
     return float(r[i]), X[i], float(v.min()), skipped
 
@@ -266,7 +266,7 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
             keep = (0.45 * d_arg <= d) & (d <= 2.0 * d_arg) & ~(d < DIST_FLOOR)
             rows, d = rows[keep], d[keep]
         if len(rows):
-            out[rows] = nu_many(f.jacobian_many(X[rows])) / scalar_powers(d, k - 1)
+            out[rows] = nu_many(f.jacobian_many(X[rows])) / int_power(d, k - 1)
         return out
 
     S, F, _ = _nelder_mead(objective, args)
@@ -320,7 +320,7 @@ def check_corollary_hypotheses(pair: GermPair, radii, samples_per_annulus: int,
         X, d, v = X[regular], d[regular], v[regular]
         skipped += dropped + len(regular) - len(X)
         C = min(C, (v / d).min(initial=np.inf))
-        C1 = max(C1, (row_norms(P.eval_many(X)) / scalar_powers(v, 2)).max(initial=0.0))
+        C1 = max(C1, (row_norms(P.eval_many(X)) / int_power(v, 2)).max(initial=0.0))
         dP = np.linalg.norm(P.jacobian_many(X), ord=2, axis=(1, 2))
         c2_annuli.append(float((dP / v).max(initial=0.0)))
     if C == np.inf:

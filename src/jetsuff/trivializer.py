@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
                      FieldBoundError, InvalidInputError)
-from .germ import GermPair, same_k_Z_jet, scalar_powers
+from .germ import GermPair, int_power, same_k_Z_jet, scalar_powers
 from .linmap import g_prime_many, minor_table, row_norms
 from .poly import PolyStack
 from .report import Report, write_table
@@ -176,7 +176,7 @@ def _p_bounds_check(P, z, X, C, k):
         d = z.distance_many(rows)
         far = ~(d < 1e-12)
         rows, d = rows[far], d[far]
-        dk, dk1 = scalar_powers(d, k), scalar_powers(d, k - 1)
+        dk, dk1 = int_power(d, k), int_power(d, k - 1)
         norm_P = row_norms(P.eval_many(rows))
         norm_dP = np.linalg.norm(P.jacobian_many(rows), ord=2, axis=(1, 2))
         bad = (norm_P > C / 3 * dk) | (norm_dP > C / 3 * dk1)
@@ -189,11 +189,11 @@ def _p_bounds_check(P, z, X, C, k):
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
     """C^2 ramp, entry by entry: 0 for s <= 1/2, 1 for s >= 1, quintic in
-    between, its powers in Python float arithmetic as for one point."""
+    between, its powers by ``int_power`` (each entry's bits as alone)."""
     out = np.where(s >= 1.0, 1.0, 0.0)
     mid = (s > 0.5) & (s < 1.0)
     u = 2.0 * (s[mid] - 0.5)
-    out[mid] = scalar_powers(u, 3) * (10.0 - 15.0 * u + 6.0 * scalar_powers(u, 2))
+    out[mid] = int_power(u, 3) * (10.0 - 15.0 * u + 6.0 * int_power(u, 2))
     return out
 
 
@@ -225,7 +225,7 @@ class VectorFieldW:
         d = self.z.distance_many(X)
         rows = np.flatnonzero(~(d <= 1e-14))  # W = 0 on Z
         P, A = self.F.P_and_d_x(xis[rows], X[rows])
-        thresh = c.C_prime * scalar_powers(d[rows], self.F.k - 1)
+        thresh = c.C_prime * int_power(d[rows], self.F.k - 1)
         finite = np.isfinite(A).all(axis=(1, 2))
         ok = finite & (thresh != 0.0)
         A[~finite], thresh[~ok] = 0.0, 1.0  # placeholders in failed rows

@@ -16,6 +16,11 @@ went through a ``LinearMap`` and ``nu`` at every Nelder-Mead evaluation.
 ``gaussian_directions_reference`` is the Gaussian map through scipy's
 ``ndtri``, which the standard library's AS241 quantile replaced; it is the
 one reference met within a stated ulp bound rather than bit for bit.
+``poly_eval_reference`` is the pow formula that ``PolyStack``'s repeated
+squares replaced; ``pow_formula_gap`` meets it within the two formulas'
+rounding bounds. The one-point oracles take polynomial values by
+``poly_eval_pointwise``, PolyStack's rule in Python floats, and integer
+powers by ``int_power``, so they still match the stacked code bit for bit.
 
 The ``*_reference`` functions are the one-point formulas that jetsuff used
 before every quantity got one stacked implementation (polynomial values,
@@ -24,6 +29,8 @@ stacked code must reproduce them bit for bit.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import optimize
@@ -36,7 +43,7 @@ from jetsuff.bl_construct import (GAP_REL, MAX_RETRIES, RHO_IN, RHO_OUT,
 from jetsuff.errors import (CalibrationError, ConstructionError, CoveringViolationError,
                             DomainExitError, FieldBoundError, InvalidInputError,
                             MinorIdentityError)
-from jetsuff.germ import SampledZ, scalar_powers
+from jetsuff.germ import SampledZ, int_power
 from jetsuff.linmap import LinearMap, g_prime, minor_table, nu
 from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
                                  ViolationSequence, _ratio_stats)
@@ -149,8 +156,8 @@ def calibrate_constants_scalar(pair, report, initial_radius: float = 1.0,
             d = z.distance(x)
             if d < 1e-12:
                 continue
-            if (np.linalg.norm(F.P.eval(x)) > C / 3 * d ** k or
-                    np.linalg.norm(F.P.jacobian(x).entries, ord=2) > C / 3 * d ** (k - 1)):
+            if (np.linalg.norm(F.P.eval(x)) > C / 3 * int_power(d, k) or
+                    np.linalg.norm(F.P.jacobian(x).entries, ord=2) > C / 3 * int_power(d, k - 1)):
                 ok = False
                 worst_point = x
                 break
@@ -170,7 +177,7 @@ def calibrate_constants_scalar(pair, report, initial_radius: float = 1.0,
             continue
         for xi in xis:
             d_x = LinearMap(F.f.jacobian(x).entries + xi * F.P.jacobian(x).entries)
-            C_prime = min(C_prime, g_prime(d_x) / d ** (k - 1))
+            C_prime = min(C_prime, g_prime(d_x) / int_power(d, k - 1))
     if not np.isfinite(C_prime) or C_prime <= 0:
         raise CalibrationError("minor ratio lower bound vanished on the sample")
     m, n = pair.f.m, pair.f.n
@@ -181,7 +188,8 @@ def calibrate_constants_scalar(pair, report, initial_radius: float = 1.0,
 
 
 def poly_eval_reference(p, x) -> float:
-    """p(x) from a power table of p's own terms and one ``@``."""
+    """p(x) by the pow formula PolyStack used before repeated squares: a
+    power table ``x ** E`` of p's own terms and one ``@``."""
     x = np.asarray(x, dtype=float)
     if not p.terms:
         return 0.0
@@ -190,12 +198,55 @@ def poly_eval_reference(p, x) -> float:
     return float(np.prod(x[None, :] ** exps, axis=1) @ coeffs)
 
 
+def poly_eval_pointwise(p, x) -> float:
+    """p(x) by PolyStack's rule in Python floats: each term the left-to-right
+    product of the repeated squares its exponent bits select (variable by
+    variable, lowest bit first) times its coefficient, summed from +0.0 in
+    term order."""
+    total = 0.0
+    for e, c in p.terms.items():
+        term = 1.0
+        for v, k in zip(np.asarray(x, dtype=float).tolist(), e):
+            while k:
+                if k & 1:
+                    term *= v
+                k >>= 1
+                v *= v
+        total += term * float(c)
+    return total
+
+
+def gamma(j: int) -> float:
+    """Higham's gamma_j = j u / (1 - j u), u = 2^-53."""
+    u = 2.0 ** -53
+    return j * u / (1 - j * u)
+
+
+def term_magnitude(p, x) -> float:
+    """sum_t |c_t m_t(x)|, in exact arithmetic rounded once."""
+    x = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    return float(sum(abs(Fraction(float(c)) * math.prod(v ** k for v, k in zip(x, e)))
+                     for e, c in p.terms.items()))
+
+
+def pow_formula_gap(p, x, got: float) -> bool:
+    """Whether PolyStack's ``got`` lies within both formulas' error bounds of
+    ``poly_eval_reference``: gamma_(M+T) for repeated squares (M the largest
+    total degree, T the term count) plus gamma_(3n+T) for the pow formula
+    (n pows within 1 ulp each, n - 1 products, the coefficient, the sum),
+    times sum_t |c_t m_t(x)|."""
+    M = max((sum(e) for e in p.terms), default=0)
+    T, n = len(p.terms), len(x)
+    bound = (gamma(M + T) + gamma(3 * n + T)) * term_magnitude(p, x)
+    return abs(got - poly_eval_reference(p, x)) <= bound
+
+
 def eval_reference(f, x) -> np.ndarray:
-    return np.array([poly_eval_reference(p, x) for p in f.components])
+    return np.array([poly_eval_pointwise(p, x) for p in f.components])
 
 
 def jacobian_reference(f, x) -> np.ndarray:
-    return np.array([[poly_eval_reference(d, x) for d in row] for row in f._partials])
+    return np.array([[poly_eval_pointwise(d, x) for d in row] for row in f._partials])
 
 
 def nu_reference(A) -> float:
@@ -255,7 +306,7 @@ def ratio_stats_reference(f, z, k, X):
             continue
         v = nu_reference(jacobian_reference(f, x))
         nu_min = min(nu_min, v)
-        r = v / d ** (k - 1)
+        r = v / int_power(d, k - 1)
         if r < best:
             best, arg = r, x
     if arg is None:
@@ -281,7 +332,7 @@ def corollary_reference(pair, radii, samples_per_annulus, seed):
                 skipped += 1
                 continue
             C = min(C, v / d)
-            C1 = max(C1, float(np.linalg.norm(eval_reference(P, x))) / v ** 2)
+            C1 = max(C1, float(np.linalg.norm(eval_reference(P, x)) / int_power(v, 2)))
             dP = float(np.linalg.norm(jacobian_reference(P, x), ord=2))
             c2_here = max(c2_here, dP / v)
         c2_annuli.append(c2_here)
@@ -318,7 +369,7 @@ def _smoothstep_reference(s: float) -> float:
     if s >= 1.0:
         return 1.0
     u = 2.0 * (s - 0.5)
-    return u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
+    return int_power(u, 3) * (10.0 - 15.0 * u + 6.0 * int_power(u, 2))
 
 
 def W_reference(vf, xi: float, x) -> np.ndarray:
@@ -335,7 +386,7 @@ def W_reference(vf, xi: float, x) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("entries must be finite")
     negP = -v[:F.m]
-    thresh = vf.constants.C_prime * d ** (F.k - 1)
+    thresh = vf.constants.C_prime * int_power(d, F.k - 1)
     cols, M_I, h_I, num = minor_table(A)
     b = negP.tolist()
     active = []  # (weight, field) per column set whose minor dominates
@@ -471,7 +522,7 @@ class BumpReference:
         if da == 0.0 and d2a == 0.0:
             return np.zeros((n, n))
         outer = np.outer(x, x)
-        return d2a * outer / s ** 2 + da * (np.eye(n) / s - outer / s ** 3)
+        return d2a * outer / int_power(s, 2) + da * (np.eye(n) / s - outer / int_power(s, 3))
 
 
 BUMP_REFERENCE = BumpReference()
@@ -562,7 +613,7 @@ class PerturbationReference:
         s, d, lam, quad, dquad = local
         a = BUMP_REFERENCE.value(s)
         da = BUMP_REFERENCE.gradient(s) / d
-        d2a = BUMP_REFERENCE.hessian(s) / d ** 2
+        d2a = BUMP_REFERENCE.hessian(s) / int_power(d, 2)
         return d2a * quad + np.outer(da, dquad) + np.outer(dquad, da) + a * lam * np.eye(self.n)
 
 
@@ -594,7 +645,7 @@ def verify_construction_reference(pf, z, seed: int = 0) -> ConstructionReport:
         dz = z.distance_many(X)
         X, dz = X[dz > 0.0], dz[dz > 0.0]
         F = np.array([abs(pf.value(x)) for x in X])
-        decay.append(float((F / scalar_powers(dz, k)).max(initial=0.0)))
+        decay.append(float((F / int_power(dz, k)).max(initial=0.0)))
     for i, v in enumerate(decay):  # a witness's decay falls at least like 1/nu
         if not v <= decay[0] / (i + 1) + 1e-15:
             failures.append(f"decay slower than 1/nu at ball {i}: {v:.3e} > {decay[0]:.3e}/{i + 1}")
@@ -619,7 +670,7 @@ def find_violation_sequence_reference(f, z, k: int, seed: int):
     def ratio(x, d):
         if d < DIST_FLOOR:
             return np.inf
-        return nu(f.jacobian(x)) / d ** (k - 1)
+        return nu(f.jacobian(x)) / int_power(d, k - 1)
 
     cands = []
     for j in range(SEARCH_DEPTH):

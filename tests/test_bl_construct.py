@@ -337,10 +337,10 @@ class TestStackedOracle:
         for i in range(2):
             assert same_bits(H[:, i], [hessian_reference(f, i, x) for x in X])
 
-    def test_dist_squares_are_scalar_powers(self):
-        # radii whose NumPy scalar square differs from the array square
+    def test_dist_squares_are_int_powers(self):
+        # radii whose Python pow square differs from the product d * d
         d = np.random.default_rng(5).uniform(0.02, 0.05, 20000)
-        d = d[np.array([v ** 2 for v in d]) != d ** 2][:3]
+        d = d[np.array([v ** 2 for v in d]) != d * d][:3]
         assert len(d) == 3
         centers = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         pf = PerturbationF(x2y2_germ(), centers, d, [0.01, 0.02, 0.03])

@@ -11,11 +11,11 @@ from hypothesis.extra.numpy import arrays
 from jetsuff import germ as germ_module
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import (AnalyticZ, GermPair, PolyGermMap, SampledZ, germ_from_json,
-                          jet_at, read_json, same_k_Z_jet, scalar_powers)
+                          int_power, jet_at, read_json, same_k_Z_jet, scalar_powers)
 from jetsuff.poly import Poly
 from jetsuff.sampling import unit_shell_sample
 from oracles import (axis_cloud, distance_reference, eval_reference, fd_jacobian,
-                     jacobian_reference)
+                     jacobian_reference, pow_formula_gap)
 
 
 def germ_x2(k=2):
@@ -107,8 +107,9 @@ class TestManyPoints:
     @settings(max_examples=100, deadline=None)
     @given(germs_with_points(5))
     def test_matches_pointwise(self, case):
-        # one power table and one dot product per row: a stack gives each
-        # row the bits of that row alone and of the per-point formula
+        # one squares table and one sum per row: a stack gives each row the
+        # bits of that row alone and of the per-point rule, and stays within
+        # rounding of the pow formula it replaced
         f, X = case
         J = f.jacobian_many(X)
         assert np.array_equal(J, np.stack([f.jacobian(x).entries for x in X]))
@@ -116,13 +117,18 @@ class TestManyPoints:
         values = f.eval_many(X)
         assert np.array_equal(values, np.stack([f.eval(x) for x in X]))
         assert np.array_equal(values, np.stack([eval_reference(f, x) for x in X]))
+        for x, v, Jx in zip(X, values, J):
+            assert all(pow_formula_gap(p, x, got) for p, got in zip(f.components, v))
+            assert all(pow_formula_gap(p, x, got) for row, got_row in zip(f._partials, Jx)
+                       for p, got in zip(row, got_row))
 
     def test_rejects_bad_shapes_and_nonfinite(self):
         with pytest.raises(InvalidInputError):
             germ_x2().jacobian_many([0.1, 0.2])
         with pytest.raises(InvalidInputError):
             germ_x2().eval_many(np.zeros((3, 3)))
-        with pytest.raises(InvalidInputError):
+        # (1e200)^2 overflows on purpose: the warning must not be silenced
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(InvalidInputError):
             germ([{(3, 0): 1}]).jacobian_many([[1e200, 0.0]])
 
 
@@ -374,12 +380,15 @@ class TestDistanceMany:
 
 
 def test_scalar_powers_are_python_float_powers():
-    # NumPy's array ** rounds some squares and cubes differently from
-    # Python's float ** (C pow); distance powers take the latter
+    # NumPy's array ** rounds some fractional powers differently from
+    # Python's float ** (C pow); RK45's step control takes the latter
     rng = np.random.default_rng(0)
     v = rng.uniform(0, 1, 20000) * 10.0 ** rng.uniform(-6, 1, 20000)
-    for p in (1, 2, 3, 4):
+    for p in (-1 / 5, 1 / 5):
         assert scalar_powers(v, p).tolist() == [x ** p for x in v.tolist()]
+    # integer powers are products of repeated squares, not pow
+    assert int_power(v, 3).tolist() == [x * (x * x) for x in v.tolist()]
+    assert int_power(v, 3).tolist() != [x ** 3 for x in v.tolist()]
 
 
 class TestJson:

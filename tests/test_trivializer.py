@@ -20,7 +20,7 @@ from jetsuff.trivializer import (RK45, DeformationF, IsotopyResult,
                                  flow_many, gronwall_check, isotopy)
 from oracles import (W_reference, calibrate_constants_scalar, eval_reference,
                      flow_reference, gronwall_reference, isotopy_reference,
-                     jacobian_reference, same_bits)
+                     jacobian_reference, pow_formula_gap, same_bits)
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -61,6 +61,8 @@ class TestBuildF:
             assert np.array_equal(P_x, eval_reference(F.P, x))
             assert np.array_equal(
                 A_x, jacobian_reference(F.f, x) + xi * jacobian_reference(F.P, x))
+            # within rounding of the pow formula the squares replaced
+            assert all(pow_formula_gap(p, x, v) for p, v in zip(F.P.components, P_x))
 
     def test_rejects_distinct_jets(self):
         bad = make_pair({(2, 1): Fraction(1)})  # x^2 y changes the 2-jet on Z
