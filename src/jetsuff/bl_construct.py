@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, InvalidInputError
-from .germ import PolyGermMap, ZSpec, int_power, jet_at
+from .germ import AnalyticZ, PolyGermMap, ZSpec, int_power, monomial_text
 from .linmap import row_norms
 from .lojasiewicz import falls_like_inverse_nu
 from .report import Report
@@ -180,8 +180,9 @@ def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
     dists = np.asarray(dists, dtype=float)
     if points.shape[0] < 3:
         raise InvalidInputError("need a prefix of at least 3 sequence points")
-    if any(p.terms for p in jet_at(f, (0.0,) * f.n, f.k - 1)):
-        raise InvalidInputError("the (k-1)-jet of f at 0 must vanish")
+    if w := AnalyticZ(f.n, "subspace", tuple(range(1, f.n + 1))).jet_witness(f, f.k - 1):
+        raise InvalidInputError("the (k-1)-jet of f at 0 must vanish; component "
+                                f"{w[0] + 1} has the term {monomial_text(w[1])}")
     for d0, d1 in zip(dists, dists[1:]):
         if not d1 < 0.5 * d0:
             raise InvalidInputError("sequence distances must at least halve")

@@ -133,8 +133,8 @@ def _cmd_trivialize(config: ExperimentConfig, outdir: Path, seq_path) -> int:
         _write_report(config, {"estimate": est.to_dict(),
                                "error": "condition does not hold"}, outdir)
         return EXIT_VIOLATION
+    F = trivializer.build_F(pair)  # a pair off the jet fails before calibration
     consts = trivializer.calibrate_constants(pair, est, seed=config.seed)
-    F = trivializer.build_F(pair, seed=config.seed)
     vf = trivializer.VectorFieldW(F, consts)
     grid = ball_sample(pair.f.n, 64, config.seed, radius=0.66 * consts.U_radius)
     result = trivializer.isotopy(vf, grid, tol=config.tol_ode)

@@ -1,12 +1,12 @@
 """Polynomial mapping germs (R^n, 0) -> (R^m, 0) and the singular set Z.
 
 Germs are lists of exact polynomials (see :mod:`jetsuff.poly`); Taylor
-truncation and differentiation are symbolic, so jet comparisons can be made
-exactly when coefficients are rational. The singular set is a
-:class:`ZSpec`, one of two classes (JSON ``variant`` in brackets):
+truncation and differentiation are symbolic, so jets are compared exactly.
+The singular set is a :class:`ZSpec`, one of two classes (JSON ``variant``
+in brackets), each with its own distance and jet-along-Z rule:
 
-* :class:`AnalyticZ` (``analytic``) -- closed-form distance (coordinate
-  subspaces and unions of coordinate hyperplanes);
+* :class:`AnalyticZ` (``analytic``) -- coordinate subspaces and unions of
+  coordinate hyperplanes, in closed form;
 * :class:`SampledZ` (``samples``) -- a point cloud; a k-d tree picks each
   point's few nearest candidates, and their numpy norms give the distance,
   the same bits as a scan over the whole cloud.
@@ -25,7 +25,6 @@ from .linmap import LinearMap, row_norms
 from .poly import Poly, PolyStack
 
 MEMBERSHIP_TOL = 1e-12
-JET_SAMPLES, JET_TOL = 32, 1e-12  # same_k_Z_jet: Z points drawn, coefficient budget
 
 
 def _point(x, n: int) -> np.ndarray:
@@ -113,7 +112,9 @@ CANDIDATES, TIE_REL = 4, 1e-9  # SampledZ.distance_many: tree candidates, tie ba
 class ZSpec:
     """Z, a closed set in R^n containing 0. Each subclass gives
     ``distance_many`` on the rows of an (N, n) array; ``distance`` is a
-    one-row call into it, so a point gets the same bits alone and among N."""
+    one-row call into it, so a point gets the same bits alone and among N.
+    ``jet_witness(P, k)`` is None when the k-jet of P vanishes along Z, else
+    the first witness against it."""
 
     def distance_many(self, X) -> np.ndarray:
         raise NotImplementedError
@@ -153,17 +154,17 @@ class AnalyticZ(ZSpec):
             return row_norms(S)
         return np.abs(S).min(axis=1)
 
-    def sample_points(self, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
-        """Deterministic sample of points on Z inside the ball of ``radius``."""
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-radius, radius, size=(count, self.n))
-        pts *= radius / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), radius)
-        if self.form == "subspace":
-            pts[:, self._cols] = 0.0
-        else:
-            which = self._cols[rng.integers(0, len(self._cols), size=count)]
-            pts[np.arange(count), which] = 0.0
-        return pts
+    def jet_witness(self, P: PolyGermMap, k: int):
+        """Membership of P in the ideal of germs flat to order k along Z, term
+        by term: (x_Z)^(k+1) for a subspace (the listed exponents sum to k + 1
+        or more), (prod x_i)^(k+1) for a union (each reaches k + 1). None, or
+        (component, exponents): the first component's least term outside."""
+        need = sum if self.form == "subspace" else min
+        for i, p in enumerate(P.components):
+            outside = [e for e in p.terms if need(e[c - 1] for c in self.coords) <= k]
+            if outside:
+                return i, min(outside)
+        return None
 
 
 @dataclass(frozen=True)
@@ -217,13 +218,13 @@ class SampledZ(ZSpec):
             out[i] = np.linalg.norm(self.points - X[i], axis=1).min()
         return out
 
-    def sample_points(self, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
-        """Deterministic sample of cloud points inside the ball of ``radius``."""
-        rng = np.random.default_rng(seed)
-        inside = self.points[np.linalg.norm(self.points, axis=1) <= radius]
-        if len(inside) == 0:
-            raise InvalidInputError("no cloud points inside the requested ball")
-        return inside[rng.integers(0, len(inside), size=count)]
+    def jet_witness(self, P: PolyGermMap, k: int):
+        """The first cloud point a, |a| <= 1, where the exact k-jet of P has a
+        term, as a tuple, or None; Z between and beyond these goes unchecked."""
+        for a in self.points[np.linalg.norm(self.points, axis=1) <= 1].tolist():
+            if any(p.terms for p in jet_at(P, a, k)):
+                return tuple(a)
+        return None
 
 
 def int_power(x, p: int) -> np.ndarray:
@@ -262,19 +263,17 @@ class GermPair:
         return self.f1 - self.f
 
 
-def same_k_Z_jet(pair: GermPair, seed: int = 0) -> tuple[bool, float]:
-    """Check that f and f1 have equal k-jets at a deterministic sample of
-    JET_SAMPLES points of Z in the unit ball. Returns (verdict, worst
-    coefficient residual), the verdict being worst <= JET_TOL.
-    """
-    k = pair.f.k
-    worst = 0.0
-    for a in pair.z.sample_points(JET_SAMPLES, seed):
-        for p, q in zip(jet_at(pair.f, a, k), jet_at(pair.f1, a, k)):
-            d = p - q
-            for c in d.terms.values():
-                worst = max(worst, abs(float(c)))
-    return worst <= JET_TOL, worst
+def same_k_Z_jet(pair: GermPair) -> tuple[bool, object]:
+    """Whether f and f1 have equal k-jets along Z, and the witness against
+    it from ``pair.z.jet_witness`` on P = f1 - f (None when they do)."""
+    witness = pair.z.jet_witness(pair.P, pair.f.k)
+    return witness is None, witness
+
+
+def monomial_text(e) -> str:
+    """Exponents ``e`` as ``x1^2 x2``: variables 1-based, no x^0 or ^1."""
+    return " ".join(f"x{i + 1}" + (f"^{p}" if p > 1 else "")
+                    for i, p in enumerate(e) if p) or "1"
 
 
 # --------------------------------------------------------------------- JSON input
@@ -324,7 +323,8 @@ def germ_from_json(doc: dict) -> tuple[PolyGermMap, ZSpec | None]:
                 c = t["coeff"]
                 poly_terms[e] = (Fraction(c) if isinstance(c, str)
                                  else float(_json_scalar(c, "non-string coefficients", "numbers")))
-                float(poly_terms[e])  # PolyStack takes every coefficient as a float
+                if not np.isfinite(float(poly_terms[e])):  # PolyStack takes each as a float
+                    raise ValueError(f"coefficients must be finite, got {c!r}")
             comps.append(Poly(n, poly_terms))
     except (OverflowError, ZeroDivisionError):  # "1/0", or a float() beyond its range
         raise InvalidInputError("malformed germ document: coefficient beyond the float range") from None

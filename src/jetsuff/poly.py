@@ -112,23 +112,18 @@ class Poly:
     def shifted(self, a) -> "Poly":
         """Return q with q(u) = p(a + u), expanded exactly.
 
-        Float entries of ``a`` are converted to Fraction exactly, so the
-        shift itself introduces no rounding when coefficients are rational.
+        Float entries of ``a`` and float coefficients are converted to
+        Fraction exactly, so the shift introduces no rounding.
         """
-        a = [Fraction(x) if not isinstance(x, Fraction) else x for x in a]
+        a = [Fraction(x) for x in a]
         out = Poly.zero(self.n)
         for e, c in self.terms.items():
-            term = Poly.constant(self.n, c)
+            term = Poly.constant(self.n, Fraction(c))
             for i, ei in enumerate(e):
-                if ei == 0:
-                    continue
-                # (a_i + u_i)^ei by binomial expansion
-                fac = Poly(self.n, {
-                    tuple(j if v == i else 0 for v in range(self.n)):
-                        Fraction(math.comb(ei, j)) * a[i] ** (ei - j)
-                    for j in range(ei + 1)
-                })
-                term = term * fac
+                if ei:  # times (a_i + u_i)^ei, by binomial expansion
+                    term = term * Poly(self.n, {(0,) * i + (j,) + (0,) * (self.n - i - 1):
+                                                math.comb(ei, j) * a[i] ** (ei - j)
+                                                for j in range(ei + 1)})
             out = out + term
         return out
 

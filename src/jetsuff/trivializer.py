@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
                      FieldBoundError, InvalidInputError)
-from .germ import GermPair, int_power, same_k_Z_jet, scalar_powers
+from .germ import GermPair, SampledZ, int_power, monomial_text, same_k_Z_jet, scalar_powers
 from .linmap import g_prime_many, minor_table, row_norms
 from .poly import PolyStack
 from .report import Report, write_table
@@ -111,11 +111,13 @@ class DeformationF:
 
 def build_F(pair: GermPair, seed: int = 0) -> DeformationF:
     """The deformation of ``pair``, once f and f1 are checked to share
-    their k-jets along Z."""
-    ok, worst = same_k_Z_jet(pair, seed=seed)
+    their k-jets along Z. ``seed`` is unused: the check draws nothing."""
+    ok, witness = same_k_Z_jet(pair)
     if not ok:
-        raise InvalidInputError(
-            f"pair is not a common k-Z-jet (worst residual {worst:.3e})")
+        where = (f"a nonzero k-jet at the cloud point {list(witness)}"
+                 if isinstance(pair.z, SampledZ) else
+                 f"the term {monomial_text(witness[1])} in component {witness[0] + 1}")
+        raise InvalidInputError(f"pair is not a common k-Z-jet: f1 - f has {where}")
     return DeformationF(pair)
 
 

@@ -18,7 +18,10 @@ went through a ``LinearMap`` and ``nu`` at every Nelder-Mead evaluation.
 one reference met within a stated ulp bound rather than bit for bit.
 ``poly_eval_reference`` is the pow formula that ``PolyStack``'s repeated
 squares replaced; ``pow_formula_gap`` meets it within the two formulas'
-rounding bounds. The one-point oracles take polynomial values by
+rounding bounds. ``same_k_Z_jet_reference`` is the sampled jet check that
+``ZSpec.jet_witness`` replaced: it shifts f and f1 to ``sample_points`` of Z
+and calls their jets equal when every float coefficient of the difference
+is within JET_TOL. The one-point oracles take polynomial values by
 ``poly_eval_pointwise``, PolyStack's rule in Python floats, and integer
 powers by ``int_power``, so they still match the stacked code bit for bit.
 
@@ -43,7 +46,7 @@ from jetsuff.bl_construct import (GAP_REL, MAX_RETRIES, RHO_IN, RHO_OUT,
 from jetsuff.errors import (CalibrationError, ConstructionError, CoveringViolationError,
                             DomainExitError, FieldBoundError, InvalidInputError,
                             MinorIdentityError)
-from jetsuff.germ import SampledZ, int_power
+from jetsuff.germ import SampledZ, int_power, jet_at
 from jetsuff.linmap import LinearMap, g_prime, minor_table, nu
 from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
                                  ViolationSequence, _ratio_stats)
@@ -285,6 +288,43 @@ def distance_reference(z, x) -> float:
     if z.form == "subspace":
         return float(np.linalg.norm(x[sel]))
     return float(np.min(np.abs(x[sel])))
+
+
+JET_SAMPLES, JET_TOL = 32, 1e-12  # same_k_Z_jet_reference: Z points drawn, coefficient budget
+
+
+def sample_points(z, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
+    """Deterministic sample of points on an AnalyticZ, or of cloud points of
+    a SampledZ, inside the ball of ``radius``."""
+    rng = np.random.default_rng(seed)
+    if isinstance(z, SampledZ):
+        inside = z.points[np.linalg.norm(z.points, axis=1) <= radius]
+        if len(inside) == 0:
+            raise InvalidInputError("no cloud points inside the requested ball")
+        return inside[rng.integers(0, len(inside), size=count)]
+    pts = rng.uniform(-radius, radius, size=(count, z.n))
+    pts *= radius / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), radius)
+    if z.form == "subspace":
+        pts[:, z._cols] = 0.0
+    else:
+        which = z._cols[rng.integers(0, len(z._cols), size=count)]
+        pts[np.arange(count), which] = 0.0
+    return pts
+
+
+def same_k_Z_jet_reference(pair, seed: int = 0) -> tuple[bool, float]:
+    """Check that f and f1 have equal k-jets at a deterministic sample of
+    JET_SAMPLES points of Z in the unit ball. Returns (verdict, worst
+    coefficient residual), the verdict being worst <= JET_TOL.
+    """
+    k = pair.f.k
+    worst = 0.0
+    for a in sample_points(pair.z, JET_SAMPLES, seed):
+        for p, q in zip(jet_at(pair.f, a, k), jet_at(pair.f1, a, k)):
+            d = p - q
+            for c in d.terms.values():
+                worst = max(worst, abs(float(c)))
+    return worst <= JET_TOL, worst
 
 
 def axis_cloud() -> np.ndarray:

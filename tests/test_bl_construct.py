@@ -183,6 +183,14 @@ class TestAssembly:
         with pytest.raises(InvalidInputError):
             assemble_F(f, pts, dists, [0.1] * 5)
 
+    def test_nonvanishing_jet_names_its_term(self):
+        # f = (x1^3, x2) at k = 2: the second component's 1-jet is x2
+        f = PolyGermMap(2, 2, 2, [Poly(2, {(3, 0): 1}), Poly(2, {(0, 1): 1})])
+        pts, dists = diagonal_sequence()
+        with pytest.raises(InvalidInputError, match=r"^the \(k-1\)-jet of f at 0 must vanish; "
+                                                    r"component 2 has the term x2$"):
+            assemble_F(f, pts, dists, [0.1] * 5)
+
 
 class TestVerification:
     def test_full_construction_passes(self):

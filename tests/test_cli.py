@@ -112,6 +112,27 @@ class TestExitCodes:
         assert run_cli("--germ", bad, "--cmd", "check", "--out", tmp_path) == 1
         assert capsys.readouterr().err == f"error: {bad}: invalid JSON at line 1\n"
 
+    def test_pair_off_the_jet_refused(self, tmp_path, capsys):
+        # f1 = x1^2 + 10^-13 x2 takes negative values where f = x1^2 does not;
+        # a 1e-12 budget on sampled jets certified it with exit 0
+        f1 = json.loads((GERMS / "x2.json").read_text())
+        f1["components"][0].append({"coeff": "1/10000000000000", "exponents": [0, 1]})
+        (tmp_path / "f1.json").write_text(json.dumps(f1))
+        assert run_cli("--germ", GERMS / "x2.json", "--pair", tmp_path / "f1.json",
+                       "--cmd", "trivialize", "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "error: pair is not a common k-Z-jet: f1 - f has the term x2 in component 1\n")
+
+    def test_pair_checked_before_calibration(self, tmp_path, capsys, monkeypatch):
+        # P = x1 used to cost a full calibration, then fail on the P bounds
+        def uncalled(*args, **kwargs):
+            raise AssertionError("calibrated a pair off the jet")
+        monkeypatch.setattr(trivializer, "calibrate_constants", uncalled)
+        assert run_cli("--germ", GERMS / "x2.json", "--pair", GERMS / "x2_plus_x.json",
+                       "--cmd", "trivialize", "--out", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: pair is not a common k-Z-jet: f1 - f has the term x1 in component 1\n")
+
     def test_missing_pair(self, tmp_path):
         assert run_cli("--germ", GERMS / "x2.json", "--cmd", "corollary",
                        "--out", tmp_path) == 1
@@ -242,6 +263,9 @@ class TestExitCodeTaxonomy:
         ("coeff", "1e400", "coefficient beyond the float range"),
         ("coeff", "1/0", "coefficient beyond the float range"),
         ("exponents", [2 ** 63, 0], f"bad exponent tuple ({2 ** 63}, 0) for n=2"),
+        # JSON's NaN and Infinity: the exact jet check has no Fraction for them
+        ("coeff", float("nan"), "coefficients must be finite, got nan"),
+        ("coeff", float("-inf"), "coefficients must be finite, got -inf"),
     ])
     def test_germ_numbers_beyond_range(self, tmp_path, capsys, field, value, message):
         # each used to end in an OverflowError (ZeroDivisionError) traceback

@@ -11,11 +11,13 @@ from hypothesis.extra.numpy import arrays
 from jetsuff import germ as germ_module
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import (AnalyticZ, GermPair, PolyGermMap, SampledZ, germ_from_json,
-                          int_power, jet_at, read_json, same_k_Z_jet, scalar_powers)
+                          int_power, jet_at, monomial_text, read_json, same_k_Z_jet,
+                          scalar_powers)
 from jetsuff.poly import Poly
 from jetsuff.sampling import unit_shell_sample
 from oracles import (axis_cloud, distance_reference, eval_reference, fd_jacobian,
-                     jacobian_reference, pow_formula_gap)
+                     jacobian_reference, pow_formula_gap, same_k_Z_jet_reference,
+                     sample_points)
 
 
 def germ_x2(k=2):
@@ -158,18 +160,18 @@ class TestJets:
 class TestSameJet:
     def test_cube_difference_passes(self):
         pair = GermPair(f=germ_x2(), f1=germ([{(2, 0): 1, (3, 0): 1}]), z=Z_HYP)
-        ok, worst = same_k_Z_jet(pair)
-        assert ok and worst == 0.0
+        ok, witness = same_k_Z_jet(pair)
+        assert ok and witness is None
 
     def test_x2y_difference_fails(self):
         pair = GermPair(f=germ_x2(), f1=germ([{(2, 0): 1, (2, 1): 1}]), z=Z_HYP)
-        ok, worst = same_k_Z_jet(pair)
-        assert not ok and worst > 0
+        ok, witness = same_k_Z_jet(pair)
+        assert not ok and witness == (0, (2, 1))
 
     def test_reflexive(self):
         pair = GermPair(f=germ_x2(), f1=germ_x2(), z=Z_HYP)
-        ok, worst = same_k_Z_jet(pair)
-        assert ok and worst == 0.0
+        ok, witness = same_k_Z_jet(pair)
+        assert ok and witness is None
 
     def test_symmetric_and_transitive_on_sample_germs(self):
         f = germ_x2()
@@ -179,6 +181,106 @@ class TestSameJet:
             ok_ab, _ = same_k_Z_jet(GermPair(f=a, f1=b, z=Z_HYP))
             ok_ba, _ = same_k_Z_jet(GermPair(f=b, f1=a, z=Z_HYP))
             assert ok_ab and ok_ba
+
+    def test_tiny_difference_off_the_jet_fails(self):
+        # 10^-13 x2 does not vanish on Z; the sampled check with its 1e-12
+        # budget called these jets equal
+        f1 = germ([{(2, 0): 1, (0, 1): Fraction(1, 10 ** 13)}])
+        assert same_k_Z_jet(GermPair(f=germ_x2(), f1=f1, z=Z_HYP)) == (False, (0, (0, 1)))
+
+    def test_cloud_checked_at_its_points(self):
+        z = SampledZ(n=2, points=axis_cloud())  # the x2 axis, origin first
+        assert same_k_Z_jet(GermPair(f=germ_x2(), f1=germ([{(2, 0): 1, (3, 0): 1}]),
+                                     z=z)) == (True, None)
+        for c in (Fraction(1, 10 ** 13), 1e-13):
+            f1 = germ([{(2, 0): 1, (0, 1): c}])
+            assert same_k_Z_jet(GermPair(f=germ_x2(), f1=f1, z=z)) == (False, (0.0, 0.0))
+
+    def test_monomial_text(self):
+        assert monomial_text((2, 1, 0)) == "x1^2 x2"
+        assert monomial_text((0, 0, 7)) == "x3^7"
+        assert monomial_text((0, 0)) == "1"
+
+
+def _spread(draw, e, variables, total):
+    """Add ``total`` to the exponents ``e`` one at a time, at drawn variables."""
+    for _ in range(total):
+        e[draw(st.sampled_from(variables))] += 1
+
+
+@st.composite
+def _monomial(draw, n, form, cols, k, inside):
+    """Exponents of total degree 1 to 6 inside (or outside) the ideal of germs
+    flat to order k along the AnalyticZ over the 0-based ``cols``, by
+    construction: inside, a subspace's listed exponents sum to k + 1 or more
+    and a union's each reach k + 1; outside, they sum to k at most, or one
+    listed exponent stays at k at most."""
+    e = [0] * n
+    if form == "subspace":
+        free = [i for i in range(n) if i not in cols]
+        s = draw(st.integers(k + 1, 6) if inside else st.integers(0 if free else 1, k))
+        _spread(draw, e, cols, s)
+        if free:
+            _spread(draw, e, free if not inside else list(range(n)),
+                    draw(st.integers(0 if s else 1, 6 - s)))
+    elif inside:
+        for c in cols:
+            e[c] = k + 1
+        _spread(draw, e, list(range(n)), draw(st.integers(0, 6 - sum(e))))
+    else:
+        low = draw(st.sampled_from(cols))
+        others = [i for i in range(n) if i != low]
+        e[low] = draw(st.integers(0 if others else 1, k))
+        if others:
+            _spread(draw, e, others, draw(st.integers(0 if e[low] else 1, 6 - e[low])))
+    return tuple(e)
+
+
+_COEFFS = st.one_of(
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool), st.integers(1, 10 ** 6)),
+    st.floats(-1e3, 1e3).filter(bool))
+
+
+@st.composite
+def _flat_or_not(draw):
+    """(Z, k, components, witness): components built from monomials drawn
+    inside or outside the ideal, and the witness that construction implies,
+    the least outside exponents of the first component that has any."""
+    n = draw(st.integers(1, 4))
+    form = draw(st.sampled_from(["subspace", "union_hyperplanes"]))
+    coords = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1))))
+    k = draw(st.integers(1, 4))
+    cols = [c - 1 for c in coords]
+    can_be_inside = form == "subspace" or (k + 1) * len(cols) <= 6
+    comps, witness = [], None
+    for i in range(draw(st.integers(1, min(n, 2)))):
+        terms, outside = {}, []
+        for _ in range(draw(st.integers(0, 3))):
+            inside = can_be_inside and draw(st.booleans())
+            e = draw(_monomial(n, form, cols, k, inside))
+            terms[e] = draw(_COEFFS)
+            if not inside:
+                outside.append(e)
+        if outside and witness is None:
+            witness = (i, min(outside))
+        comps.append(Poly(n, terms))
+    return AnalyticZ(n=n, form=form, coords=coords), k, comps, witness
+
+
+class TestIdealMembership:
+    @settings(max_examples=80, deadline=None)
+    @given(_flat_or_not())
+    def test_verdict_and_witness_by_construction(self, case):
+        z, k, comps, witness = case
+        n, m = z.n, len(comps)
+        assert z.jet_witness(PolyGermMap(n, m, max(k, 2), comps), k) == witness
+        if k < 2:  # a germ's order exceeds 1
+            return
+        pair = GermPair(f=PolyGermMap(n, m, k, [Poly.zero(n)] * m),
+                        f1=PolyGermMap(n, m, k, comps), z=z)
+        assert same_k_Z_jet(pair) == (witness is None, witness)
+        if all(abs(c) >= 1e-6 for p in comps for c in p.terms.values()):
+            assert same_k_Z_jet_reference(pair)[0] == (witness is None)
 
 
 class TestDistance:
@@ -202,7 +304,7 @@ class TestDistance:
     def test_hyperplane_union_uses_only_listed_coords(self):
         z = AnalyticZ(n=2, form="union_hyperplanes", coords=(1,))
         assert z.distance([0.3, 0.1]) == 0.3
-        pts = z.sample_points(16, 0)
+        pts = sample_points(z, 16, 0)
         assert np.all(pts[:, 0] == 0.0) and np.all(pts[:, 1] != 0.0)
 
 

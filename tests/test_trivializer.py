@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from jetsuff.errors import (CalibrationError, CoveringViolationError, DomainExitError,
                             FieldBoundError, InvalidInputError)
-from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, load_germ
+from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
 from jetsuff.linmap import row_norms
 from jetsuff.lojasiewicz import estimate_condition
 from jetsuff.poly import Poly
@@ -67,6 +67,16 @@ class TestBuildF:
     def test_rejects_distinct_jets(self):
         bad = make_pair({(2, 1): Fraction(1)})  # x^2 y changes the 2-jet on Z
         with pytest.raises(InvalidInputError):
+            build_F(bad)
+
+    def test_rejection_names_the_cloud_point(self):
+        bad = make_pair({(0, 1): 1e-13})
+        # the first cloud point in the unit ball; (0, 2) lies outside it
+        z = SampledZ(n=2, points=[[0.0, 2.0], [0.0, 0.5], [0.0, 0.0]])
+        bad = GermPair(f=bad.f, f1=bad.f1, z=z)
+        with pytest.raises(InvalidInputError, match=r"^pair is not a common k-Z-jet: f1 - f "
+                                                    r"has a nonzero k-jet at the cloud point "
+                                                    r"\[0.0, 0.5\]$"):
             build_F(bad)
 
 
