@@ -7,9 +7,10 @@ in brackets), each with its own distance and jet-along-Z rule:
 
 * :class:`AnalyticZ` (``analytic``) -- coordinate subspaces and unions of
   coordinate hyperplanes, in closed form;
-* :class:`SampledZ` (``samples``) -- a point cloud; a k-d tree picks each
-  point's few nearest candidates, and their numpy norms give the distance,
-  the same bits as a scan over the whole cloud.
+* :class:`SampledZ` (``samples``) -- a point cloud, packed into leaves of
+  points and groups of leaves with their bounding boxes; a two-level box
+  screen leaves each query point a few leaves to scan, and the distance has
+  the bits of numpy's norms over the whole cloud.
 """
 
 from __future__ import annotations
@@ -106,7 +107,32 @@ def jet_at(f: PolyGermMap, a, k: int) -> tuple[Poly, ...]:
 
 # --------------------------------------------------------------------- ZSpec
 
-CANDIDATES, TIE_REL = 4, 1e-9  # SampledZ.distance_many: tree candidates, tie band
+LEAF, LEAVES, TIE_REL = 24, 8, 1e-9  # SampledZ: points per leaf, leaves per group, tie band
+EXACT_SUM_DIMS = 7  # up to here numpy's row sum adds left to right
+
+
+def _sum_sq(parts) -> np.ndarray:
+    """Left-to-right sum of squares over the first (coordinate) axis,
+    computed in the space of ``parts``, which it overwrites."""
+    parts *= parts
+    total = parts[0]
+    for p in parts[1:]:
+        total += p
+    return total
+
+
+def _box_sq(T, lo, hi) -> np.ndarray:
+    """_sum_sq of the gaps from points ``T`` to boxes [lo, hi], coordinates first."""
+    gaps = lo - T
+    np.maximum(gaps, T - hi, out=gaps)
+    return _sum_sq(np.maximum(gaps, 0.0, out=gaps))
+
+
+def _scatter_min(out, rows, values) -> None:
+    """out[r] = min(out[r], values over the run of r), for sorted ``rows``."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    hit = rows[starts]
+    out[hit] = np.minimum(out[hit], np.minimum.reduceat(values, starts))
 
 
 class ZSpec:
@@ -182,41 +208,94 @@ class SampledZ(ZSpec):
             raise InvalidInputError("sample cloud points must be finite")
         object.__setattr__(self, "points", pts)
         # 0 in Z is required; the cloud must witness it
-        if float(np.min(np.linalg.norm(pts, axis=1))) > MEMBERSHIP_TOL:
+        if not len(pts) or float(np.min(np.linalg.norm(pts, axis=1))) > MEMBERSHIP_TOL:
             raise InvalidInputError("sample cloud must contain the origin")
-        from scipy.spatial import cKDTree  # only a sampled Z pays for its import
-        object.__setattr__(self, "_tree", cKDTree(pts))
+        # sort-tile packing: groups of LEAVES * LEAF points along the cloud's
+        # widest coordinate, then leaves of LEAF along each group's widest;
+        # copies of the last point fill the last group. Coordinates come
+        # first, and the leaves of a gather last, next to the query rows.
+        cols = pts.T.copy()
+        size = LEAVES * LEAF
+        order = np.argsort(cols[np.argmax(cols.max(axis=1) - cols.min(axis=1))])
+        order = np.concatenate([order, np.full(-len(pts) % size, order[-1])])
+        spans = np.take(cols, order.reshape(-1, size), axis=1)  # (n, group, size)
+        wide = np.argmax(spans.max(axis=2) - spans.min(axis=2), axis=0)
+        across = np.arange(len(wide))
+        tiles = np.argsort(spans[wide, across], axis=1) + size * across[:, None]
+        tiles = np.take(order, tiles).reshape(-1, LEAVES, LEAF)  # (group, LEAVES, LEAF)
+        leaves = np.take(cols, tiles.T, axis=1)  # (n, LEAF, LEAVES, group)
+        lo, hi = leaves.min(axis=1), leaves.max(axis=1)
+        object.__setattr__(self, "_leaves", leaves.reshape(self.n, LEAF, -1))  # leaf b * G + g
+        object.__setattr__(self, "_group_box", (lo.min(axis=1)[..., None], hi.max(axis=1)[..., None]))
+        object.__setattr__(self, "_leaf_box", (lo, hi))
 
     def distance_many(self, X) -> np.ndarray:
         """min over the cloud of ``np.linalg.norm(p - x)`` for each row x,
         the bits of a scan over every cloud point.
 
-        The tree only picks candidates; the values are numpy's. The tree's
-        distance t(p) and numpy's |p - x| square the same differences and
-        differ only in the order of summation, so they agree to a few ulps,
-        far inside TIE_REL. The minimizer p* has |p* - x| at most the
-        nearest candidate's norm, hence t(p*) <= (1 + TIE_REL) t0, t0 being
-        the tree's nearest distance. So p* is among the CANDIDATES nearest
-        points unless the last of them lies within (1 + TIE_REL) t0 as well;
-        such near-tie rows, and rows whose squares overflow for a
-        candidate, are scanned over the whole cloud. A row with an inf or
-        nan entry is inf or nan from every cloud point, so any candidates
-        serve; the tree, which rejects such rows, picks them for zeros.
+        Every comparison is on s(p), the left-to-right sum over coordinates
+        of fl(p_i - x_i)^2, and on b(Q), the same sum over the gaps from x to
+        a box Q, each 0 where x_i lies within Q's range. The gap is at most
+        |fl(p_i - x_i)| for every p in Q, and rounding is monotone, so
+        b(Q) <= s(p) bit for bit. The group with the least b, and its leaf
+        with the least b, give u, the least s over that leaf's points. A
+        point with s(p) <= u (1 + TIE_REL) thus lies in a group and a leaf
+        whose b pass that band, and every such leaf is scanned; so is the
+        minimizer of s. Up to EXACT_SUM_DIMS coordinates s(p) is the sum
+        numpy's norm takes, and the root of the least s is the distance.
+        Beyond, numpy sums in another order, a few ulps from s, far inside
+        TIE_REL: the norm's minimizer is among the scanned points within
+        (1 + TIE_REL) of the least s, and numpy's norms of those give the
+        distance. Copies padding the last group change no minimum. A row
+        with an inf or nan entry, or whose u is not finite (its squares
+        overflow), is scanned over the whole cloud.
         """
         X = _rows(X, self.n)
-        count = len(self.points)
-        k = min(CANDIDATES, count)
-        t, idx = self._tree.query(np.where(np.isfinite(X), X, 0.0),
-                                  k=list(range(1, k + 1)))
-        # a candidate past the float range comes back as index `count`
-        gaps = self.points[np.minimum(idx, count - 1)] - X[:, None, :]
-        out = np.linalg.norm(gaps, axis=2).min(axis=1)
-        scan = ~(t[:, -1] < np.inf)
-        if k < count:
-            scan |= t[:, -1] <= (1 + TIE_REL) * t[:, 0]
-        for i in np.flatnonzero(scan).tolist():
+        T = X.T.copy()
+        finite = np.isfinite(T).all(axis=0)
+        T[:, ~finite] = 0.0
+        T = T[:, None]  # (n, 1, N)
+        (glo, ghi), (llo, lhi) = self._group_box, self._leaf_box
+        G = glo.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            group_sq = _box_sq(T, glo, ghi)  # (G, N)
+            g = group_sq.argmin(axis=0)
+            leaf_sq = _box_sq(T, np.take(llo, g, axis=2), np.take(lhi, g, axis=2))
+            best = leaf_sq.argmin(axis=0) * G + g
+            scans = [(np.arange(len(X)), best, self._scan(T, best))]
+            least = scans[0][2].min(axis=0)  # u
+            band = np.where(finite & (least < np.inf), least * (1 + TIE_REL), np.nan)
+            # the other leaves of each row's group, then the leaves of its other groups
+            rows, b = np.nonzero((leaf_sq <= band).T)
+            leaves = b * G + g[rows]
+            keep = leaves != best[rows]
+            pairs = [(rows[keep], leaves[keep])]
+            rows, h = np.nonzero((group_sq <= band).T)
+            keep = h != g[rows]
+            rows, h = rows[keep], h[keep]
+            sq = _box_sq(np.take(T, rows, axis=2), np.take(llo, h, axis=2), np.take(lhi, h, axis=2))
+            k, b = np.nonzero((sq <= band[rows]).T)
+            pairs.append((rows[k], b * G + h[k]))
+            scans += [(r, l, self._scan(np.take(T, r, axis=2), l)) for r, l in pairs]
+        for rows, _, sq in scans[1:]:
+            _scatter_min(least, rows, sq.min(axis=0))
+        if self.n <= EXACT_SUM_DIMS:
+            out = np.sqrt(least)
+        else:
+            near, out = least * (1 + TIE_REL), np.full(len(X), np.inf)
+            for rows, leaves, sq in scans:
+                k, slot = np.nonzero((sq <= near[rows]).T)
+                gaps = np.ascontiguousarray(self._leaves[:, slot, leaves[k]].T) - X[rows[k]]
+                _scatter_min(out, rows[k], np.linalg.norm(gaps, axis=1))
+        for i in np.flatnonzero(np.isnan(band)).tolist():
             out[i] = np.linalg.norm(self.points - X[i], axis=1).min()
         return out
+
+    def _scan(self, T, leaves) -> np.ndarray:
+        """_sum_sq from each point of ``T`` (n, 1, K) to each point of its leaf, (LEAF, K)."""
+        gaps = np.take(self._leaves, leaves, axis=2)  # contiguous, unlike [..., leaves]
+        gaps -= T
+        return _sum_sq(gaps)
 
     def jet_witness(self, P: PolyGermMap, k: int):
         """The first cloud point a, |a| <= 1, where the exact k-jet of P has a

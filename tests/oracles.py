@@ -237,10 +237,16 @@ def pow_formula_gap(p, x, got: float) -> bool:
     ``poly_eval_reference``: gamma_(M+T) for repeated squares (M the largest
     total degree, T the term count) plus gamma_(3n+T) for the pow formula
     (n pows within 1 ulp each, n - 1 products, the coefficient, the sum),
-    times sum_t |c_t m_t(x)|."""
+    times sum_t |c_t m_t(x)|. Gradual underflow adds an absolute error of at
+    most one subnormal ulp, 2^-1074, per product or pow (at most M + 3n per
+    term), which the later factors scale by at most |c_t| prod max(1, |x_i|)^e_i:
+    a relative bound alone fails where a term's value is subnormal."""
     M = max((sum(e) for e in p.terms), default=0)
     T, n = len(p.terms), len(x)
     bound = (gamma(M + T) + gamma(3 * n + T)) * term_magnitude(p, x)
+    scale = sum(abs(float(c)) * math.prod(max(1.0, abs(float(v))) ** k for v, k in zip(x, e))
+                for e, c in p.terms.items())
+    bound += (M + 3 * n) * 2.0 ** -1074 * scale
     return abs(got - poly_eval_reference(p, x)) <= bound
 
 

@@ -322,6 +322,11 @@ class TestBadZ:
             germ_module.zspec_from_json(
                 {"variant": "analytic", "form": "subspace", "coords": coords}, 2)
 
+    def test_empty_cloud_rejected(self):
+        # used to end in numpy's "zero-size array to reduction operation minimum"
+        with pytest.raises(InvalidInputError, match="^sample cloud must contain the origin$"):
+            SampledZ(n=2, points=np.empty((0, 2)))
+
     def test_nonfinite_cloud_rejected(self):
         with pytest.raises(InvalidInputError):
             germ_module.zspec_from_json(
@@ -409,10 +414,10 @@ class TestDistanceMany:
         D = check_rows(z, X)
         assert D.tolist() == [distance_reference(z, x) for x in X]
 
-    # SampledZ takes its candidates from a k-d tree and its values from numpy.
-    # scipy 1.17's tree distances equal numpy's norms bit for bit up to n = 7,
-    # so only n >= 8 separates a wrong candidate set or the tree's own
-    # distances from the right answer; n runs up to 9.
+    # SampledZ screens its leaves by left-to-right sums of squares, which
+    # equal numpy's norms bit for bit up to n = 7, so only n >= 8 separates
+    # a wrong candidate set or the screen's own sums from the right answer;
+    # n runs up to 9.
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
@@ -469,6 +474,89 @@ class TestDistanceMany:
             z = SampledZ(n=n, points=cloud)
             D = z.distance_many(X)
             np.testing.assert_array_equal(D, [distance_reference(z, x) for x in X])
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_sequential_sum_is_norm_bits(self, n):
+        # the premise of the screen: up to EXACT_SUM_DIMS coordinates the
+        # left-to-right sum of squares is the sum np.linalg.norm takes
+        rng = np.random.default_rng(n)
+        D = rng.standard_normal((20000, n)) * 10.0 ** rng.uniform(-150, 150, (20000, 1))
+        with np.errstate(over="ignore", under="ignore"):
+            same = np.sqrt(germ_module._sum_sq(D.T.copy())) == np.linalg.norm(D, axis=1)
+        assert same.all() == (n <= germ_module.EXACT_SUM_DIMS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 9]), st.integers(300, 3000),
+           st.sampled_from(["uniform", "clustered", "dyadic", "duplicated"]),
+           scaled_points, st.integers(0, 2 ** 32 - 1))
+    def test_sampled_multi_group_clouds(self, n, size, kind, scale, seed):
+        # clouds past one group of leaves, so the group screen and the
+        # padded last group both run; queries far, near and on cloud points
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            cloud = rng.uniform(-1, 1, (size, n))
+        elif kind == "clustered":
+            cloud = (rng.uniform(-1, 1, (5, n))[rng.integers(0, 5, size)]
+                     + 1e-3 * rng.standard_normal((size, n)))
+        elif kind == "dyadic":  # the survey cloud's octaves, on every half axis
+            mags = 2.0 ** (-np.arange(size // (2 * n)) / 16)
+            cloud = np.vstack([s * np.outer(mags, e) for e in np.eye(n) for s in (1.0, -1.0)])
+        else:
+            cloud = np.repeat(rng.uniform(-1, 1, (size // 4, n)), 4, axis=0)
+        cloud = np.vstack([np.zeros((1, n)), rng.permutation(cloud)])
+        near = cloud[rng.integers(0, len(cloud), 24)]
+        X = np.vstack([rng.uniform(-2, 2, (24, n)), near,
+                       near + 1e-6 * rng.standard_normal(near.shape)])
+        check_sampled(cloud * scale, X * scale)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_sampled_norm_order_ties(self, n):
+        # spheres as in test_sampled_ties, kept only where numpy's norm and a
+        # left-to-right sum of squares pick different nearest points to the
+        # center: the tie band, not the least sum alone, finds the distance
+        rng = np.random.default_rng(n)
+        centers, spheres = [], []
+        while len(spheres) < 8:
+            c = 8.0 * rng.choice([-1.0, 1.0], size=n)
+            g = rng.integers(2 ** 25, 2 ** 26, n) / 2.0 ** 26
+            gaps = rng.choice([-1.0, 1.0], size=(24, n)) * [rng.permutation(g) for _ in range(24)]
+            sums = np.zeros(24)
+            for col in gaps.T:
+                sums = sums + col * col
+            norms = np.linalg.norm(gaps, axis=1)
+            if norms[sums == sums.min()].min() > norms.min() and not any(
+                    (c == other).all() for other in centers):
+                centers.append(c)
+                spheres.append(c + gaps)
+        check_sampled(np.vstack([np.zeros((1, n))] + spheres), np.array(centers))
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_sampled_box_boundaries(self, n):
+        # queries on the faces and corners of every leaf and group box, and
+        # halfway between neighbouring leaves, on a grid cloud full of ties
+        rng = np.random.default_rng(n)
+        cloud = np.vstack([np.zeros((1, n)), rng.integers(-4, 5, (700, n)).astype(float)])
+        z = SampledZ(n=n, points=cloud)
+        (glo, ghi), (llo, lhi) = z._group_box, z._leaf_box
+        lo = np.hstack([glo[..., 0], llo.transpose(0, 2, 1).reshape(n, -1)]).T  # by group
+        hi = np.hstack([ghi[..., 0], lhi.transpose(0, 2, 1).reshape(n, -1)]).T
+        X = np.vstack([lo, hi, (lo + hi) / 2, np.where(rng.random(lo.shape) < 0.5, lo, hi),
+                       (hi[:-1] + lo[1:]) / 2])
+        check_sampled(cloud, X)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_sampled_extreme_rows_multi_group(self, n):
+        # the extreme rows of test_sampled_extreme_rows against 600 points
+        rng = np.random.default_rng(n)
+        cloud = np.vstack([np.zeros((1, n)), rng.uniform(-1, 1, (600, n)),
+                           np.full((1, n), 1e150), np.full((1, n), -1e200)])
+        X = np.array([np.full(n, v) for v in (1e153, 1e154, 1e160, 1e300, -1e200,
+                                               np.inf, -np.inf, np.nan)]
+                     + [np.r_[v, np.zeros(n - 1)] for v in (np.inf, np.nan, 1e300)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = SampledZ(n=n, points=cloud)
+            np.testing.assert_array_equal(z.distance_many(X),
+                                          [distance_reference(z, x) for x in X])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sampled_survey_cloud(self, seed):
