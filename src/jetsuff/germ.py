@@ -107,7 +107,7 @@ def jet_at(f: PolyGermMap, a, k: int) -> tuple[Poly, ...]:
 
 # --------------------------------------------------------------------- ZSpec
 
-LEAF, LEAVES, TIE_REL = 24, 8, 1e-9  # SampledZ: points per leaf, leaves per group, tie band
+LEAF, LEAVES, TIE_REL = 24, 8, 1e-9  # SampledZ: most points per leaf, leaves per group; tie band
 EXACT_SUM_DIMS = 7  # up to here numpy's row sum adds left to right
 
 
@@ -210,22 +210,25 @@ class SampledZ(ZSpec):
         # 0 in Z is required; the cloud must witness it
         if not len(pts) or float(np.min(np.linalg.norm(pts, axis=1))) > MEMBERSHIP_TOL:
             raise InvalidInputError("sample cloud must contain the origin")
-        # sort-tile packing: groups of LEAVES * LEAF points along the cloud's
-        # widest coordinate, then leaves of LEAF along each group's widest;
-        # copies of the last point fill the last group. Coordinates come
+        # sort-tile packing: groups of B * L points along the cloud's widest
+        # coordinate, then leaves of L along each group's widest; copies of
+        # the last point fill the last group. A small cloud takes fewer and
+        # smaller leaves, so that copies do not outnumber it. Coordinates come
         # first, and the leaves of a gather last, next to the query rows.
         cols = pts.T.copy()
-        size = LEAVES * LEAF
+        L = min(LEAF, len(pts))
+        B = min(LEAVES, -(-len(pts) // L))
+        size = B * L
         order = np.argsort(cols[np.argmax(cols.max(axis=1) - cols.min(axis=1))])
         order = np.concatenate([order, np.full(-len(pts) % size, order[-1])])
         spans = np.take(cols, order.reshape(-1, size), axis=1)  # (n, group, size)
         wide = np.argmax(spans.max(axis=2) - spans.min(axis=2), axis=0)
         across = np.arange(len(wide))
         tiles = np.argsort(spans[wide, across], axis=1) + size * across[:, None]
-        tiles = np.take(order, tiles).reshape(-1, LEAVES, LEAF)  # (group, LEAVES, LEAF)
-        leaves = np.take(cols, tiles.T, axis=1)  # (n, LEAF, LEAVES, group)
+        tiles = np.take(order, tiles).reshape(-1, B, L)  # (group, B, L)
+        leaves = np.take(cols, tiles.T, axis=1)  # (n, L, B, group)
         lo, hi = leaves.min(axis=1), leaves.max(axis=1)
-        object.__setattr__(self, "_leaves", leaves.reshape(self.n, LEAF, -1))  # leaf b * G + g
+        object.__setattr__(self, "_leaves", leaves.reshape(self.n, L, -1))  # leaf b * G + g
         object.__setattr__(self, "_group_box", (lo.min(axis=1)[..., None], hi.max(axis=1)[..., None]))
         object.__setattr__(self, "_leaf_box", (lo, hi))
 
@@ -292,7 +295,7 @@ class SampledZ(ZSpec):
         return out
 
     def _scan(self, T, leaves) -> np.ndarray:
-        """_sum_sq from each point of ``T`` (n, 1, K) to each point of its leaf, (LEAF, K)."""
+        """_sum_sq from each point of ``T`` (n, 1, K) to each point of its leaf, (L, K)."""
         gaps = np.take(self._leaves, leaves, axis=2)  # contiguous, unlike [..., leaves]
         gaps -= T
         return _sum_sq(gaps)
