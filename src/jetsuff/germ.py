@@ -109,6 +109,7 @@ def jet_at(f: PolyGermMap, a, k: int) -> tuple[Poly, ...]:
 
 LEAF, LEAVES, TIE_REL = 24, 8, 1e-9  # SampledZ: most points per leaf, leaves per group; tie band
 EXACT_SUM_DIMS = 7  # up to here numpy's row sum adds left to right
+CROWD = 64  # SampledZ: most groups, or other leaves, one row's screen may pass
 
 
 def _sum_sq(parts) -> np.ndarray:
@@ -250,8 +251,9 @@ class SampledZ(ZSpec):
         TIE_REL: the norm's minimizer is among the scanned points within
         (1 + TIE_REL) of the least s, and numpy's norms of those give the
         distance. Copies padding the last group change no minimum. A row
-        with an inf or nan entry, or whose u is not finite (its squares
-        overflow), is scanned over the whole cloud.
+        with an inf or nan entry, whose u is not finite (its squares
+        overflow), or whose band passes more than CROWD groups or other
+        leaves is scanned over the whole cloud.
         """
         X = _rows(X, self.n)
         T = X.T.copy()
@@ -268,17 +270,22 @@ class SampledZ(ZSpec):
             scans = [(np.arange(len(X)), best, self._scan(T, best))]
             least = scans[0][2].min(axis=0)  # u
             band = np.where(finite & (least < np.inf), least * (1 + TIE_REL), np.nan)
-            # the other leaves of each row's group, then the leaves of its other groups
-            rows, b = np.nonzero((leaf_sq <= band).T)
-            leaves = b * G + g[rows]
-            keep = leaves != best[rows]
-            pairs = [(rows[keep], leaves[keep])]
+            # the leaves of each row's other groups, then the other leaves of
+            # its group; a row passing more than CROWD groups or leaves (near
+            # ties over much of the cloud) is scanned whole, in bounded memory
             rows, h = np.nonzero((group_sq <= band).T)
-            keep = h != g[rows]
+            band[np.bincount(rows, minlength=len(X)) > CROWD] = np.nan
+            keep = (h != g[rows]) & ~np.isnan(band[rows])
             rows, h = rows[keep], h[keep]
             sq = _box_sq(np.take(T, rows, axis=2), np.take(llo, h, axis=2), np.take(lhi, h, axis=2))
             k, b = np.nonzero((sq <= band[rows]).T)
-            pairs.append((rows[k], b * G + h[k]))
+            pairs = [(rows[k], b * G + h[k])]
+            rows, b = np.nonzero((leaf_sq <= band).T)
+            leaves = b * G + g[rows]
+            keep = leaves != best[rows]
+            pairs.append((rows[keep], leaves[keep]))
+            band[np.bincount(np.concatenate([r for r, _ in pairs]), minlength=len(X)) > CROWD] = np.nan
+            pairs = [(r[~np.isnan(band[r])], l[~np.isnan(band[r])]) for r, l in pairs]
             scans += [(r, l, self._scan(np.take(T, r, axis=2), l)) for r, l in pairs]
         for rows, _, sq in scans[1:]:
             _scatter_min(least, rows, sq.min(axis=0))

@@ -530,6 +530,19 @@ class TestDistanceMany:
                 spheres.append(c + gaps)
         check_sampled(np.vstack([np.zeros((1, n))] + spheres), np.array(centers))
 
+    @pytest.mark.parametrize("count", [2000, 13000])
+    def test_sampled_crowded_rows(self, count):
+        # a circle of points about each query ties across more than CROWD
+        # leaves (2,000 points) or groups (13,000), so those rows take the
+        # whole-cloud scan; their nearest point is rarely in the first leaf
+        rng = np.random.default_rng(count)
+        angles = rng.uniform(0, 2 * np.pi, count)
+        center = np.array([0.0, 5.0])
+        cloud = np.vstack([np.zeros((1, 2)), center + np.stack([np.cos(angles), np.sin(angles)], 1)])
+        X = np.vstack([center, center + 1e-12 * rng.standard_normal((7, 2)),
+                       rng.uniform(-2, 2, (8, 2))])
+        check_sampled(cloud, X)
+
     @pytest.mark.parametrize("n", [2, 3, 9])
     def test_sampled_box_boundaries(self, n):
         # queries on the faces and corners of every leaf and group box, and
