@@ -110,6 +110,7 @@ def jet_at(f: PolyGermMap, a, k: int) -> tuple[Poly, ...]:
 LEAF, LEAVES, TIE_REL = 24, 8, 1e-9  # SampledZ: most points per leaf, leaves per group; tie band
 EXACT_SUM_DIMS = 7  # up to here numpy's row sum adds left to right
 CROWD = 64  # SampledZ: most groups, or other leaves, one row's screen may pass
+GROUP_CELLS = 1 << 21  # SampledZ: most coordinate gaps to group boxes held at once
 
 
 def _sum_sq(parts) -> np.ndarray:
@@ -253,15 +254,22 @@ class SampledZ(ZSpec):
         distance. Copies padding the last group change no minimum. A row
         with an inf or nan entry, whose u is not finite (its squares
         overflow), or whose band passes more than CROWD groups or other
-        leaves is scanned over the whole cloud.
+        leaves is scanned over the whole cloud. The gaps to every group box
+        take memory in proportion to the groups, so the rows go through in
+        parts of at most GROUP_CELLS gaps; the work per row still grows in
+        proportion to the cloud.
         """
         X = _rows(X, self.n)
+        (glo, ghi), (llo, lhi) = self._group_box, self._leaf_box
+        G = glo.shape[1]
+        part = max(1, GROUP_CELLS // (self.n * G))
+        if len(X) > part:
+            return np.concatenate([self.distance_many(X[i:i + part])
+                                   for i in range(0, len(X), part)])
         T = X.T.copy()
         finite = np.isfinite(T).all(axis=0)
         T[:, ~finite] = 0.0
         T = T[:, None]  # (n, 1, N)
-        (glo, ghi), (llo, lhi) = self._group_box, self._leaf_box
-        G = glo.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
             group_sq = _box_sq(T, glo, ghi)  # (G, N)
             g = group_sq.argmin(axis=0)
@@ -270,29 +278,33 @@ class SampledZ(ZSpec):
             scans = [(np.arange(len(X)), best, self._scan(T, best))]
             least = scans[0][2].min(axis=0)  # u
             band = np.where(finite & (least < np.inf), least * (1 + TIE_REL), np.nan)
-            # the leaves of each row's other groups, then the other leaves of
-            # its group; a row passing more than CROWD groups or leaves (near
-            # ties over much of the cloud) is scanned whole, in bounded memory
+            # every leaf in each row's band but the best, in one scan sorted
+            # by row: those of the other groups by their boxes, those of the
+            # best group by leaf_sq. A row passing more than CROWD groups,
+            # then more than CROWD leaves (near ties over much of the cloud),
+            # is scanned whole, so neither the boxes nor the scan outgrow it
             rows, h = np.nonzero((group_sq <= band).T)
             band[np.bincount(rows, minlength=len(X)) > CROWD] = np.nan
             keep = (h != g[rows]) & ~np.isnan(band[rows])
             rows, h = rows[keep], h[keep]
             sq = _box_sq(np.take(T, rows, axis=2), np.take(llo, h, axis=2), np.take(lhi, h, axis=2))
             k, b = np.nonzero((sq <= band[rows]).T)
-            pairs = [(rows[k], b * G + h[k])]
-            rows, b = np.nonzero((leaf_sq <= band).T)
-            leaves = b * G + g[rows]
+            own, c = np.nonzero((leaf_sq <= band).T)
+            rows = np.concatenate([rows[k], own])
+            leaves = np.concatenate([b * G + h[k], c * G + g[own]])
+            order = np.argsort(rows, kind="stable")
+            rows, leaves = rows[order], leaves[order]
             keep = leaves != best[rows]
-            pairs.append((rows[keep], leaves[keep]))
-            band[np.bincount(np.concatenate([r for r, _ in pairs]), minlength=len(X)) > CROWD] = np.nan
-            pairs = [(r[~np.isnan(band[r])], l[~np.isnan(band[r])]) for r, l in pairs]
-            scans += [(r, l, self._scan(np.take(T, r, axis=2), l)) for r, l in pairs]
-        for rows, _, sq in scans[1:]:
-            _scatter_min(least, rows, sq.min(axis=0))
-        if self.n <= EXACT_SUM_DIMS:
+            band[np.bincount(rows[keep], minlength=len(X)) > CROWD] = np.nan
+            keep &= ~np.isnan(band[rows])
+            rows, leaves = rows[keep], leaves[keep]
+            scans.append((rows, leaves, self._scan(np.take(T, rows, axis=2), leaves)))
+        _scatter_min(least, rows, scans[1][2].min(axis=0))
+        if self.n <= EXACT_SUM_DIMS:  # the tie band's norms add a third to the survey's query
             out = np.sqrt(least)
         else:
-            near, out = least * (1 + TIE_REL), np.full(len(X), np.inf)
+            near = np.where(np.isnan(band), np.nan, least * (1 + TIE_REL))
+            out = np.full(len(X), np.inf)
             for rows, leaves, sq in scans:
                 k, slot = np.nonzero((sq <= near[rows]).T)
                 gaps = np.ascontiguousarray(self._leaves[:, slot, leaves[k]].T) - X[rows[k]]

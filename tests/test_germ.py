@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -108,6 +108,14 @@ class TestManyPoints:
 
     @settings(max_examples=100, deadline=None)
     @given(germs_with_points(5))
+    # values in the subnormal range, where only pow_formula_gap's absolute
+    # underflow term covers the pow formula's last bits
+    @example((germ([{(1, 0, 3): Fraction(1, 2), (1, 1, 2): Fraction(1, 4)}], n=3),
+              np.array([[float.fromhex("0x1.5725ddea9a228p-687")]
+                        + [float.fromhex("0x1.00000000a639bp-126")] * 2])))
+    @example((germ([{(0, 1, 2, 2): Fraction(3, 2), (0, 1, 1, 1): Fraction(1, 2)}], n=4),
+              np.array([[float.fromhex("0x1.00b804baea71ep-2"), 2.0 ** -1022]
+                        + [float.fromhex("0x1.00b804baea71ep-2")] * 2])))
     def test_matches_pointwise(self, case):
         # one squares table and one sum per row: a stack gives each row the
         # bits of that row alone and of the per-point rule, and stays within
@@ -570,6 +578,19 @@ class TestDistanceMany:
             z = SampledZ(n=n, points=cloud)
             np.testing.assert_array_equal(z.distance_many(X),
                                           [distance_reference(z, x) for x in X])
+
+    def test_sampled_rows_in_parts(self, monkeypatch):
+        # a group screen held to fewer box sums takes the rows in parts, of
+        # one row or of five and a short last one, with the bits of one call
+        rng = np.random.default_rng(0)
+        cloud = np.vstack([np.zeros((1, 3)), rng.uniform(-1, 1, (2000, 3))])
+        X = np.vstack([rng.uniform(-1, 1, (40, 3)), [[np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0]]])
+        z = SampledZ(n=3, points=cloud)
+        whole = z.distance_many(X)
+        np.testing.assert_array_equal(whole, [distance_reference(z, x) for x in X])
+        for cells in (1, 3 * z._group_box[0].shape[1] * 5):
+            monkeypatch.setattr(germ_module, "GROUP_CELLS", cells)
+            assert z.distance_many(X).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sampled_survey_cloud(self, seed):
