@@ -9,8 +9,8 @@ in brackets), each with its own distance and jet-along-Z rule:
   coordinate hyperplanes, in closed form;
 * :class:`SampledZ` (``samples``) -- a point cloud, packed into leaves of
   points and groups of leaves with their bounding boxes; a two-level box
-  screen leaves each query point a few leaves to scan, and the distance has
-  the bits of numpy's norms over the whole cloud.
+  screen leaves each query point a few leaves to scan; the distance is the
+  root of the least left-to-right sum of squares over the whole cloud.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ def jet_at(f: PolyGermMap, a, k: int) -> tuple[Poly, ...]:
 
 # --------------------------------------------------------------------- ZSpec
 
-LEAF, LEAVES, TIE_REL = 24, 8, 1e-9  # SampledZ: most points per leaf, leaves per group; tie band
-EXACT_SUM_DIMS = 7  # up to here numpy's row sum adds left to right
+LEAF, LEAVES = 24, 8  # SampledZ: most points per leaf, leaves per group
 CROWD = 64  # SampledZ: most groups, or other leaves, one row's screen may pass
 GROUP_CELLS = 1 << 21  # SampledZ: most coordinate gaps to group boxes held at once
 
@@ -128,13 +127,6 @@ def _box_sq(T, lo, hi) -> np.ndarray:
     gaps = lo - T
     np.maximum(gaps, T - hi, out=gaps)
     return _sum_sq(np.maximum(gaps, 0.0, out=gaps))
-
-
-def _scatter_min(out, rows, values) -> None:
-    """out[r] = min(out[r], values over the run of r), for sorted ``rows``."""
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    hit = rows[starts]
-    out[hit] = np.minimum(out[hit], np.minimum.reduceat(values, starts))
 
 
 class ZSpec:
@@ -195,12 +187,13 @@ class AnalyticZ(ZSpec):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledZ(ZSpec):
-    """Z given by a finite point cloud that contains the origin."""
+    """Z given by a finite point cloud that contains the origin; equal only
+    to itself."""
 
     n: int
-    points: np.ndarray = field(repr=False, compare=False)
+    points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -235,29 +228,24 @@ class SampledZ(ZSpec):
         object.__setattr__(self, "_leaf_box", (lo, hi))
 
     def distance_many(self, X) -> np.ndarray:
-        """min over the cloud of ``np.linalg.norm(p - x)`` for each row x,
-        the bits of a scan over every cloud point.
+        """The root of the least s(p) over the cloud for each row x, where
+        s(p) is the left-to-right sum over coordinates of fl(p_i - x_i)^2;
+        up to n = 7 that is the sum numpy's norm takes, and beyond it is
+        within (n + 1) 2^-53 relative of numpy's least norm.
 
-        Every comparison is on s(p), the left-to-right sum over coordinates
-        of fl(p_i - x_i)^2, and on b(Q), the same sum over the gaps from x to
-        a box Q, each 0 where x_i lies within Q's range. The gap is at most
+        The screen compares s(p) with b(Q), the same sum over the gaps from x
+        to a box Q, each 0 where x_i lies within Q's range. The gap is at most
         |fl(p_i - x_i)| for every p in Q, and rounding is monotone, so
         b(Q) <= s(p) bit for bit. The group with the least b, and its leaf
-        with the least b, give u, the least s over that leaf's points. A
-        point with s(p) <= u (1 + TIE_REL) thus lies in a group and a leaf
-        whose b pass that band, and every such leaf is scanned; so is the
-        minimizer of s. Up to EXACT_SUM_DIMS coordinates s(p) is the sum
-        numpy's norm takes, and the root of the least s is the distance.
-        Beyond, numpy sums in another order, a few ulps from s, far inside
-        TIE_REL: the norm's minimizer is among the scanned points within
-        (1 + TIE_REL) of the least s, and numpy's norms of those give the
-        distance. Copies padding the last group change no minimum. A row
-        with an inf or nan entry, whose u is not finite (its squares
-        overflow), or whose band passes more than CROWD groups or other
-        leaves is scanned over the whole cloud. The gaps to every group box
-        take memory in proportion to the groups, so the rows go through in
-        parts of at most GROUP_CELLS gaps; the work per row still grows in
-        proportion to the cloud.
+        with the least b, give u, the least s over that leaf's points. The
+        minimizer of s thus lies in a group and a leaf whose b are at most u,
+        and every such leaf is scanned. Copies padding the last group change
+        no minimum. A row with an inf or nan entry, whose u is not finite (its
+        squares overflow), or that passes more than CROWD groups or other
+        leaves is scanned over the whole cloud by the same sum. The gaps to
+        every group box take memory in proportion to the groups, so the rows
+        go through in parts of at most GROUP_CELLS gaps; the work per row
+        still grows in proportion to the cloud.
         """
         X = _rows(X, self.n)
         (glo, ghi), (llo, lhi) = self._group_box, self._leaf_box
@@ -275,43 +263,28 @@ class SampledZ(ZSpec):
             g = group_sq.argmin(axis=0)
             leaf_sq = _box_sq(T, np.take(llo, g, axis=2), np.take(lhi, g, axis=2))
             best = leaf_sq.argmin(axis=0) * G + g
-            scans = [(np.arange(len(X)), best, self._scan(T, best))]
-            least = scans[0][2].min(axis=0)  # u
-            band = np.where(finite & (least < np.inf), least * (1 + TIE_REL), np.nan)
-            # every leaf in each row's band but the best, in one scan sorted
-            # by row: those of the other groups by their boxes, those of the
-            # best group by leaf_sq. A row passing more than CROWD groups,
-            # then more than CROWD leaves (near ties over much of the cloud),
-            # is scanned whole, so neither the boxes nor the scan outgrow it
+            least = self._scan(T, best).min(axis=0)  # u
+            band = np.where(finite & (least < np.inf), least, np.nan)
+            # every other leaf within u of each row, in one scan; the best
+            # group's leaf sums are at hand. A row passing more than CROWD
+            # groups, then more than CROWD other leaves (ties over much of
+            # the cloud), is scanned whole, so neither the boxes nor the scan
+            # outgrow it
+            band[(group_sq <= band).sum(axis=0) > CROWD] = np.nan
             rows, h = np.nonzero((group_sq <= band).T)
-            band[np.bincount(rows, minlength=len(X)) > CROWD] = np.nan
-            keep = (h != g[rows]) & ~np.isnan(band[rows])
-            rows, h = rows[keep], h[keep]
-            sq = _box_sq(np.take(T, rows, axis=2), np.take(llo, h, axis=2), np.take(lhi, h, axis=2))
+            sq, other = leaf_sq[:, rows], h != g[rows]
+            sq[:, other] = _box_sq(np.take(T, rows[other], axis=2), np.take(llo, h[other], axis=2),
+                                   np.take(lhi, h[other], axis=2))
             k, b = np.nonzero((sq <= band[rows]).T)
-            own, c = np.nonzero((leaf_sq <= band).T)
-            rows = np.concatenate([rows[k], own])
-            leaves = np.concatenate([b * G + h[k], c * G + g[own]])
-            order = np.argsort(rows, kind="stable")
-            rows, leaves = rows[order], leaves[order]
+            rows, leaves = rows[k], b * G + h[k]
             keep = leaves != best[rows]
             band[np.bincount(rows[keep], minlength=len(X)) > CROWD] = np.nan
             keep &= ~np.isnan(band[rows])
             rows, leaves = rows[keep], leaves[keep]
-            scans.append((rows, leaves, self._scan(np.take(T, rows, axis=2), leaves)))
-        _scatter_min(least, rows, scans[1][2].min(axis=0))
-        if self.n <= EXACT_SUM_DIMS:  # the tie band's norms add a third to the survey's query
-            out = np.sqrt(least)
-        else:
-            near = np.where(np.isnan(band), np.nan, least * (1 + TIE_REL))
-            out = np.full(len(X), np.inf)
-            for rows, leaves, sq in scans:
-                k, slot = np.nonzero((sq <= near[rows]).T)
-                gaps = np.ascontiguousarray(self._leaves[:, slot, leaves[k]].T) - X[rows[k]]
-                _scatter_min(out, rows[k], np.linalg.norm(gaps, axis=1))
-        for i in np.flatnonzero(np.isnan(band)).tolist():
-            out[i] = np.linalg.norm(self.points - X[i], axis=1).min()
-        return out
+            np.minimum.at(least, rows, self._scan(np.take(T, rows, axis=2), leaves).min(axis=0))
+            for i in np.flatnonzero(np.isnan(band)).tolist():
+                least[i] = _sum_sq(self.points.T - X[i][:, None]).min()
+        return np.sqrt(least)
 
     def _scan(self, T, leaves) -> np.ndarray:
         """_sum_sq from each point of ``T`` (n, 1, K) to each point of its leaf, (L, K)."""

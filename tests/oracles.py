@@ -14,11 +14,14 @@ and ``verify_construction_reference`` are the one-point negative side, and
 ``find_violation_sequence_reference`` is the violation search whose ratio
 went through a ``LinearMap`` and ``nu`` at every Nelder-Mead evaluation.
 ``gaussian_directions_reference`` is the Gaussian map through scipy's
-``ndtri``, which the standard library's AS241 quantile replaced; it is the
-one reference met within a stated ulp bound rather than bit for bit.
-``poly_eval_reference`` is the pow formula that ``PolyStack``'s repeated
-squares replaced; ``pow_formula_gap`` meets it within the two formulas'
-rounding bounds. ``same_k_Z_jet_reference`` is the sampled jet check that
+``ndtri``, which the standard library's AS241 quantile replaced; it is met
+within a stated ulp bound rather than bit for bit. So is
+``norm_distance_reference`` beyond n = 7: the least of numpy's norms over a
+sampled cloud, which the root of the least left-to-right sum of squares
+replaced (up to n = 7 they have the same bits). ``poly_eval_reference`` is
+the pow formula that ``PolyStack``'s repeated squares replaced;
+``pow_formula_gap`` meets it within the two formulas' rounding bounds.
+``same_k_Z_jet_reference`` is the sampled jet check that
 ``ZSpec.jet_witness`` replaced: it shifts f and f1 to ``sample_points`` of Z
 and calls their jets equal when every float coefficient of the difference
 is within JET_TOL. The one-point oracles take polynomial values by
@@ -286,14 +289,25 @@ def equivalence_constants_reference(dims, count, seed, scale=1.0):
 
 
 def distance_reference(z, x) -> float:
-    """dist(x, Z) for an AnalyticZ or SampledZ, one point at a time."""
+    """dist(x, Z) for an AnalyticZ or SampledZ, one point at a time; for a
+    SampledZ, the root of the least left-to-right sum of squares over the cloud."""
     x = np.asarray(x, dtype=float)
     if isinstance(z, SampledZ):
-        return float(np.min(np.linalg.norm(z.points - x[None, :], axis=1)))
+        sums = np.zeros(len(z.points))
+        for col in (z.points - x[None, :]).T:
+            sums = sums + col * col
+        return float(np.sqrt(np.min(sums)))
     sel = [c - 1 for c in z.coords]
     if z.form == "subspace":
         return float(np.linalg.norm(x[sel]))
     return float(np.min(np.abs(x[sel])))
+
+
+def norm_distance_reference(z, x) -> float:
+    """The least of numpy's norms over a SampledZ's cloud: the bits of
+    distance_reference up to n = 7, where numpy's row sum adds left to right,
+    and within (n + 1) 2^-53 relative of it beyond."""
+    return float(np.min(np.linalg.norm(z.points - np.asarray(x, dtype=float), axis=1)))
 
 
 JET_SAMPLES, JET_TOL = 32, 1e-12  # same_k_Z_jet_reference: Z points drawn, coefficient budget

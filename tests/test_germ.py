@@ -16,8 +16,8 @@ from jetsuff.germ import (AnalyticZ, GermPair, PolyGermMap, SampledZ, germ_from_
 from jetsuff.poly import Poly
 from jetsuff.sampling import unit_shell_sample
 from oracles import (axis_cloud, distance_reference, eval_reference, fd_jacobian,
-                     jacobian_reference, pow_formula_gap, same_k_Z_jet_reference,
-                     sample_points)
+                     jacobian_reference, norm_distance_reference, pow_formula_gap,
+                     same_k_Z_jet_reference, sample_points)
 
 
 def germ_x2(k=2):
@@ -309,6 +309,17 @@ class TestDistance:
         z = SampledZ(n=2, points=cloud)
         assert z.distance([0.2, 0.5]) == pytest.approx(0.2, abs=1e-3)
 
+    def test_samples_equal_only_to_themselves(self):
+        # equality and hashes used to read n alone, so that any two clouds,
+        # and two pairs over them, compared equal
+        a = SampledZ(n=2, points=[[0.0, 0.0], [1.0, 0.0]])
+        b = SampledZ(n=2, points=[[0.0, 0.0], [0.0, 1.0]])
+        assert a == a and hash(a) == hash(a)
+        assert a != b and hash(a) != hash(b)
+        f = germ_x2()
+        assert GermPair(f=f, f1=f, z=a) == GermPair(f=f, f1=f, z=a)
+        assert GermPair(f=f, f1=f, z=a) != GermPair(f=f, f1=f, z=b)
+
     def test_hyperplane_union_uses_only_listed_coords(self):
         z = AnalyticZ(n=2, form="union_hyperplanes", coords=(1,))
         assert z.distance([0.3, 0.1]) == 0.3
@@ -395,10 +406,17 @@ def check_rows(z, X):
 
 
 def check_sampled(cloud, X):
-    """SampledZ on ``cloud`` equals the point-by-point scan, bit for bit."""
+    """SampledZ on ``cloud`` equals the point-by-point scan of the least sum,
+    bit for bit; and numpy's least norm, bit for bit up to n = 7 and within
+    (n + 1) 2^-53 relative beyond."""
     z = SampledZ(n=X.shape[1], points=cloud)
     D = check_rows(z, X)
     assert D.tolist() == [distance_reference(z, x) for x in X]
+    norms = np.array([norm_distance_reference(z, x) for x in X])
+    if z.n <= 7:
+        assert D.tolist() == norms.tolist()
+    else:
+        assert np.all(np.abs(D - norms) <= (z.n + 1) * 2.0 ** -53 * norms)
 
 
 coords_in = st.integers(1, 5).flatmap(lambda n: st.tuples(
@@ -422,10 +440,9 @@ class TestDistanceMany:
         D = check_rows(z, X)
         assert D.tolist() == [distance_reference(z, x) for x in X]
 
-    # SampledZ screens its leaves by left-to-right sums of squares, which
-    # equal numpy's norms bit for bit up to n = 7, so only n >= 8 separates
-    # a wrong candidate set or the screen's own sums from the right answer;
-    # n runs up to 9.
+    # SampledZ's distance is the root of the least left-to-right sum of
+    # squares; numpy's norms sum in that order up to n = 7 and in another
+    # beyond, so n runs up to 9 to meet both sides of the old scan.
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
@@ -471,7 +488,7 @@ class TestDistanceMany:
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_sampled_extreme_rows(self, n):
         # squares past the float range for some or all cloud points, and
-        # entries that are inf or nan, which the tree itself rejects
+        # entries that are inf or nan, which take the whole-cloud scan
         rng = np.random.default_rng(n)
         cloud = np.vstack([np.zeros((1, n)), rng.uniform(-1, 1, (40, n)),
                            np.full((1, n), 1e150), np.full((1, n), -1e200)])
@@ -483,15 +500,15 @@ class TestDistanceMany:
             D = z.distance_many(X)
             np.testing.assert_array_equal(D, [distance_reference(z, x) for x in X])
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_sequential_sum_is_norm_bits(self, n):
-        # the premise of the screen: up to EXACT_SUM_DIMS coordinates the
-        # left-to-right sum of squares is the sum np.linalg.norm takes
+        # up to n = 7 the left-to-right sum of squares is the sum
+        # np.linalg.norm takes, so the survey's distances keep their bits
         rng = np.random.default_rng(n)
         D = rng.standard_normal((20000, n)) * 10.0 ** rng.uniform(-150, 150, (20000, 1))
         with np.errstate(over="ignore", under="ignore"):
             same = np.sqrt(germ_module._sum_sq(D.T.copy())) == np.linalg.norm(D, axis=1)
-        assert same.all() == (n <= germ_module.EXACT_SUM_DIMS)
+        assert same.all()
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([2, 3, 5, 9]), st.integers(300, 3000),
@@ -521,7 +538,8 @@ class TestDistanceMany:
     def test_sampled_norm_order_ties(self, n):
         # spheres as in test_sampled_ties, kept only where numpy's norm and a
         # left-to-right sum of squares pick different nearest points to the
-        # center: the tie band, not the least sum alone, finds the distance
+        # center: the distance is the least sum's root, within the bound of
+        # numpy's least norm
         rng = np.random.default_rng(n)
         centers, spheres = [], []
         while len(spheres) < 8:
@@ -538,17 +556,24 @@ class TestDistanceMany:
                 spheres.append(c + gaps)
         check_sampled(np.vstack([np.zeros((1, n))] + spheres), np.array(centers))
 
-    @pytest.mark.parametrize("count", [2000, 13000])
-    def test_sampled_crowded_rows(self, count):
-        # a circle of points about each query ties across more than CROWD
-        # leaves (2,000 points) or groups (13,000), so those rows take the
-        # whole-cloud scan; their nearest point is rarely in the first leaf
+    @pytest.mark.parametrize("n, count", [(2, 2000), (2, 13000), (9, 2000)],
+                             ids=["2000", "13000", "n9-2000"])
+    def test_sampled_crowded_rows(self, n, count):
+        # a unit sphere of points about each query ties across more than
+        # CROWD leaves (2,000 points) or groups (13,000), so those rows take
+        # the whole-cloud scan, by the screened rows' sum; their nearest
+        # point is rarely in the first leaf
         rng = np.random.default_rng(count)
-        angles = rng.uniform(0, 2 * np.pi, count)
-        center = np.array([0.0, 5.0])
-        cloud = np.vstack([np.zeros((1, 2)), center + np.stack([np.cos(angles), np.sin(angles)], 1)])
-        X = np.vstack([center, center + 1e-12 * rng.standard_normal((7, 2)),
-                       rng.uniform(-2, 2, (8, 2))])
+        if n == 2:
+            angles = rng.uniform(0, 2 * np.pi, count)
+            sphere = np.stack([np.cos(angles), np.sin(angles)], 1)
+        else:
+            sphere = rng.standard_normal((count, n))
+            sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+        center = np.r_[0.0, 5.0, np.zeros(n - 2)]
+        cloud = np.vstack([np.zeros((1, n)), center + sphere])
+        X = np.vstack([center, center + 1e-12 * rng.standard_normal((7, n)),
+                       rng.uniform(-2, 2, (8, n))])
         check_sampled(cloud, X)
 
     @pytest.mark.parametrize("n", [2, 3, 9])
