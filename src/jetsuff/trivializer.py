@@ -286,13 +286,15 @@ class IsotopyResult:
 
     def write_csv(self, path):
         n = self.grid.shape[1]
+        # Python floats (one tolist each) repr faster than numpy scalars, same text
+        grid = [[repr(v) for v in row] for row in self.grid.tolist()]
+        forward, conservation = self.forward.tolist(), self.conservation.tolist()
+        times = [repr(t) for t in self.times.tolist()]
         write_table(path, ["point", "t"] + [f"x0_{i}" for i in range(n)]
                     + [f"H_{i}" for i in range(n)] + ["conservation_residual"],
-                    ([p, repr(float(t))] + [repr(float(v)) for v in self.grid[p]]
-                     + [repr(float(v)) for v in self.forward[p, j]]
-                     + [repr(float(self.conservation[p, j]))]
-                     for p in range(self.grid.shape[0])
-                     for j, t in enumerate(self.times)))
+                    ([p, t] + grid[p] + [repr(v) for v in forward[p][j]]
+                     + [repr(conservation[p][j])]
+                     for p in range(len(grid)) for j, t in enumerate(times)))
 
 
 def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
@@ -398,13 +400,19 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
         r.y = np.where(accept[:, None], r.y_new, r.y)
         r.f = np.where(accept[:, None], r.K[:, -1], r.f)
         # each accepted step's quartic interpolant at the checkpoints it passed
-        # (t_eval runs in the direction of integration)
+        # (t_eval runs in the direction of integration); rows passing m
+        # checkpoints share one stacked (n, 4) @ (4, m) product, scipy's shape
         passed = np.count_nonzero(r.direction[:, None] * (r.t_eval - r.t[:, None]) <= 0, axis=1)
         emit = np.flatnonzero(accept & (passed > r.emitted))
-        for i, Q in zip(emit.tolist(), np.matmul(r.K[emit].transpose(0, 2, 1), P)):
-            a, b, step = r.emitted[i], passed[i], r.t[i] - t_old[i]
-            x = np.tile((r.t_eval[i, a:b] - t_old[i]) / step, (P.shape[1], 1))
-            states[r.p[i], a:b] = (step * np.dot(Q, np.cumprod(x, axis=0)) + y_old[i][:, None]).T
+        Q, counts = np.matmul(r.K[emit].transpose(0, 2, 1), P), passed[emit] - r.emitted[emit]
+        for m in set(counts.tolist()):  # not np.unique: its first call imports numpy.ma
+            group = counts == m
+            g = emit[group]
+            cols, step = r.emitted[g, None] + np.arange(m), (r.t[g] - t_old[g])[:, None]
+            x = (r.t_eval[g[:, None], cols] - t_old[g, None]) / step
+            powers = np.cumprod(np.broadcast_to(x[:, None], (len(g), P.shape[1], m)), axis=1)
+            Y = step[:, None] * np.matmul(Q[group], powers) + y_old[g, :, None]
+            states[r.p[g, None], cols] = Y.transpose(0, 2, 1)
         r.emitted = np.where(accept, passed, r.emitted)
 
 

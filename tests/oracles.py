@@ -8,9 +8,11 @@ that the stacked ``trivializer.calibrate_constants`` replaced.
 ``W_reference``, ``flow_reference`` and ``isotopy_reference`` are the
 one-point field, the one-trajectory ``solve_ivp`` flow and the point-by-point
 isotopy loop that ``VectorFieldW.eval_many`` and the lock-step
-``trivializer.flow_many`` replaced. ``BumpReference``,
-``PerturbationReference``, ``hessian_reference``, ``choose_lambdas_reference``
-and ``verify_construction_reference`` are the one-point negative side, and
+``trivializer.flow_many`` replaced; ``write_isotopy_csv_reference`` is the
+numpy-scalar CSV writer that ``IsotopyResult.write_csv`` replaced.
+``BumpReference``, ``PerturbationReference``, ``hessian_reference``,
+``choose_lambdas_reference`` and ``verify_construction_reference`` are the
+one-point negative side, and
 ``find_violation_sequence_reference`` is the violation search whose ratio
 went through a ``LinearMap`` and ``nu`` at every Nelder-Mead evaluation.
 ``gaussian_directions_reference`` is the Gaussian map through scipy's
@@ -53,6 +55,7 @@ from jetsuff.germ import SampledZ, int_power, jet_at
 from jetsuff.linmap import LinearMap, g_prime, minor_table, nu
 from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
                                  ViolationSequence, _ratio_stats)
+from jetsuff.report import write_table
 from jetsuff.sampling import ball_sample, sphere_sample, unit_shell_sample
 from jetsuff.trivializer import (FIELD_BOUND_SLACK, LINSYS_TOL, DeformationF,
                                  IsotopyResult, TrivializationConstants)
@@ -533,6 +536,19 @@ def isotopy_reference(vf, grid, tol: float = 1e-9, checkpoints: int = 17,
     return IsotopyResult(grid=grid, times=times, forward=forward,
                          conservation=conservation, inverse_residuals=inverse_res,
                          constants=vf.constants, nfev_total=nfev)
+
+
+def write_isotopy_csv_reference(result, path):
+    """``IsotopyResult.write_csv`` taking each value through ``repr(float(v))``
+    on a numpy scalar."""
+    n = result.grid.shape[1]
+    write_table(path, ["point", "t"] + [f"x0_{i}" for i in range(n)]
+                + [f"H_{i}" for i in range(n)] + ["conservation_residual"],
+                ([p, repr(float(t))] + [repr(float(v)) for v in result.grid[p]]
+                 + [repr(float(v)) for v in result.forward[p, j]]
+                 + [repr(float(result.conservation[p, j]))]
+                 for p in range(result.grid.shape[0])
+                 for j, t in enumerate(result.times)))
 
 
 # ----------------------------------------------------------------- negative side

@@ -20,7 +20,8 @@ from jetsuff.trivializer import (RK45, DeformationF, IsotopyResult,
                                  flow_many, gronwall_check, isotopy)
 from oracles import (W_reference, calibrate_constants_scalar, eval_reference,
                      flow_reference, gronwall_reference, isotopy_reference,
-                     jacobian_reference, pow_formula_gap, same_bits)
+                     jacobian_reference, pow_formula_gap, same_bits,
+                     write_isotopy_csv_reference)
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -304,6 +305,8 @@ class TestIsotopy:
         res.write_csv(tmp_path / "iso.csv")
         lines = (tmp_path / "iso.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + res.grid.shape[0] * len(res.times)
+        write_isotopy_csv_reference(res, tmp_path / "reference.csv")
+        assert (tmp_path / "iso.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 LOCKSTEP_PAIRS = ["x2/x2_plus_x3", "z2/z2_plus_cubes on R^3"]
@@ -496,6 +499,19 @@ class TestStackedArithmetic:
         x = K[:, 0] * 1e-3
         assert same_bits(row_norms(x) / n ** 0.5, [np.linalg.norm(v) / v.size ** 0.5 for v in x])
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_stacked_dense_output_matches_per_row_dot(self, n):
+        # rows passing m checkpoints: their power tables by one cumprod, and
+        # one stacked (n, 4) @ (4, m) product, as scipy's per-row tile and dot
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 3, 5, 8, 17):
+            Q = rng.standard_normal((400, n, 4)) * np.exp(rng.uniform(-20, 2, (400, 1, 1)))
+            x = rng.uniform(0.0, 1.0, (400, m))
+            tables = [np.cumprod(np.tile(v, (4, 1)), axis=0) for v in x]
+            powers = np.cumprod(np.broadcast_to(x[:, None], (400, 4, m)), axis=1)
+            assert same_bits(powers, tables), m
+            assert same_bits(np.matmul(Q, powers), [np.dot(q, t) for q, t in zip(Q, tables)]), m
+
 
 class StubField:
     """y' = g(t, y), entry by entry, in place of W: ``flow_many`` reads it
@@ -530,6 +546,11 @@ def switched_on(t, y):
 def blow_up(t, y):
     """y' = y^2, which leaves every bound at t = 1/y(0)."""
     return y * y
+
+
+def decay(t, y):
+    """y' = -y / 10: slow enough that a step of up to 1/2 passes several checkpoints."""
+    return -0.1 * y
 
 
 class TestStepControl:
@@ -574,3 +595,25 @@ class TestStepControl:
             assert type(errors[p]) is error and str(errors[p]) == str(want.value)
             assert same_bits(states[p], np.tile(X0[p], (17, 1)))
         assert (nfev[1] - 2) % 6 != 0  # in mid-attempt: not a step's last stage
+
+    def test_steps_passing_several_checkpoints_keep_solo_bits(self):
+        # the dense output of rows that pass different numbers of checkpoints
+        # in one step; scipy's own step times count the checkpoints passed
+        from scipy.integrate import solve_ivp
+        vf = StubField(decay)
+        X0 = np.array([[0.3, 0.2], [-2.0, 1e-3], [40.0, -7.0], [1e-5, 2e-6]])
+        widest = 0
+        for tol in (1e-9, 1e-6, 1e-3):
+            for t_span, checkpoints in (((0.0, 1.0), 17), ((11 / 16, 0.0), 9)):
+                states, nfev, errors = flow_many(vf, X0, t_span, tol, checkpoints)
+                assert errors == [None] * len(X0)
+                times = np.linspace(*t_span, checkpoints)
+                for p, x0 in enumerate(X0):
+                    want, k = flow_reference(vf, x0, t_span, tol, checkpoints, rhs=vf.rhs)
+                    assert same_bits(states[p], want) and nfev[p] == k
+                    sol = solve_ivp(vf.rhs, t_span, x0, method="RK45", rtol=tol, atol=tol,
+                                    max_step=0.5)
+                    reached = np.count_nonzero(np.sign(t_span[1] - t_span[0])
+                                               * (times - sol.t[:, None]) <= 0, axis=1)
+                    widest = max(widest, np.diff(reached).max())
+        assert widest >= 2
