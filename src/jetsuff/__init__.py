@@ -13,5 +13,5 @@ from .lojasiewicz import (LojasiewiczReport, ViolationSequence,
 from .trivializer import (DeformationF, IsotopyResult, TrivializationConstants,
                           VectorFieldW, build_F, calibrate_constants, flow, flow_many,
                           gronwall_check, isotopy)
-from .bl_construct import (BumpFunction, PerturbationF, assemble_F,
+from .bl_construct import (PerturbationF, assemble_F, bump_many,
                            choose_lambdas, verify_construction)

@@ -2,9 +2,9 @@
 
 Given a sequence of points off Z approaching 0 whose gradient ratios decay,
 the germ is perturbed inside pairwise-disjoint balls B_v (radius
-dist(a_v, Z)/4) by a bump-localized quadratic matching value and gradient
-at the center. The result f - F keeps the same jet data along Z but has a
-nondegenerate critical point at every a_v.
+RHO_OUT * dist(a_v, Z)) by a bump-localized quadratic matching value and
+gradient at the center. The result f - F keeps the same jet data along Z but
+has a nondegenerate critical point at every a_v.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, InvalidInputError
-from .germ import AnalyticZ, PolyGermMap, ZSpec, int_power, monomial_text
+from .germ import AnalyticZ, PolyGermMap, ZSpec, int_power, monomial_text, scalar_powers
 from .linmap import row_norms
-from .lojasiewicz import falls_like_inverse_nu
+from .lojasiewicz import falls_like_inverse_nu, halves
 from .report import Report
 from .sampling import ball_sample
 
@@ -29,81 +29,65 @@ SAMPLES_PER_BALL = 512          # decay samples per ball
 
 # ----------------------------------------------------------------- bump
 
-def _g(u: float) -> float:
-    return math.exp(-1.0 / u) if u > 0.0 else 0.0
+def bump_many(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The radial C-infinity cutoff alpha (1 inside RHO_IN, 0 outside RHO_OUT),
+    its gradient and its Hessian at the rows of S (shape (N, n)), shapes (N,),
+    (N, n) and (N, n, n).
 
-
-def _transition(u: float) -> tuple[float, float, float]:
-    """psi(u) = g(u)/(g(u)+g(1-u)) with first two derivatives.
-
-    psi is 0 at u <= 0, 1 at u >= 1, C-infinity everywhere.
+    On the transition rows alpha(s) = psi(u), u = (RHO_OUT - s) / (RHO_OUT - RHO_IN),
+    psi(u) = g(u) / (g(u) + g(1 - u)), g(u) = exp(-1/u). ``exp`` and the integer
+    powers go entry by entry through Python floats, whose libm bits numpy's
+    ``exp`` and ``**`` do not always give. The gradient is exactly 0 where
+    alpha' = 0, and the Hessian where alpha' = alpha'' = 0 (the center included).
     """
-    if u <= 0.0:
-        return 0.0, 0.0, 0.0
-    if u >= 1.0:
-        return 1.0, 0.0, 0.0
-    p, q = _g(u), _g(1.0 - u)
-    dp = p / u ** 2
-    dq = -q / (1.0 - u) ** 2
-    d2p = p * (1.0 / u ** 4 - 2.0 / u ** 3)
-    d2q = q * (1.0 / (1.0 - u) ** 4 - 2.0 / (1.0 - u) ** 3)
-    s = p + q
-    N = dp * q - p * dq
-    psi = p / s
-    dpsi = N / s ** 2
-    d2psi = (d2p * q - p * d2q) / s ** 2 - 2.0 * N * (dp + dq) / s ** 3
-    return psi, dpsi, d2psi
-
-
-class BumpFunction:
-    """Radially symmetric C-infinity cutoff: 1 inside RHO_IN, 0 outside RHO_OUT."""
-
-    def _radial(self, s: float) -> tuple[float, float, float]:
-        """alpha and its first two radial derivatives at |x| = s."""
-        a, b = RHO_IN, RHO_OUT
-        if s <= a:
-            return 1.0, 0.0, 0.0
-        if s >= b:
-            return 0.0, 0.0, 0.0
-        u = (b - s) / (b - a)
-        psi, dpsi, d2psi = _transition(u)
-        return psi, -dpsi / (b - a), d2psi / (b - a) ** 2
-
-    def many(self, S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """alpha, its gradient and its Hessian at the rows of S (shape (N, n)),
-        shapes (N,), (N, n) and (N, n, n). The radial profile is Python float
-        arithmetic per row; the gradient is exactly 0 where alpha' = 0, and
-        the Hessian where alpha' = alpha'' = 0 (the center included)."""
-        S = np.asarray(S, dtype=float)
-        N, n = S.shape
-        s = row_norms(S)
-        a, da, d2a = np.array([self._radial(v) for v in s.tolist()]).reshape(N, 3).T
-        grad, hess = np.zeros((N, n)), np.zeros((N, n, n))
-        on = da != 0.0
-        grad[on] = da[on, None] * S[on] / s[on, None]
-        on |= d2a != 0.0
-        S, s = S[on], s[on]
-        outer = S[:, :, None] * S[:, None, :]
-        s1, s2, s3 = (v[:, None, None] for v in (s, int_power(s, 2), int_power(s, 3)))
-        hess[on] = (d2a[on, None, None] * outer / s2
-                    + da[on, None, None] * (np.eye(n) / s1 - outer / s3))
-        return a, grad, hess
-
-
-BUMP = BumpFunction()
+    S = np.asarray(S, dtype=float)
+    N, n = S.shape
+    s = row_norms(S)
+    a, da, d2a = (s <= RHO_IN).astype(float), np.zeros(N), np.zeros(N)
+    mid = (RHO_IN < s) & (s < RHO_OUT)
+    w = RHO_OUT - RHO_IN
+    # w is a power of 2 and RHO_OUT - s is exact, so u and 1 - u lie in (0, 1)
+    u = (RHO_OUT - s[mid]) / w
+    uv = np.concatenate([u, 1.0 - u])
+    g = np.array([math.exp(v) for v in (-1.0 / uv).tolist()])
+    dg = g / scalar_powers(uv, 2)
+    d2g = g * (1.0 / scalar_powers(uv, 4) - 2.0 / scalar_powers(uv, 3))
+    (p, q), (dp, dq), (d2p, d2q) = (np.split(v, 2) for v in (g, dg, d2g))
+    dq = -dq
+    tot = p + q
+    num = dp * q - p * dq
+    tot2 = scalar_powers(tot, 2)
+    a[mid] = p / tot
+    da[mid] = -(num / tot2) / w
+    d2a[mid] = ((d2p * q - p * d2q) / tot2
+                - 2.0 * num * (dp + dq) / scalar_powers(tot, 3)) / w ** 2
+    grad, hess = np.zeros((N, n)), np.zeros((N, n, n))
+    on = da != 0.0
+    grad[on] = da[on, None] * S[on] / s[on, None]
+    on |= d2a != 0.0
+    S, s = S[on], s[on]
+    outer = S[:, :, None] * S[:, None, :]
+    s1, s2, s3 = (v[:, None, None] for v in (s, int_power(s, 2), int_power(s, 3)))
+    hess[on] = (d2a[on, None, None] * outer / s2
+                + da[on, None, None] * (np.eye(n) / s1 - outer / s3))
+    return a, grad, hess
 
 
 # ----------------------------------------------------------------- lambdas
 
-def choose_lambdas(f: PolyGermMap, a_list, z: ZSpec) -> list[float]:
-    """lambda_v = dist(a_v, Z)^(k-1), nudged off Hessian eigenvalues.
+def choose_lambdas(f: PolyGermMap, a_list, dists) -> list[float]:
+    """lambda_v = dist(a_v, Z)^(k-1), nudged off Hessian eigenvalues; ``dists``
+    holds dist(a_v, Z) for the rows of ``a_list``.
 
     The default makes lambda_v / dist^(k-2) = dist -> 0, and a multiplicative
     nudge (1 + 1e-3) clears the Hessian spectrum of f at a_v by GAP_REL * lambda.
     """
     A = np.atleast_2d(np.asarray(a_list, dtype=float))
+    dists = np.asarray(dists, dtype=float)
+    if dists.shape != A.shape[:1]:
+        raise InvalidInputError("sequence lengths disagree")
     out = []
-    for a, d, eigs in zip(A, z.distance_many(A).tolist(),
+    for a, d, eigs in zip(A, dists.tolist(),
                           np.linalg.eigvalsh(f.hessian_many(A)[:, 0])):
         if d <= 0.0:
             raise InvalidInputError(f"sequence point {a.tolist()} lies on Z")
@@ -125,7 +109,7 @@ class PerturbationF:
     """The assembled perturbation: bump-localized quadratics in balls B_v.
 
     A point belongs to the first ball, in center order, whose center is
-    within dist/4 of it; F vanishes outside every ball.
+    within RHO_OUT * dist of it; F vanishes outside every ball.
     """
 
     def __init__(self, f: PolyGermMap, centers: np.ndarray, dists: np.ndarray,
@@ -148,14 +132,14 @@ class PerturbationF:
         X = np.asarray(X, dtype=float)
         N, n = X.shape
         gaps = (X[:, None, :] - self.centers).reshape(-1, n)
-        near = row_norms(gaps).reshape(N, -1) <= self.dists / 4.0
+        near = row_norms(gaps).reshape(N, -1) <= self.dists * RHO_OUT
         rows = np.flatnonzero(near.any(axis=1))
         ball = near[rows].argmax(axis=1)  # the first ball holding the row
         d, lam, grads = self.dists[ball, None], self.lambdas[ball], self._grads[ball]
         U = X[rows] - self.centers[ball]
         quad = self._values[ball] + np.vecdot(grads, U) + 0.5 * lam * np.vecdot(U, U)
         dquad = grads + lam[:, None] * U
-        a, da, d2a = BUMP.many(U / d)
+        a, da, d2a = bump_many(U / d)
         da = da / d
         F, G, H = np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n))
         F[rows] = a * quad
@@ -183,17 +167,16 @@ def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
     if w := AnalyticZ(f.n, "subspace", tuple(range(1, f.n + 1))).jet_witness(f, f.k - 1):
         raise InvalidInputError("the (k-1)-jet of f at 0 must vanish; component "
                                 f"{w[0] + 1} has the term {monomial_text(w[1])}")
-    for d0, d1 in zip(dists, dists[1:]):
-        if not d1 < 0.5 * d0:
-            raise InvalidInputError("sequence distances must at least halve")
+    if not halves(dists):
+        raise InvalidInputError("sequence distances must at least halve")
     pf = PerturbationF(f, points, dists, lambdas)
     # exact disjointness: centers further apart than the radius sum
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            gap = np.linalg.norm(points[i] - points[j])
-            if gap <= (dists[i] + dists[j]) / 4.0:
-                raise ConstructionError(
-                    f"balls {i} and {j} overlap (centers {gap:.3e} apart)")
+    i, j = np.triu_indices(len(points), 1)
+    gaps = row_norms(points[i] - points[j])
+    if len(over := np.flatnonzero(gaps <= (dists[i] + dists[j]) * RHO_OUT)):
+        v = over[0]  # the first pair in (i, j) order
+        raise ConstructionError(
+            f"balls {i[v]} and {j[v]} overlap (centers {gaps[v]:.3e} apart)")
     return pf
 
 

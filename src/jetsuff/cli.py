@@ -163,6 +163,8 @@ def _cmd_corollary(config: ExperimentConfig, outdir: Path, seq_path) -> int:
 
 def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     f, z = _load(config)
+    if f.m != 1:  # before the violation search, which would run in vain
+        raise InvalidInputError("construction applies to scalar germs")
     if seq_path is not None:
         try:
             points = json_numbers(read_json(seq_path)["points"], "--seq points")
@@ -186,7 +188,7 @@ def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
             print("not certified: no violating sequence found; supply --seq", file=sys.stderr)
             return EXIT_VIOLATION
         points, dists = np.asarray(seq.points), np.asarray(seq.dists)
-    lambdas = bl_construct.choose_lambdas(f, points, z)
+    lambdas = bl_construct.choose_lambdas(f, points, dists)
     pf = bl_construct.assemble_F(f, points, dists, lambdas)
     rep = bl_construct.verify_construction(pf, z, seed=config.seed)
     _write_report(config, {"construction": rep.to_dict(),

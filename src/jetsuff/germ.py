@@ -314,7 +314,8 @@ def int_power(x, p: int) -> np.ndarray:
 
 def scalar_powers(values, p: float) -> np.ndarray:
     """``v ** p`` for each entry by Python's float ``pow``, which numpy's array
-    ``**`` does not reproduce: RK45's two fractional step-control powers."""
+    ``**`` does not reproduce: RK45's two fractional step-control powers and
+    the integer powers of the bump's transition profile."""
     return np.array([v ** p for v in np.asarray(values, dtype=float).tolist()])
 
 

@@ -63,6 +63,11 @@ def falls_like_inverse_nu(values) -> bool:
     return all(v <= values[0] / i + 1e-15 for i, v in enumerate(values, start=1))
 
 
+def halves(values) -> bool:
+    """The sequence rule on distances: each value is below half the one before it."""
+    return all(v1 < 0.5 * v0 for v0, v1 in zip(values, values[1:]))
+
+
 @dataclass(frozen=True)
 class ViolationSequence(Report):
     """Points off Z approaching 0 whose condition ratios decay to 0."""
@@ -74,9 +79,8 @@ class ViolationSequence(Report):
     def __post_init__(self):
         if not 0 < len(self.points) == len(self.ratios) == len(self.dists):
             raise InvalidInputError("points, ratios and dists must be nonempty and of one length")
-        for d0, d1 in zip(self.dists, self.dists[1:]):
-            if not d1 < 0.5 * d0:
-                raise InvalidInputError("distances must at least halve")
+        if not halves(self.dists):
+            raise InvalidInputError("distances must at least halve")
         for r0, r1 in zip(self.ratios, self.ratios[1:]):
             if not r1 < r0:
                 raise InvalidInputError("ratios must strictly decrease")

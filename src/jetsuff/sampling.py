@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 SOBOL_BITS = 30  # scipy's default: Sobol points are multiples of 2^-30
 # Joe and Kuo's primitive polynomials and initial direction numbers, one row
 # per dimension, read from the table scipy ships, located without importing
@@ -54,6 +56,9 @@ def _sobol(d: int, count: int, seed: int) -> np.ndarray:
     for bit, m = max(1, ceil(log2(count))) (a power-of-two block keeps the
     Sobol balance): the same draws for the random shift and the LMS scramble,
     and the points in scipy's Gray-code order."""
+    if count > 2 ** SOBOL_BITS:  # the sequence has no more distinct points
+        raise InvalidInputError(f"at most 2^{SOBOL_BITS} Sobol points per pattern, "
+                                f"not {count}")
     rng = np.random.default_rng(seed)
     shift = rng.integers(0, 2, (d, SOBOL_BITS), dtype=np.uint32) @ (1 << np.arange(SOBOL_BITS))
     lower = np.tril(rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32), -1)

@@ -47,7 +47,7 @@ from scipy.optimize import minimize
 from scipy.special import ndtri
 
 from jetsuff.bl_construct import (GAP_REL, MAX_RETRIES, RHO_IN, RHO_OUT,
-                                  SAMPLES_PER_BALL, ConstructionReport, _transition)
+                                  SAMPLES_PER_BALL, ConstructionReport)
 from jetsuff.errors import (CalibrationError, ConstructionError, CoveringViolationError,
                             DomainExitError, FieldBoundError, InvalidInputError,
                             MinorIdentityError)
@@ -554,7 +554,7 @@ def write_isotopy_csv_reference(result, path):
 # ----------------------------------------------------------------- negative side
 # The one-point bump, the ball-by-ball perturbation, the per-entry germ
 # Hessian and the per-point lambda and verification loops that
-# ``BumpFunction.many``, ``PerturbationF.many``, ``PolyGermMap.hessian_many``
+# ``bump_many``, ``PerturbationF.many``, ``PolyGermMap.hessian_many``
 # and the stacked ``choose_lambdas``/``verify_construction`` replaced.
 
 def hessian_reference(f, i: int, x) -> np.ndarray:
@@ -563,6 +563,32 @@ def hessian_reference(f, i: int, x) -> np.ndarray:
     row = f._partials[i]
     return np.array([[row[a].deriv(b).eval(x) for b in range(f.n)]
                      for a in range(f.n)])
+
+
+def _g(u: float) -> float:
+    return math.exp(-1.0 / u) if u > 0.0 else 0.0
+
+
+def _transition(u: float) -> tuple[float, float, float]:
+    """psi(u) = g(u)/(g(u)+g(1-u)) with first two derivatives.
+
+    psi is 0 at u <= 0, 1 at u >= 1, C-infinity everywhere.
+    """
+    if u <= 0.0:
+        return 0.0, 0.0, 0.0
+    if u >= 1.0:
+        return 1.0, 0.0, 0.0
+    p, q = _g(u), _g(1.0 - u)
+    dp = p / u ** 2
+    dq = -q / (1.0 - u) ** 2
+    d2p = p * (1.0 / u ** 4 - 2.0 / u ** 3)
+    d2q = q * (1.0 / (1.0 - u) ** 4 - 2.0 / (1.0 - u) ** 3)
+    s = p + q
+    N = dp * q - p * dq
+    psi = p / s
+    dpsi = N / s ** 2
+    d2psi = (d2p * q - p * d2q) / s ** 2 - 2.0 * N * (dp + dq) / s ** 3
+    return psi, dpsi, d2psi
 
 
 class BumpReference:

@@ -198,7 +198,7 @@ def test_criterion_08_counterexample_construction():
     def construct(f, z):
         pts = np.array([[3.0 ** -v, 3.0 ** -v] for v in range(1, 6)])
         dists = np.array([z.distance(p) for p in pts])
-        pf = assemble_F(f, pts, dists, choose_lambdas(f, pts, z))
+        pf = assemble_F(f, pts, dists, choose_lambdas(f, pts, dists))
         return verify_construction(pf, z)
 
     t0 = time.monotonic()

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from jetsuff import bl_construct
-from jetsuff.bl_construct import (BUMP, RHO_IN, RHO_OUT, PerturbationF, assemble_F,
+from jetsuff.bl_construct import (RHO_IN, RHO_OUT, PerturbationF, assemble_F, bump_many,
                                   choose_lambdas, verify_construction)
 from jetsuff.errors import ConstructionError, InvalidInputError
 from jetsuff.germ import AnalyticZ, PolyGermMap, load_germ
@@ -41,7 +41,7 @@ def diagonal_sequence(N=5):
 
 def bump(x):
     """The bump's value, gradient and Hessian at one point: one row of many."""
-    a, grad, hess = BUMP.many(np.asarray(x, dtype=float)[None, :])
+    a, grad, hess = bump_many(np.asarray(x, dtype=float)[None, :])
     return a[0], grad[0], hess[0]
 
 
@@ -71,7 +71,7 @@ class TestBump:
 
     def test_bounded_by_one(self):
         ss = np.linspace(0, 0.5, 257)
-        a, _, _ = BUMP.many(np.stack([ss, np.zeros_like(ss)], axis=1))
+        a, _, _ = bump_many(np.stack([ss, np.zeros_like(ss)], axis=1))
         assert np.all((0.0 <= a) & (a <= 1.0))
 
     def test_gradient_matches_finite_differences(self):
@@ -93,7 +93,7 @@ class TestBump:
 class TestChooseLambdas:
     def test_default_power(self):
         pts, dists = diagonal_sequence()
-        lams = choose_lambdas(x2y2_germ(), pts, Z_AXES)
+        lams = choose_lambdas(x2y2_germ(), pts, dists)
         for lam, d in zip(lams, dists):
             assert lam == pytest.approx(d ** 3, rel=2e-3)
             # the constraining ratio lambda / dist^(k-2) decays like dist
@@ -104,19 +104,19 @@ class TestChooseLambdas:
         # so the k=2 default lambda = 2 collides with the eigenvalue 2. One
         # nudge leaves the gap 0.002, not above GAP_REL * 2.002; two clear it
         f, z = collision_germ()
-        lam, = choose_lambdas(f, [[2.0, 5.0]], z)
+        lam, = choose_lambdas(f, [[2.0, 5.0]], z.distance_many([[2.0, 5.0]]))
         assert lam == pytest.approx(2.004002, rel=1e-9)
 
     def test_rejects_points_on_Z(self):
         with pytest.raises(InvalidInputError):
-            choose_lambdas(x2y2_germ(), [[0.0, 1.0]], Z_AXES)
+            choose_lambdas(x2y2_germ(), [[0.0, 1.0]], Z_AXES.distance_many([[0.0, 1.0]]))
 
 
 @pytest.fixture(scope="module")
 def pf():
     f = x2y2_germ()
     pts, dists = diagonal_sequence()
-    return assemble_F(f, pts, dists, choose_lambdas(f, pts, Z_AXES))
+    return assemble_F(f, pts, dists, choose_lambdas(f, pts, dists))
 
 
 class TestAssembly:
@@ -170,6 +170,16 @@ class TestAssembly:
         with pytest.raises((ConstructionError, InvalidInputError)):
             assemble_F(f, pts, [0.3, 0.14, 0.05], [0.1, 0.01, 0.001])
 
+    def test_first_overlapping_pair_named(self):
+        # balls of radius dist/4 = 0.1, 0.04, 0.015, 0.005 on one line; the
+        # pairs (0, 3), (1, 2) and (2, 3) overlap, and (0, 3) comes first
+        # with i outer and j inner, (1, 2) with j outer
+        f = x2y2_germ()
+        pts = np.array([[x, 0.3] for x in (0.4, 0.568, 0.518, 0.5)])
+        message = r"^balls 0 and 3 overlap \(centers 1\.000e-01 apart\)$"
+        with pytest.raises(ConstructionError, match=message):
+            assemble_F(f, pts, [0.4, 0.16, 0.06, 0.02], [0.1, 0.01, 0.001, 1e-4])
+
     def test_short_prefix_rejected(self):
         f = x2y2_germ()
         pts, dists = diagonal_sequence(2)
@@ -199,7 +209,7 @@ class TestVerification:
         z = AnalyticZ(n=2, form="subspace", coords=(1,))
         pts, _ = diagonal_sequence()
         dists = z.distance_many(pts)
-        pf = assemble_F(f, pts, dists, choose_lambdas(f, pts, z))
+        pf = assemble_F(f, pts, dists, choose_lambdas(f, pts, dists))
         rep = verify_construction(pf, z)
         assert rep.ok, rep.failures
         assert all(v <= 1e-12 for v in rep.value_residuals)
@@ -212,7 +222,7 @@ class TestVerification:
         # there and the flat decay must not pass as a witness
         f = x2y2_germ()
         pts, dists = diagonal_sequence()
-        rep = verify_construction(assemble_F(f, pts, dists, choose_lambdas(f, pts, Z_AXES)),
+        rep = verify_construction(assemble_F(f, pts, dists, choose_lambdas(f, pts, dists)),
                                   Z_AXES)
         assert not rep.ok
         assert rep.failures == (
@@ -281,11 +291,13 @@ class TestStackedOracle:
     @pytest.mark.parametrize("n", [2, 3])
     def test_bump_matches_reference(self, n):
         rng = np.random.default_rng(n)
-        exact = np.concatenate([r * sign * np.eye(n) for r in (RHO_IN, RHO_OUT)
-                                for sign in (1.0, -1.0)])
+        # the radii and one ulp inside each, where exp(-1/(1-u)) at RHO_IN
+        # and exp(-1/u) at RHO_OUT underflow to 0
+        radii = (RHO_IN, RHO_OUT, np.nextafter(RHO_IN, RHO_OUT), np.nextafter(RHO_OUT, RHO_IN))
+        exact = np.concatenate([r * sign * np.eye(n) for r in radii for sign in (1.0, -1.0)])
         S = np.concatenate([np.zeros((1, n)), exact,
                             rng.uniform(0.0, 0.3, (2000, 1)) * unit_rows(rng, 2000, n)])
-        a, grad, hess = BUMP.many(S)
+        a, grad, hess = bump_many(S)
         assert same_bits(a, [BUMP_REFERENCE.value(s) for s in S])
         assert same_bits(grad, [BUMP_REFERENCE.gradient(s) for s in S])
         assert same_bits(hess, [BUMP_REFERENCE.hessian(s) for s in S])
@@ -307,7 +319,7 @@ class TestStackedOracle:
     @pytest.mark.parametrize("name", SEQUENCES)
     def test_lambdas_and_report_match_reference(self, name):
         f, z, seed, pf, ref = construction(name)
-        assert same_bits(choose_lambdas(f, pf.centers, z), ref.lambdas)
+        assert same_bits(choose_lambdas(f, pf.centers, pf.dists), ref.lambdas)
         assert (repr(verify_construction(pf, z, seed))
                 == repr(verify_construction_reference(ref, z, seed)))
 
@@ -326,7 +338,7 @@ class TestStackedOracle:
         with pytest.raises((ConstructionError, InvalidInputError)) as want:
             choose_lambdas_reference(f, points, z)
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            choose_lambdas(f, points, z)
+            choose_lambdas(f, points, z.distance_many(points))
 
     @pytest.mark.parametrize("germ", ["x3", "x2y2", "x2", "sum_of_squares"])
     def test_germ_hessians_match_reference(self, germ):

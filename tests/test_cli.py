@@ -106,6 +106,30 @@ class TestExitCodes:
         assert err == "not certified: no violating sequence found; supply --seq\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seq", [None, [[0.4, 0.1, 0.0], [0.1, 0.02, 0.0], [0.02, 0.005, 0.0]]],
+                             ids=["search", "seq"])
+    def test_construct_refuses_a_map_germ(self, tmp_path, capsys, monkeypatch, seq):
+        # without --seq this ran the whole violation search, then exited 2
+        def uncalled(*args, **kwargs):
+            raise AssertionError("searched for a sequence on a map germ")
+        monkeypatch.setattr(lojasiewicz, "find_violation_sequence", uncalled)
+        args = ["--germ", ROOT / "perfbench" / "germs" / "z2.json", "--cmd", "construct"]
+        if seq is not None:
+            (tmp_path / "seq.json").write_text(json.dumps({"points": seq}))
+            args += ["--seq", tmp_path / "seq.json"]
+        assert run_cli(*args, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: construction applies to scalar germs\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_samples_beyond_the_sobol_sequence(self, tmp_path, capsys):
+        # a count beyond 2^30 (10^20, say) used to grow the Sobol table until
+        # the process was killed
+        assert run_cli("--germ", GERMS / "x2.json", "--cmd", "check", "--samples",
+                       2 ** 30 + 1, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_germ_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -483,6 +507,15 @@ def readme_cli_lines():
 def test_readme_has_every_command():
     cmds = {argv[argv.index("--cmd") + 1] for argv in readme_cli_lines()}
     assert cmds == {"check", "exponent", "trivialize", "corollary", "construct"}
+
+
+def test_readme_names_every_script():
+    # a script deleted without its README line, or added without one, fails here
+    block = (ROOT / "README.md").read_text().split("## Scripts", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = {word for line in block.splitlines() for word in shlex.split(line, comments=True)
+             if word.startswith("scripts/")}
+    assert named == {f"scripts/{p.name}" for p in (ROOT / "scripts").iterdir() if p.is_file()}
 
 
 def readme_ids(lines):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm, qmc
 
+from jetsuff.errors import InvalidInputError
 from jetsuff.sampling import _directions, _gaussian_directions, _normal_quantile, _sobol
 from oracles import gaussian_directions_reference
 
@@ -33,6 +34,14 @@ def test_sobol_is_scipys(d, count):
         got, want = _sobol(d, count, seed), scipy_sobol(d, count, seed)
         assert got.dtype == want.dtype and got.shape == want.shape == (count, d)
         assert np.array_equal(got, want), f"d={d} count={count} seed={seed}"
+
+
+def test_sobol_refuses_more_points_than_the_sequence_has():
+    # 2^30 + 1 used to double the Gray-code table to 2^31 points before
+    # slicing; scipy's Sobol refuses the same count
+    message = r"^at most 2\^30 Sobol points per pattern, not 1073741825$"
+    with pytest.raises(InvalidInputError, match=message):
+        _sobol(2, 2 ** 30 + 1, 0)
 
 
 @pytest.mark.parametrize("count", [17, 1000, 4096])
