@@ -230,7 +230,12 @@ def run(config: ExperimentConfig, out, seq_path=None) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed why; its exit 2 would read as a violation
+        if exc.code == EXIT_OK:  # --help
+            raise
+        return EXIT_ERROR
     try:
         config = ExperimentConfig(**{f.name: getattr(args, f.name)
                                      for f in fields(ExperimentConfig)})

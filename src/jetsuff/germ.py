@@ -97,12 +97,12 @@ class PolyGermMap:
 
 
 def jet_at(f: PolyGermMap, a, k: int) -> tuple[Poly, ...]:
-    """Exact k-jet of ``f`` at ``a``: each component shifted to the variable
-    u = x - a, then truncated to degree k."""
+    """Exact k-jet of ``f`` at ``a``: per component, ``Poly.jet``, the terms of
+    degree <= k of p(a + u) in the variable u = x - a."""
     if k < 0:
         raise InvalidInputError("jet order must be nonnegative")
     a = tuple(a)
-    return tuple(p.shifted(a).truncated(k) for p in f.components)
+    return tuple(p.jet(a, k) for p in f.components)
 
 
 # --------------------------------------------------------------------- ZSpec
@@ -326,16 +326,14 @@ class GermPair:
     f: PolyGermMap
     f1: PolyGermMap
     z: ZSpec
+    P: PolyGermMap = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.f.n, self.f.m, self.f.k) != (self.f1.n, self.f1.m, self.f1.k):
             raise InvalidInputError("paired germs must share (n, m, k)")
         if self.z.n != self.f.n:
             raise InvalidInputError("ZSpec dimension mismatch")
-
-    @property
-    def P(self) -> PolyGermMap:
-        return self.f1 - self.f
+        object.__setattr__(self, "P", self.f1 - self.f)
 
 
 def same_k_Z_jet(pair: GermPair) -> tuple[bool, object]:

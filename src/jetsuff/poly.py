@@ -3,7 +3,7 @@
 A polynomial in ``n`` variables is a mapping from exponent tuples to
 coefficients, e.g. ``x0**2 * x1`` in 3 variables is ``{(2, 1, 0): 1}``.
 Coefficients are :class:`fractions.Fraction` whenever the inputs allow it,
-so differentiation, Taylor shifts and truncation are exact.
+so differentiation and jets are exact.
 """
 
 from __future__ import annotations
@@ -48,14 +48,6 @@ class Poly:
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._stack = None
 
-    @classmethod
-    def zero(cls, n: int) -> "Poly":
-        return cls(n, {})
-
-    @classmethod
-    def constant(cls, n: int, c) -> "Poly":
-        return cls(n, {(0,) * n: c})
-
     # ------------------------------------------------------------------ algebra
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -68,16 +60,6 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + other.scale(-1)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.n != other.n:
-            raise InvalidInputError("variable count mismatch")
-        terms: dict[Exponents, object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(self.n, terms)
 
     def scale(self, c) -> "Poly":
         c = _as_coeff(c)
@@ -105,27 +87,25 @@ class Poly:
             terms[tuple(d)] = c * e[i]
         return Poly(self.n, terms)
 
-    def truncated(self, k: int) -> "Poly":
-        """Drop every term of total degree above ``k``."""
-        return Poly(self.n, {e: c for e, c in self.terms.items() if sum(e) <= k})
-
-    def shifted(self, a) -> "Poly":
-        """Return q with q(u) = p(a + u), expanded exactly.
-
-        Float entries of ``a`` and float coefficients are converted to
-        Fraction exactly, so the shift introduces no rounding.
-        """
+    def jet(self, a, k: int) -> "Poly":
+        """The terms of degree <= k of q(u) = p(a + u), exactly: c x^e gives
+        c prod_i C(e_i, b_i) a_i^(e_i - b_i) u^b for each b <= e with |b| <= k,
+        listing no factor that is exactly 0 (a_i = 0, b_i < e_i). Float entries
+        of ``a`` and float coefficients become Fraction exactly, so nothing rounds."""
+        if len(a) != self.n:
+            raise InvalidInputError(f"point dimension ({len(a)},) != ({self.n},)")
         a = [Fraction(x) for x in a]
-        out = Poly.zero(self.n)
+        terms: dict[Exponents, object] = {}
         for e, c in self.terms.items():
-            term = Poly.constant(self.n, Fraction(c))
-            for i, ei in enumerate(e):
-                if ei:  # times (a_i + u_i)^ei, by binomial expansion
-                    term = term * Poly(self.n, {(0,) * i + (j,) + (0,) * (self.n - i - 1):
-                                                math.comb(ei, j) * a[i] ** (ei - j)
-                                                for j in range(ei + 1)})
-            out = out + term
-        return out
+            parts = [((), 0, Fraction(c))]  # (b_1..b_i, their sum, product so far)
+            for ai, ei in zip(a, e):
+                factors = [(b, math.comb(ei, b) * ai ** (ei - b))
+                           for b in range(min(ei, k) + 1) if ai or b == ei]
+                parts = [(b + (bi,), d + bi, v * f) for b, d, v in parts
+                         for bi, f in factors if d + bi <= k]
+            for b, _, v in parts:
+                terms[b] = terms.get(b, 0) + v
+        return Poly(self.n, terms)
 
     # ------------------------------------------------------------------ evaluation
 

@@ -136,8 +136,9 @@ def calibrate_constants(pair: GermPair, report, seed: int = 0) -> Trivialization
     """
     if report.verdict != "holds":
         raise InvalidInputError("calibration requires a 'holds' estimator verdict")
-    C = report.C_hat
-    k = pair.f.k
+    C, k = report.C_hat, pair.f.k
+    if report.k != k:
+        raise InvalidInputError(f"estimator report is for k = {report.k}, the pair's k is {k}")
     P = pair.P
     unit = ball_sample(pair.f.n, CALIBRATION_SAMPLES, seed)
     radius = 1.0

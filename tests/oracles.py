@@ -23,6 +23,9 @@ sampled cloud, which the root of the least left-to-right sum of squares
 replaced (up to n = 7 they have the same bits). ``poly_eval_reference`` is
 the pow formula that ``PolyStack``'s repeated squares replaced;
 ``pow_formula_gap`` meets it within the two formulas' rounding bounds.
+``jet_reference`` is Taylor's formula in place of ``Poly.jet``'s binomial
+expansion: the coefficients d^beta p(a) / beta! from ``Poly.deriv``, taken
+in Fraction arithmetic, so the two must agree exactly.
 ``same_k_Z_jet_reference`` is the sampled jet check that
 ``ZSpec.jet_witness`` replaced: it shifts f and f1 to ``sample_points`` of Z
 and calls their jets equal when every float coefficient of the difference
@@ -55,6 +58,7 @@ from jetsuff.germ import SampledZ, int_power, jet_at
 from jetsuff.linmap import LinearMap, g_prime, minor_table, nu
 from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
                                  ViolationSequence, _ratio_stats)
+from jetsuff.poly import Poly
 from jetsuff.report import write_table
 from jetsuff.sampling import ball_sample, sphere_sample, unit_shell_sample
 from jetsuff.trivializer import (FIELD_BOUND_SLACK, LINSYS_TOL, DeformationF,
@@ -223,6 +227,22 @@ def poly_eval_pointwise(p, x) -> float:
                 v *= v
         total += term * float(c)
     return total
+
+
+def jet_reference(p, a, k: int):
+    """The terms of degree <= k of p(a + u) by Taylor's formula: u^beta has
+    the coefficient d^beta p(a) / beta!, each derivative by ``Poly.deriv`` of
+    p with exact Fraction coefficients and evaluated at a in Fraction."""
+    a = [Fraction(v) for v in a]
+    d = {(0,) * p.n: Poly(p.n, {e: Fraction(c) for e, c in p.terms.items()})}
+    for beta in sorted(itertools.product(range(k + 1), repeat=p.n), key=sum):
+        if 0 < sum(beta) <= k:  # one derivative of a beta one lower
+            i = next(i for i, b in enumerate(beta) if b)
+            d[beta] = d[beta[:i] + (beta[i] - 1,) + beta[i + 1:]].deriv(i)
+    return Poly(p.n, {beta: sum((c * math.prod(v ** e for v, e in zip(a, ex))
+                                 for ex, c in q.terms.items()), Fraction(0))
+                      / math.prod(math.factorial(b) for b in beta)
+                      for beta, q in d.items()})
 
 
 def gamma(j: int) -> float:

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -173,6 +176,24 @@ class TestExitCodeTaxonomy:
     def test_check_flags(self, tmp_path, extra, code):
         assert run_cli("--germ", GERMS / "x2.json", "--cmd", "check", *extra,
                        "--out", tmp_path) == code
+
+    @pytest.mark.parametrize("args", [
+        ("--germ", GERMS / "x2.json", "--cmd", "bogus"),
+        ("--cmd", "check"),
+        ("--germ", GERMS / "x2.json", "--cmd", "check", "--seed", "abc"),
+    ], ids=["unknown-cmd", "missing-germ", "non-integer-seed"])
+    def test_bad_arguments(self, tmp_path, capsys, args):
+        # argparse's own exit 2 read as a failed property
+        assert run_cli(*args, "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jetsuff ") and "\njetsuff: error: " in err
+        assert not any(tmp_path.iterdir())
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: jetsuff ")
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
     def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
@@ -516,6 +537,19 @@ def test_readme_names_every_script():
     named = {word for line in block.splitlines() for word in shlex.split(line, comments=True)
              if word.startswith("scripts/")}
     assert named == {f"scripts/{p.name}" for p in (ROOT / "scripts").iterdir() if p.is_file()}
+
+
+def test_readme_survey_script_runs(tmp_path):
+    # the README's Scripts line, with a smaller sample count
+    proc = subprocess.run(
+        [sys.executable, "scripts/run_condition_survey.py", "--out", str(tmp_path),
+         "--samples", "256"], cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["germ", "verdict", "C_hat", "exponent"]
+    assert [row.split()[0] for row in rows] == ["x2", "x3", "sum_of_squares", "x2y2"]
+    assert all(len(row.split()) == 4 for row in rows)
 
 
 def readme_ids(lines):

@@ -161,7 +161,7 @@ class TestJets:
         f = germ([{(2, 1): Fraction(3), (1, 0): Fraction(-2)}], k=3)
         a = (Fraction(1, 3), Fraction(-1, 2))
         j = jet_at(f, a, 3)
-        back = j[0].shifted([-v for v in a])
+        back = j[0].jet([-v for v in a], 3)
         assert back == f.components[0]
 
 
@@ -203,6 +203,13 @@ class TestSameJet:
         for c in (Fraction(1, 10 ** 13), 1e-13):
             f1 = germ([{(2, 0): 1, (0, 1): c}])
             assert same_k_Z_jet(GermPair(f=germ_x2(), f1=f1, z=z)) == (False, (0.0, 0.0))
+
+    def test_P_is_derived_once(self):
+        pair = GermPair(f=germ_x2(), f1=germ([{(2, 0): 1, (3, 0): 1}]), z=Z_HYP)
+        assert pair.P is pair.P
+        assert pair.P.components == [Poly(2, {(3, 0): 1})]
+        # P is neither compared nor shown
+        assert pair == GermPair(f=pair.f, f1=pair.f1, z=Z_HYP) and "P=" not in repr(pair)
 
     def test_monomial_text(self):
         assert monomial_text((2, 1, 0)) == "x1^2 x2"
@@ -284,11 +291,28 @@ class TestIdealMembership:
         assert z.jet_witness(PolyGermMap(n, m, max(k, 2), comps), k) == witness
         if k < 2:  # a germ's order exceeds 1
             return
-        pair = GermPair(f=PolyGermMap(n, m, k, [Poly.zero(n)] * m),
+        pair = GermPair(f=PolyGermMap(n, m, k, [Poly(n)] * m),
                         f1=PolyGermMap(n, m, k, comps), z=z)
         assert same_k_Z_jet(pair) == (witness is None, witness)
         if all(abs(c) >= 1e-6 for p in comps for c in p.terms.values()):
             assert same_k_Z_jet_reference(pair)[0] == (witness is None)
+
+
+AXIS_CLOUD_12 = SampledZ(n=2, points=np.array(
+    [[0.0, 0.0]] + [[0.0, s * j / 8] for j in range(1, 7) for s in (1, -1)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(
+    lambda e: 0 < sum(e) <= 6), st.integers(-9, 9), max_size=5), st.integers(0, 5))
+def test_cloud_and_exponent_rules_agree_on_the_axis(terms, k):
+    # P is flat to order k along {x1 = 0} when each partial of order <= k,
+    # restricted to the axis, is the zero polynomial in x2; that restriction
+    # has degree <= 6, so unless it is zero it vanishes at 6 of the 12 points
+    # off the origin at most
+    P = PolyGermMap(2, 1, 2, [Poly(2, terms)])
+    assert ((AXIS_CLOUD_12.jet_witness(P, k) is None)
+            == (AnalyticZ(2, "subspace", (1,)).jet_witness(P, k) is None))
 
 
 class TestDistance:

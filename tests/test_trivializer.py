@@ -106,6 +106,16 @@ class TestCalibration:
         with pytest.raises(InvalidInputError):
             calibrate_constants(pair, rep)
 
+    def test_refuses_a_report_of_another_k(self):
+        # the k = 3 report (C_hat 4.04) used to calibrate the k = 2 pair to
+        # U_radius 0.43, C'' 39,100 and r0 0.0, against 0.21, 2.34 and 0.0199
+        pair = bundled_pair("x2", "x2_plus_x3")
+        rep = estimate_condition(pair.f, pair.z, 3, RADII, 512, 0)
+        assert rep.verdict == "holds"
+        with pytest.raises(InvalidInputError,
+                           match="^estimator report is for k = 3, the pair's k is 2$"):
+            calibrate_constants(pair, rep)
+
 
 def bundled_pair(name, pair_name):
     f, z = load_germ(GERMS / f"{name}.json")
