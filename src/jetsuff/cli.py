@@ -166,8 +166,13 @@ def _cmd_construct(config: ExperimentConfig, outdir: Path, seq_path) -> int:
     if f.m != 1:  # before the violation search, which would run in vain
         raise InvalidInputError("construction applies to scalar germs")
     if seq_path is not None:
+        doc = read_json(seq_path)
+        if isinstance(doc, dict) and "estimate" in doc:  # a check report.json
+            doc = doc.get("violation_sequence")
+            if doc is None:
+                raise InvalidInputError("--seq report has no violation sequence")
         try:
-            points = json_numbers(read_json(seq_path)["points"], "--seq points")
+            points = json_numbers(doc["points"], "--seq points")
         except InvalidInputError:  # a ValueError that already names the fault
             raise
         except (KeyError, TypeError, ValueError):
@@ -219,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annuli", type=int, default=4)
     p.add_argument("--samples", type=int, default=512)
     p.add_argument("--tol-ode", type=float, default=1e-9)
-    p.add_argument("--seq", help="JSON file with explicit sequence points (construct)")
+    p.add_argument("--seq", help="JSON file with explicit sequence points, or a check "
+                   "report.json with a violation sequence (construct)")
     p.add_argument("--out", default="out", help="output directory")
     return p
 

@@ -177,14 +177,21 @@ def _nelder_mead(objective, X0):
     of the run from ``X0[which[i]]``, each row on its own. The simplices and
     their values are arrays over the live runs, which are all at one
     iteration, and each phase is a row mask, so every run takes scipy's steps
-    with scipy's arithmetic, bit for bit. An iteration makes at most three
-    stacked calls: the reflections, then the expansions and contractions, then
-    the shrinks. Returns the final simplices (R, N+1, N), each sorted so its
-    best vertex comes first, their values (R, N+1) and ``nit`` (R,); scipy's
-    ``x`` and ``fun`` are ``S[:, 0]`` and ``F.min(1)``."""
+    with scipy's arithmetic, bit for bit. An iteration makes one stacked call
+    for all four of scipy's trial points of every live run (reflection,
+    expansion, outside and inside contraction, each ``a*xbar + b*worst`` with
+    scipy's weights and operand order), keeps the one scipy's rules pick, and
+    makes one more call for the shrinks, if any. Returns the final simplices
+    (R, N+1, N), each sorted so its best vertex comes first, their values
+    (R, N+1) and ``nit`` (R,); scipy's ``x`` and ``fun`` are ``S[:, 0]`` and
+    ``F.min(1)``."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
     maxiter, xatol, fatol = POLISH["maxiter"], POLISH["xatol"], POLISH["fatol"]
+    # reflection, expansion, outside and inside contraction: a*xbar + b*worst,
+    # where b*worst is scipy's subtrahend negated, which is exact
+    a = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None]
+    b = np.array([-rho, -(rho * chi), -(psi * rho), psi])[:, None]
     X0 = np.asarray(X0, dtype=float)
     R, N = X0.shape
     live = np.arange(R)  # the runs still iterating; sim and fsim hold their rows
@@ -210,24 +217,17 @@ def _nelder_mead(objective, X0):
             if not len(live):
                 return S, F, nit
         xbar = np.add.reduce(sim[:, :-1], 1) / N
-        worst = sim[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = objective(xr, live)
+        trial = a * xbar[:, None] + b * sim[:, -1:]  # (L, 4, N)
+        ftrial = objective(trial.reshape(-1, N), np.repeat(live, 4)).reshape(-1, 4)
+        fxr, fxe, fxc, fxcc = ftrial.T
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
         outside = ~expand & ~reflect & (fxr < fsim[:, -1])
         inside = ~expand & ~reflect & ~outside
-        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
-                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
-                               (1 - psi) * xbar + psi * worst))
-        f2 = np.full(len(live), np.nan)
-        if not reflect.all():
-            f2[~reflect] = objective(x2[~reflect], live[~reflect])
-        take2 = expand & (f2 < fxr) | outside & (f2 <= fxr) | inside & (f2 < fsim[:, -1])
-        shrink = (outside | inside) & ~take2
-        move = ~shrink
-        sim[move, -1] = np.where(take2[:, None], x2, xr)[move]
-        fsim[move, -1] = np.where(take2, f2, fxr)[move]
+        pick = 1 * (expand & (fxe < fxr)) + 2 * outside + 3 * inside
+        shrink = outside & ~(fxc <= fxr) | inside & ~(fxcc < fsim[:, -1])
+        move = np.flatnonzero(~shrink)
+        sim[move, -1], fsim[move, -1] = trial[move, pick[move]], ftrial[move, pick[move]]
         if shrink.any():
             sim[shrink, 1:] = sim[shrink, :1] + sigma * (sim[shrink, 1:] - sim[shrink, :1])
             fsim[shrink, 1:] = objective(sim[shrink, 1:].reshape(-1, N),
@@ -245,10 +245,10 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     1/nu. Returns None when the ratios stay bounded below.
 
     One ``_nelder_mead`` call polishes every annulus: its simplex is a row
-    of one array, and each stacked objective call evaluates the rows of the
-    unfinished annuli in one phase. The objective is row-independent, so
-    each polish takes the steps it would take alone and returns the ratio at
-    its point, as the table does.
+    of one array, and each stacked objective call evaluates the trial points,
+    or the shrunk vertices, of the unfinished annuli. The objective is
+    row-independent, so each polish takes the steps it would take alone and
+    returns the ratio at its point, as the table does.
     """
     search_radii = [0.5 ** j for j in range(1, SEARCH_DEPTH + 1)]
     annuli = [(r, s[0], s[1]) for r, X in _annuli(f.n, search_radii, SEARCH_SAMPLES, seed)
@@ -257,20 +257,17 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
         return None
     radius, minima, args = (np.array(c) for c in zip(*annuli))
     _require_finite(k, radius, minima)
+    # trust region: stay in the annulus and keep dist comparable,
+    # otherwise descent just chases dist -> 0 at every scale
     d_args = z.distance_many(args)
+    r_lo, r_hi, d_lo, d_hi = 0.45 * radius, 1.05 * radius, 0.45 * d_args, 2.0 * d_args
 
     def objective(X, which):
-        # trust region: stay in the annulus and keep dist comparable,
-        # otherwise descent just chases dist -> 0 at every scale
+        norm, d = row_norms(X), z.distance_many(X)
+        keep = ((r_lo[which] <= norm) & (norm <= r_hi[which]) & (d_lo[which] <= d)
+                & (d <= d_hi[which]) & ~(d < DIST_FLOOR))
         out = np.full(len(X), np.inf)
-        norm, r = row_norms(X), radius[which]
-        rows = np.flatnonzero((0.45 * r <= norm) & (norm <= 1.05 * r))
-        if len(rows):
-            d, d_arg = z.distance_many(X[rows]), d_args[which[rows]]
-            keep = (0.45 * d_arg <= d) & (d <= 2.0 * d_arg) & ~(d < DIST_FLOOR)
-            rows, d = rows[keep], d[keep]
-        if len(rows):
-            out[rows] = nu_many(f.jacobian_many(X[rows])) / int_power(d, k - 1)
+        out[keep] = nu_many(f.jacobian_many(X[keep])) / int_power(d[keep], k - 1)
         return out
 
     S, F, _ = _nelder_mead(objective, args)

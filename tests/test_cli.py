@@ -109,6 +109,39 @@ class TestExitCodes:
         assert err == "not certified: no violating sequence found; supply --seq\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_construct_reads_a_check_report(self, tmp_path, monkeypatch, seed):
+        # the sequence that check found, without searching again
+        x3 = ("--germ", GERMS / "x3.json", "--seed", seed)
+        assert run_cli(*x3, "--cmd", "check", "--out", tmp_path / "check") == 2
+        assert run_cli(*x3, "--cmd", "construct", "--out", tmp_path / "search") == 0
+
+        def uncalled(*args, **kwargs):
+            raise AssertionError("searched for a sequence that check found")
+        monkeypatch.setattr(lojasiewicz, "find_violation_sequence", uncalled)
+        assert run_cli(*x3, "--cmd", "construct", "--seq", tmp_path / "check" / "report.json",
+                       "--out", tmp_path / "seq") == 0
+        search, seq = (re.sub(rb'"timestamp": "[^"]*"', b"",
+                              (tmp_path / d / "report.json").read_bytes())
+                       for d in ("search", "seq"))
+        assert search == seq
+
+    @pytest.mark.parametrize("germ, null", [("x2", False), ("x3", True)])
+    def test_check_report_without_a_sequence(self, tmp_path, capsys, germ, null):
+        # x2's check holds, so its report has no sequence; a null one is
+        # what check writes where the search finds none
+        report = tmp_path / "check" / "report.json"
+        run_cli("--germ", GERMS / f"{germ}.json", "--cmd", "check", "--out", report.parent)
+        if null:
+            doc = json.loads(report.read_text())
+            doc["violation_sequence"] = None
+            report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("--germ", GERMS / "x3.json", "--cmd", "construct", "--seq", report,
+                       "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: --seq report has no violation sequence\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seq", [None, [[0.4, 0.1, 0.0], [0.1, 0.02, 0.0], [0.02, 0.005, 0.0]]],
                              ids=["search", "seq"])
     def test_construct_refuses_a_map_germ(self, tmp_path, capsys, monkeypatch, seq):

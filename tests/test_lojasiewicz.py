@@ -279,7 +279,8 @@ class TestBatchedAgainstPointwise:
 
 
 SEARCH_CASES = ([("x3", s) for s in range(8)]
-                + [(g, s) for g in ("x2y2", "x2", "x4", "z2") for s in range(4)])
+                + [(g, s) for g in ("x2y2", "x2", "x4", "z2", "x3 over an axis cloud")
+                   for s in range(4)])
 
 
 def search_germ(name):
@@ -287,6 +288,8 @@ def search_germ(name):
         return power_germ(4, k=3), Z_HYP
     if name == "z2":  # m = 2: the SVD branch of nu_many
         return load_germ(GERMS.parent / "perfbench" / "germs" / "z2.json")
+    if name == "x3 over an axis cloud":  # x3's Z = {x1 = 0} as a SampledZ
+        return bundled("x3")[0], SampledZ(n=2, points=axis_cloud())
     return bundled(name)
 
 
@@ -332,6 +335,34 @@ class TestSearchAgainstReference:
         want, one_row_calls = reference("x3", 0)
         assert got.to_dict() == want.to_dict()
         assert calls < one_row_calls / 4
+
+    @pytest.mark.parametrize("name", ["x3", "z2", "x3 over an axis cloud"])
+    def test_objective_row_independent(self, monkeypatch, name):
+        # a row's value alone is its value among the 4R rows of each trial call
+        calls = []
+        nelder_mead = lojasiewicz._nelder_mead
+
+        def recording(objective, X0):
+            def recorded(X, which):
+                calls.append((objective, X, which))
+                return objective(X, which)
+            return nelder_mead(recorded, X0)
+        monkeypatch.setattr(lojasiewicz, "_nelder_mead", recording)
+        f, z = search_germ(name)
+        find_violation_sequence(f, z, f.k, 0)
+        trials = [call for call in calls[1:]
+                  if np.all(np.bincount(call[2])[call[2]] == 4)]  # not a shrink
+        objective, X, which = trials[0]
+        # the first trial rows again, some moved out of their annulus
+        trials.append((objective, X * np.resize([1.0, 3.0, 0.3, 1.0], len(X))[:, None], which))
+        values = []
+        for objective, X, which in trials:
+            together = objective(X, which)
+            alone = [objective(X[i:i + 1], which[i:i + 1])[0] for i in range(len(X))]
+            assert same_bits(together, alone)
+            values.extend(alone)
+        # rows inside the trust region and outside it
+        assert np.isfinite(values).any() and np.isinf(values).any()
 
     def test_builds_no_linear_map(self, monkeypatch):
         built = []
@@ -405,18 +436,17 @@ class TestAnnulusTable:
 def drive(funs, X0):
     """One ``_nelder_mead`` call from the rows of X0, row i's points valued by
     the scalar ``funs[i]``: per row its result, under scipy's names, and the
-    number of points it asked for."""
+    ``which`` of every objective call."""
     X0 = np.array(X0, dtype=float)
-    nfev = np.zeros(len(X0), dtype=int)
+    calls = []
 
     def objective(X, which):
-        np.add.at(nfev, which, 1)
+        calls.append(which.copy())
         return np.array([funs[i](x.copy()) for x, i in zip(X, which)], dtype=float)
 
     S, F, nit = _nelder_mead(objective, X0)
-    return [(SimpleNamespace(x=S[i, 0], fun=F[i].min(), nit=nit[i],
-                             final_simplex=(S[i], F[i])), nfev[i])
-            for i in range(len(X0))]
+    return [SimpleNamespace(x=S[i, 0], fun=F[i].min(), nit=nit[i],
+                            final_simplex=(S[i], F[i])) for i in range(len(X0))], calls
 
 
 def ball_objective(center):
@@ -426,16 +456,38 @@ def ball_objective(center):
 
 
 def assert_same_as_scipy(fun, x0, run=None):
-    """``run`` (a result and its nfev, from ``drive``) is scipy's on x0 alone;
-    without one, x0 runs alone."""
+    """``run`` (a result, the calls of its ``drive`` and its row there) is
+    scipy's on x0 alone; without one, x0 runs alone. Returns the result and
+    its number of shrinks.
+
+    scipy asks for one or two points per iteration; ``_nelder_mead`` asks
+    for all four trial points in one call, so only the count differs: N + 1
+    for the start simplex, 4 per later iteration and N per shrink."""
     want = optimize.minimize(fun, x0, method="Nelder-Mead", options=POLISH)
-    [(got, nfev)] = [run] if run else drive([fun], [x0])
+    if run is None:
+        (got,), calls = drive([fun], [x0])
+        run = got, calls, 0
+    got, calls, row = run
     assert np.array_equal(got.x, want.x)
     assert got.fun == want.fun
-    assert (got.nit, nfev) == (want.nit, want.nfev)
+    assert got.nit == want.nit
     assert np.array_equal(got.final_simplex[0], want.final_simplex[0])
     assert np.array_equal(got.final_simplex[1], want.final_simplex[1])
-    return got, nfev
+    nfev = sum(int(np.count_nonzero(w == row)) for w in calls)
+    shrinks = sum(row in w for w in calls) - got.nit  # beyond start and trial calls
+    N = len(x0)
+    assert nfev == N + 1 + 4 * (got.nit - 1) + N * shrinks
+    # scipy's count: the same start and shrinks, and one or two points per iteration
+    assert 0 <= want.nfev - (N + 1) - N * shrinks - (got.nit - 1) <= got.nit - 1
+    return got, shrinks
+
+
+MIXED_BATCH = [(optimize.rosen, [-1.2, 1.0]),
+               (optimize.rosen, [0.5, -0.3]),
+               (lambda x: abs(x[0]) + 10 * abs(x[1]), [1.0, 0.7]),
+               (ball_objective(np.array([1.5, 0.5])), [0.5, 0.0]),     # reaches maxiter
+               (ball_objective(np.array([1.25, 1.65])), [0.11, 0.23]),  # shrinks
+               (lambda x: np.inf, [0.3, -0.2])]                          # inf everywhere
 
 
 class TestNelderMeadReplay:
@@ -456,27 +508,37 @@ class TestNelderMeadReplay:
         assert got.nit == POLISH["maxiter"]
 
     def test_shrinks(self):
-        got, nfev = assert_same_as_scipy(ball_objective(np.array([1.5, -0.5, 0.25])),
-                                         [0.2, 0.1, 0.0])
-        # without a shrink an iteration asks for one or two points
-        assert nfev > 4 + 2 * (got.nit - 1)
+        _, shrinks = assert_same_as_scipy(ball_objective(np.array([1.5, -0.5, 0.25])),
+                                          [0.2, 0.1, 0.0])
+        assert shrinks > 0
 
     def test_mixed_batch(self):
         # one call whose rows are in different phases at each iteration
-        cases = [(optimize.rosen, [-1.2, 1.0]),
-                 (optimize.rosen, [0.5, -0.3]),
-                 (lambda x: abs(x[0]) + 10 * abs(x[1]), [1.0, 0.7]),
-                 (ball_objective(np.array([1.5, 0.5])), [0.5, 0.0]),    # reaches maxiter
-                 (ball_objective(np.array([1.25, 1.65])), [0.11, 0.23]),  # shrinks
-                 (lambda x: np.inf, [0.3, -0.2])]                         # inf everywhere
         with np.errstate(invalid="ignore"):  # inf - inf in the fatol test, as in scipy
-            runs = drive([fun for fun, _ in cases], [x0 for _, x0 in cases])
-            for (fun, x0), run in zip(cases, runs):
-                assert_same_as_scipy(fun, x0, run)
-        (maxed, _), (shrunk, nfev) = runs[3], runs[4]
+            runs, calls = drive([fun for fun, _ in MIXED_BATCH],
+                                [x0 for _, x0 in MIXED_BATCH])
+            results = [assert_same_as_scipy(fun, x0, (got, calls, row))
+                       for row, ((fun, x0), got) in enumerate(zip(MIXED_BATCH, runs))]
+        (maxed, _), (_, shrinks) = results[3], results[4]
         assert maxed.nit == POLISH["maxiter"]
-        assert nfev > 3 + 2 * (shrunk.nit - 1)
-        assert np.isinf(runs[5][0].fun)
+        assert shrinks > 0
+        assert np.isinf(runs[5].fun)
+
+    def test_at_most_two_calls_per_iteration(self):
+        # after the start simplex, each iteration is one call with the four
+        # trial points of every live run, then at most one with the shrinks
+        with np.errstate(invalid="ignore"):
+            runs, calls = drive([fun for fun, _ in MIXED_BATCH],
+                                [x0 for _, x0 in MIXED_BATCH])
+        nit = np.array([got.nit for got in runs])
+        assert np.array_equal(calls[0], np.repeat(np.arange(len(runs)), 3))
+        trials = [i for i, w in enumerate(calls) if i and np.all(np.bincount(w)[w] == 4)]
+        assert len(trials) == nit.max() - 1
+        for it, (i, j) in enumerate(zip(trials, trials[1:] + [len(calls)]), start=1):
+            assert np.array_equal(calls[i], np.repeat(np.flatnonzero(nit > it), 4))
+            assert j - i <= 2  # the shrinks, if any, of N = 2 points per run
+            assert all(np.all(np.bincount(w)[w] == 2) for w in calls[i + 1:j])
+        assert len(calls) > len(trials) + 1  # some iteration shrank
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.sampled_from([2, 3]), data=st.data())
@@ -489,10 +551,40 @@ class TestNelderMeadReplay:
 
 
 class TestStackedSimplex:
-    """The premise of the array-state ``_nelder_mead``: the row-wise sort and
-    the stacked centroid give every simplex the bits of scipy's one-simplex
-    ``argsort``/``take`` and ``np.add.reduce``. A numpy release that breaks
-    it fails here, not as drift in the violation sequences."""
+    """The premise of the array-state ``_nelder_mead``: the row-wise sort, the
+    stacked centroid and the weighted trial points give every simplex the
+    bits of scipy's one-simplex ``argsort``/``take``, ``np.add.reduce`` and
+    trial formulas. A numpy release that breaks it fails here, not as drift
+    in the violation sequences."""
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_trial_points_match_scipys_formulas(self, N):
+        rho, chi, psi = 1, 2, 0.5
+        rng = np.random.default_rng(N)
+        # coordinates from subnormal to near overflow, some exactly 0
+        X0 = rng.standard_normal((2000, N)) * np.exp2(rng.uniform(-1074, 1021, (2000, N)))
+        X0[rng.random((2000, N)) < 0.05] = 0.0
+        F0 = rng.standard_normal((2000, N + 1))
+        calls = []
+
+        def objective(X, which):
+            calls.append(X.copy())
+            if len(calls) == 1:
+                return F0.ravel()
+            raise StopIteration  # after the first trial call
+
+        with pytest.raises(StopIteration), np.errstate(over="ignore", invalid="ignore"):
+            _nelder_mead(objective, X0)
+        start, trial = calls[0].reshape(-1, N + 1, N), calls[1].reshape(-1, 4, N)
+        for s, f, got in zip(start, F0, trial):
+            sim = s.take(f.argsort(), 0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                xbar = np.add.reduce(sim[:-1], 0) / N
+                want = [(1 + rho) * xbar - rho * sim[-1],
+                        (1 + rho * chi) * xbar - rho * chi * sim[-1],
+                        (1 + psi * rho) * xbar - psi * rho * sim[-1],
+                        (1 - psi) * xbar + psi * sim[-1]]
+            assert same_bits(got, want)
 
     @pytest.mark.parametrize("N", range(2, 7))
     def test_rowwise_sort_matches_one_simplex_sort(self, N):
