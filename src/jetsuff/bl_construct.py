@@ -29,27 +29,39 @@ SAMPLES_PER_BALL = 512          # decay samples per ball
 
 # ----------------------------------------------------------------- bump
 
-def bump_many(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The radial C-infinity cutoff alpha (1 inside RHO_IN, 0 outside RHO_OUT),
-    its gradient and its Hessian at the rows of S (shape (N, n)), shapes (N,),
-    (N, n) and (N, n, n).
+def _alpha(S):
+    """The radial C-infinity cutoff alpha (1 inside RHO_IN, 0 outside RHO_OUT)
+    at the rows of S (shape (N, n)); also their norms s, the transition rows
+    ``mid``, u and 1 - u there stacked, and g at them.
 
     On the transition rows alpha(s) = psi(u), u = (RHO_OUT - s) / (RHO_OUT - RHO_IN),
-    psi(u) = g(u) / (g(u) + g(1 - u)), g(u) = exp(-1/u). ``exp`` and the integer
-    powers go entry by entry through Python floats, whose libm bits numpy's
-    ``exp`` and ``**`` do not always give. The gradient is exactly 0 where
-    alpha' = 0, and the Hessian where alpha' = alpha'' = 0 (the center included).
+    psi(u) = g(u) / (g(u) + g(1 - u)), g(u) = exp(-1/u). ``exp`` goes entry by
+    entry through Python floats, whose libm bits numpy's ``exp`` does not always give.
+    """
+    s = row_norms(S)
+    a = (s <= RHO_IN).astype(float)
+    mid = (RHO_IN < s) & (s < RHO_OUT)
+    # the width is a power of 2 and RHO_OUT - s is exact, so u and 1 - u lie in (0, 1)
+    u = (RHO_OUT - s[mid]) / (RHO_OUT - RHO_IN)
+    uv = np.concatenate([u, 1.0 - u])
+    g = np.array([math.exp(v) for v in (-1.0 / uv).tolist()])
+    p, q = np.split(g, 2)
+    a[mid] = p / (p + q)
+    return a, s, mid, uv, g
+
+
+def bump_many(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_alpha``'s alpha, its gradient and its Hessian at the rows of S (shape
+    (N, n)), shapes (N,), (N, n) and (N, n, n). The integer powers go entry by
+    entry through Python floats, as ``exp`` does. The gradient is exactly 0
+    where alpha' = 0, and the Hessian where alpha' = alpha'' = 0 (the center
+    included).
     """
     S = np.asarray(S, dtype=float)
     N, n = S.shape
-    s = row_norms(S)
-    a, da, d2a = (s <= RHO_IN).astype(float), np.zeros(N), np.zeros(N)
-    mid = (RHO_IN < s) & (s < RHO_OUT)
+    a, s, mid, uv, g = _alpha(S)
+    da, d2a = np.zeros(N), np.zeros(N)
     w = RHO_OUT - RHO_IN
-    # w is a power of 2 and RHO_OUT - s is exact, so u and 1 - u lie in (0, 1)
-    u = (RHO_OUT - s[mid]) / w
-    uv = np.concatenate([u, 1.0 - u])
-    g = np.array([math.exp(v) for v in (-1.0 / uv).tolist()])
     dg = g / scalar_powers(uv, 2)
     d2g = g * (1.0 / scalar_powers(uv, 4) - 2.0 / scalar_powers(uv, 3))
     (p, q), (dp, dq), (d2p, d2q) = (np.split(v, 2) for v in (g, dg, d2g))
@@ -57,7 +69,6 @@ def bump_many(S) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tot = p + q
     num = dp * q - p * dq
     tot2 = scalar_powers(tot, 2)
-    a[mid] = p / tot
     da[mid] = -(num / tot2) / w
     d2a[mid] = ((d2p * q - p * d2q) / tot2
                 - 2.0 * num * (dp + dq) / scalar_powers(tot, 3)) / w ** 2
@@ -126,19 +137,34 @@ class PerturbationF:
         self._values = f.eval_many(self.centers)[:, 0]
         self._grads = f.jacobian_many(self.centers)[:, 0, :]
 
-    def many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F, its gradient and its Hessian at the rows of X (shape (N, n)),
-        shapes (N,), (N, n) and (N, n, n)."""
+    def _local(self, X):
+        """The rows of X (shape (N, n)) inside some ball and, for each of them,
+        the first ball holding it, u = x - a_v, lambda_v and the quadratic."""
         X = np.asarray(X, dtype=float)
         N, n = X.shape
         gaps = (X[:, None, :] - self.centers).reshape(-1, n)
         near = row_norms(gaps).reshape(N, -1) <= self.dists * RHO_OUT
         rows = np.flatnonzero(near.any(axis=1))
         ball = near[rows].argmax(axis=1)  # the first ball holding the row
-        d, lam, grads = self.dists[ball, None], self.lambdas[ball], self._grads[ball]
+        lam = self.lambdas[ball]
         U = X[rows] - self.centers[ball]
-        quad = self._values[ball] + np.vecdot(grads, U) + 0.5 * lam * np.vecdot(U, U)
-        dquad = grads + lam[:, None] * U
+        quad = self._values[ball] + np.vecdot(self._grads[ball], U) + 0.5 * lam * np.vecdot(U, U)
+        return rows, ball, U, lam, quad
+
+    def values(self, X) -> np.ndarray:
+        """F at the rows of X (shape (N, n)), shape (N,)."""
+        rows, ball, U, _, quad = self._local(X)
+        F = np.zeros(len(X))
+        F[rows] = _alpha(U / self.dists[ball, None])[0] * quad
+        return F
+
+    def many(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F, its gradient and its Hessian at the rows of X (shape (N, n)),
+        shapes (N,), (N, n) and (N, n, n)."""
+        rows, ball, U, lam, quad = self._local(X)
+        N, n = len(X), self.n
+        d = self.dists[ball, None]
+        dquad = self._grads[ball] + lam[:, None] * U
         a, da, d2a = bump_many(U / d)
         da = da / d
         F, G, H = np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n))
@@ -150,7 +176,7 @@ class PerturbationF:
         return F, G, H
 
     def value(self, x) -> float:
-        return float(self.many(np.asarray(x, dtype=float)[None, :])[0][0])
+        return float(self.values(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def assemble_F(f: PolyGermMap, points, dists, lambdas) -> PerturbationF:
@@ -218,7 +244,7 @@ def verify_construction(pf: PerturbationF, z: ZSpec, seed: int = 0) -> Construct
     dz = z.distance_many(X)
     keep = dz > 0.0
     ratio = np.zeros(len(X))  # |F| / dist^k >= 0, so 0 stands in for skipped rows
-    ratio[keep] = np.abs(pf.many(X[keep])[0]) / int_power(dz[keep], k)
+    ratio[keep] = np.abs(pf.values(X[keep])) / int_power(dz[keep], k)
     decay = ratio.reshape(len(centers), -1).max(axis=1).tolist()
     slow = [i for i in range(len(decay)) if not falls_like_inverse_nu(decay[:i + 1])]
     if slow:  # name the first ball that breaks the bound

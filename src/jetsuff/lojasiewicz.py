@@ -207,28 +207,35 @@ def _nelder_mead(objective, X0):
     for _ in range(2):  # scipy sorts twice before the first iteration
         sim, fsim = sort(sim, fsim)
     S, F, nit = np.empty_like(sim), np.empty_like(fsim), np.full(R, maxiter)
+    which, rows = np.repeat(live, 4), np.arange(R)  # rebuilt only when runs stop
     for it in range(1, maxiter):
         # scipy's convergence test, its fatol half only where xatol holds
         stop = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
-        stop[stop] = np.abs(fsim[stop, :1] - fsim[stop, 1:]).max(axis=1) <= fatol
         if stop.any():
-            S[live[stop]], F[live[stop]], nit[live[stop]] = sim[stop], fsim[stop], it
-            live, sim, fsim = live[~stop], sim[~stop], fsim[~stop]
-            if not len(live):
-                return S, F, nit
+            stop[stop] = np.abs(fsim[stop, :1] - fsim[stop, 1:]).max(axis=1) <= fatol
+            if stop.any():
+                S[live[stop]], F[live[stop]], nit[live[stop]] = sim[stop], fsim[stop], it
+                live, sim, fsim = live[~stop], sim[~stop], fsim[~stop]
+                if not len(live):
+                    return S, F, nit
+                which, rows = np.repeat(live, 4), rows[:len(live)]
         xbar = np.add.reduce(sim[:, :-1], 1) / N
         trial = a * xbar[:, None] + b * sim[:, -1:]  # (L, 4, N)
-        ftrial = objective(trial.reshape(-1, N), np.repeat(live, 4)).reshape(-1, 4)
+        ftrial = objective(trial.reshape(-1, N), which).reshape(-1, 4)
         fxr, fxe, fxc, fxcc = ftrial.T
+        # scipy's branches, each test only where the ones before it failed: with
+        # a nan vertex in the simplex, fxr < f[0] does not imply fxr < f[-2]
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
         outside = ~expand & ~reflect & (fxr < fsim[:, -1])
         inside = ~expand & ~reflect & ~outside
         pick = 1 * (expand & (fxe < fxr)) + 2 * outside + 3 * inside
         shrink = outside & ~(fxc <= fxr) | inside & ~(fxcc < fsim[:, -1])
-        move = np.flatnonzero(~shrink)
-        sim[move, -1], fsim[move, -1] = trial[move, pick[move]], ftrial[move, pick[move]]
-        if shrink.any():
+        if not shrink.any():
+            sim[:, -1], fsim[:, -1] = trial[rows, pick], ftrial[rows, pick]
+        else:  # the shrinking runs keep their worst vertex to shrink it
+            move = ~shrink
+            sim[move, -1], fsim[move, -1] = trial[move, pick[move]], ftrial[move, pick[move]]
             sim[shrink, 1:] = sim[shrink, :1] + sigma * (sim[shrink, 1:] - sim[shrink, :1])
             fsim[shrink, 1:] = objective(sim[shrink, 1:].reshape(-1, N),
                                          np.repeat(live[shrink], N)).reshape(-1, N)

@@ -6,6 +6,7 @@ import functools
 import importlib.util
 import math
 import statistics
+import zipfile
 from itertools import repeat
 from pathlib import Path
 
@@ -32,11 +33,29 @@ _AS241_DEN = (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4, 3.93078_
               4.23133_30701_60091_1252e+1, 1.0)
 
 
+def _npy_header(fp):
+    """Shape, Fortran-order flag and dtype of the .npy stream ``fp``, left at its data."""
+    fmt = np.lib.format
+    read = {(1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0}
+    return read[fmt.read_magic(fp)](fp)
+
+
 @functools.cache
 def _directions(d: int) -> np.ndarray:
-    """The unscrambled direction numbers of dimensions 0..d-1, (d, bits)."""
-    with np.load(SOBOL_TABLE) as table:
-        poly, vinit = table["poly"][:d].tolist(), table["vinit"][:d].tolist()
+    """The unscrambled direction numbers of dimensions 0..d-1, (d, bits). Only
+    the bytes in use are decompressed: the first d primitive polynomials, and
+    the initial numbers below their largest degree, a column each."""
+    with zipfile.ZipFile(SOBOL_TABLE) as table:
+        with table.open("poly.npy") as fp:
+            dtype = _npy_header(fp)[2]
+            poly = np.frombuffer(fp.read(d * dtype.itemsize), dtype).tolist()
+        with table.open("vinit.npy") as fp:
+            (rows, _), fortran, dtype = _npy_header(fp)
+            if not fortran:
+                raise RuntimeError(f"{SOBOL_TABLE} no longer stores vinit by columns")
+            cols = max(p.bit_length() for p in poly) - 1
+            vinit = np.frombuffer(fp.read(cols * rows * dtype.itemsize), dtype)
+    vinit = vinit.reshape(cols, rows)[:, :d].T.tolist()
     v = [[1] * SOBOL_BITS for _ in range(d)]
     for j in range(1, d):
         p, deg = poly[j], poly[j].bit_length() - 1

@@ -23,9 +23,11 @@ sampled cloud, which the root of the least left-to-right sum of squares
 replaced (up to n = 7 they have the same bits). ``poly_eval_reference`` is
 the pow formula that ``PolyStack``'s repeated squares replaced;
 ``pow_formula_gap`` meets it within the two formulas' rounding bounds.
-``jet_reference`` is Taylor's formula in place of ``Poly.jet``'s binomial
-expansion: the coefficients d^beta p(a) / beta! from ``Poly.deriv``, taken
-in Fraction arithmetic, so the two must agree exactly.
+``directions_reference`` takes the Sobol direction numbers from the whole
+table, loaded by ``np.load``, which reading only the columns in use
+replaced. ``jet_reference`` is Taylor's formula in place of ``Poly.jet``'s
+binomial expansion: the coefficients d^beta p(a) / beta! from
+``Poly.deriv``, taken in Fraction arithmetic, so the two must agree exactly.
 ``same_k_Z_jet_reference`` is the sampled jet check that
 ``ZSpec.jet_witness`` replaced: it shifts f and f1 to ``sample_points`` of Z
 and calls their jets equal when every float coefficient of the difference
@@ -60,7 +62,8 @@ from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
                                  ViolationSequence, _ratio_stats)
 from jetsuff.poly import Poly
 from jetsuff.report import write_table
-from jetsuff.sampling import ball_sample, sphere_sample, unit_shell_sample
+from jetsuff.sampling import (_MSB_FIRST, SOBOL_BITS, SOBOL_TABLE, ball_sample, sphere_sample,
+                              unit_shell_sample)
 from jetsuff.trivializer import (FIELD_BOUND_SLACK, LINSYS_TOL, DeformationF,
                                  IsotopyResult, TrivializationConstants)
 
@@ -70,6 +73,23 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and np.array_equal(a, b)
             and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def directions_reference(d: int) -> np.ndarray:
+    """The unscrambled direction numbers of dimensions 0..d-1, (d, bits),
+    from the whole table."""
+    with np.load(SOBOL_TABLE) as table:
+        poly, vinit = table["poly"][:d].tolist(), table["vinit"][:d].tolist()
+    v = [[1] * SOBOL_BITS for _ in range(d)]
+    for j in range(1, d):
+        p, deg = poly[j], poly[j].bit_length() - 1
+        v[j][:deg] = vinit[j][:deg]
+        for i in range(deg, SOBOL_BITS):  # Bratley and Fox's recurrence
+            v[j][i] = v[j][i - deg]
+            for s in range(deg):
+                if p >> (deg - 1 - s) & 1:
+                    v[j][i] ^= v[j][i - s - 1] << (s + 1)
+    return np.array(v, dtype=np.int64) << _MSB_FIRST
 
 
 def gaussian_directions_reference(u: np.ndarray) -> np.ndarray:

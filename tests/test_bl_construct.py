@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from jetsuff import bl_construct
-from jetsuff.bl_construct import (RHO_IN, RHO_OUT, PerturbationF, assemble_F, bump_many,
+from jetsuff.bl_construct import (RHO_IN, RHO_OUT, PerturbationF, _alpha, assemble_F, bump_many,
                                   choose_lambdas, verify_construction)
 from jetsuff.errors import ConstructionError, InvalidInputError
 from jetsuff.germ import AnalyticZ, PolyGermMap, load_germ
@@ -299,6 +299,7 @@ class TestStackedOracle:
                             rng.uniform(0.0, 0.3, (2000, 1)) * unit_rows(rng, 2000, n)])
         a, grad, hess = bump_many(S)
         assert same_bits(a, [BUMP_REFERENCE.value(s) for s in S])
+        assert same_bits(_alpha(S)[0], a)  # the alpha that F alone takes
         assert same_bits(grad, [BUMP_REFERENCE.gradient(s) for s in S])
         assert same_bits(hess, [BUMP_REFERENCE.hessian(s) for s in S])
 
@@ -310,6 +311,7 @@ class TestStackedOracle:
         assert same_bits(F, [ref.value(x) for x in X])
         assert same_bits(G, [ref.gradient(x) for x in X])
         assert same_bits(H, [ref.hessian(x) for x in X])
+        assert same_bits(pf.values(X), F)
         # a one-row call gives the bits of its row in the stack
         rows = range(0, len(X), 7)
         assert same_bits(F[rows], [pf.value(X[i]) for i in rows])

@@ -12,7 +12,7 @@ from scipy.stats import norm, qmc
 
 from jetsuff.errors import InvalidInputError
 from jetsuff.sampling import _directions, _gaussian_directions, _normal_quantile, _sobol
-from oracles import gaussian_directions_reference
+from oracles import directions_reference, gaussian_directions_reference
 
 SEEDS = range(40)
 EPS = np.finfo(float).eps
@@ -72,6 +72,10 @@ def test_gaussian_directions_match_the_ndtri_map(d, count):
 
 
 def test_direction_numbers_are_cached_read_only():
-    assert _directions(3) is _directions(3)
-    with pytest.raises(ValueError):
-        _directions(3)[0, 0] = 0
+    # read from the table's columns in use only, they are the whole table's
+    for d in range(1, 13):
+        got, want = _directions(d), directions_reference(d)
+        assert got.dtype == want.dtype and np.array_equal(got, want), f"d={d}"
+        assert _directions(d) is got
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
