@@ -97,14 +97,14 @@ def _off_Z(f, z: ZSpec, X: np.ndarray):
 
 
 def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray):
-    """(min ratio, argmin, min nu, skipped) over sample rows, or None."""
+    """(min ratio, argmin, min nu, skipped, dist at the argmin) over sample rows, or None."""
     X, d, v, skipped = _off_Z(f, z, X)
     if not len(X):
         return None
     with np.errstate(all="ignore"):  # dist^(k-1) may underflow to 0; see _require_finite
         r = v / int_power(d, k - 1)
     i = int(np.argmin(r))
-    return float(r[i]), X[i], float(v.min()), skipped
+    return float(r[i]), X[i], float(v.min()), skipped, d[i]
 
 
 def _annuli(n: int, radii, samples_per_annulus: int, seed: int):
@@ -257,16 +257,12 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     row-independent, so each polish takes the steps it would take alone and
     returns the ratio at its point, as the table does.
     """
-    search_radii = [0.5 ** j for j in range(1, SEARCH_DEPTH + 1)]
-    annuli = [(r, s[0], s[1]) for r, X in _annuli(f.n, search_radii, SEARCH_SAMPLES, seed)
-              if (s := _ratio_stats(f, z, k, X)) is not None]
-    if not annuli:
-        return None
-    radius, minima, args = (np.array(c) for c in zip(*annuli))
+    radius, stats = _table(f, z, k, [0.5 ** j for j in range(1, SEARCH_DEPTH + 1)],
+                           SEARCH_SAMPLES, seed)
+    radius, minima, args, _, _, d_args = (np.array(c) for c in (radius, *zip(*stats)))
     _require_finite(k, radius, minima)
     # trust region: stay in the annulus and keep dist comparable,
     # otherwise descent just chases dist -> 0 at every scale
-    d_args = z.distance_many(args)
     r_lo, r_hi, d_lo, d_hi = 0.45 * radius, 1.05 * radius, 0.45 * d_args, 2.0 * d_args
 
     def objective(X, which):
@@ -278,28 +274,24 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
         return out
 
     S, F, _ = _nelder_mead(objective, args)
-    x_nm, f_nm = S[:, 0], F.min(axis=1)
+    f_nm = F.min(axis=1)
     better = np.isfinite(f_nm) & (f_nm < minima)
-    x_best = np.where(better[:, None], x_nm, args)
-    d_best = z.distance_many(x_best)
-    cands = list(zip(x_best, np.where(better, f_nm, minima).tolist(), d_best.tolist()))
-    if cands[-1][1] > 0.5 * cands[0][1]:
+    x = np.where(better[:, None], S[:, 0], args)
+    rats, dists = np.where(better, f_nm, minima).tolist(), z.distance_many(x).tolist()
+    if rats[-1] > 0.5 * rats[0]:
         return None  # ratios bounded below on the sampled range
 
-    pts, rats, dists = [cands[0][0]], [cands[0][1]], [cands[0][2]]
-    for x, r_val, d in cands[1:]:
-        if d < 0.5 * dists[-1] and r_val < rats[-1]:
-            pts.append(x)
-            rats.append(r_val)
-            dists.append(d)
+    kept = [0]
+    for i in range(1, len(rats)):
+        if dists[i] < 0.5 * dists[kept[-1]] and rats[i] < rats[kept[-1]]:
+            kept.append(i)
     # thin until the 1/nu decay invariant is met
     for stride in (1, 2, 3, 4):
-        sel = list(range(0, len(pts), stride))
+        sel = kept[::stride]
         if len(sel) >= 3 and falls_like_inverse_nu([rats[i] for i in sel]):
-            return ViolationSequence(
-                points=tuple(tuple(float(v) for v in pts[i]) for i in sel),
-                ratios=tuple(float(rats[i]) for i in sel),
-                dists=tuple(float(dists[i]) for i in sel))
+            return ViolationSequence(points=tuple(map(tuple, x[sel].tolist())),
+                                     ratios=tuple(rats[i] for i in sel),
+                                     dists=tuple(dists[i] for i in sel))
     return None
 
 

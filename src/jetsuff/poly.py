@@ -27,7 +27,7 @@ def _as_coeff(c):
 class Poly:
     """Immutable dense-exponent sparse-term polynomial in ``n`` variables."""
 
-    __slots__ = ("n", "terms", "_stack")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: dict[Exponents, object] | None = None):
         if n < 1:
@@ -46,7 +46,6 @@ class Poly:
                 clean[e] = clean.get(e, 0) + c if e in clean else c
         self.n = n
         self.terms = {e: c for e, c in clean.items() if c != 0}
-        self._stack = None
 
     # ------------------------------------------------------------------ algebra
 
@@ -117,9 +116,7 @@ class Poly:
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """Values at the rows of ``X`` (shape (N, n)), shape (N,)."""
-        if self._stack is None:
-            self._stack = PolyStack(self.n, [self])
-        return self._stack.eval_many(np.asarray(X, dtype=float))[:, 0]
+        return PolyStack(self.n, [self]).eval_many(np.asarray(X, dtype=float))[:, 0]
 
 
 class PolyStack:

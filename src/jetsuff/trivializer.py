@@ -122,7 +122,8 @@ def build_F(pair: GermPair, seed: int = 0) -> DeformationF:
 
 
 def calibrate_constants(pair: GermPair, report, seed: int = 0) -> TrivializationConstants:
-    """Shrink the working ball from radius 1, by SHRINK per step, until
+    """Shrink the working ball by SHRINK per step, from the first SHRINK^j at
+    or below the estimator's outermost radius, where C_hat was measured, until
     |P| <= (C/3) dist^k and ||dP|| <= (C/3) dist^(k-1) hold on a dense
     sample, then bound the minor ratio from below to get C' and the field
     constant C''.
@@ -142,6 +143,9 @@ def calibrate_constants(pair: GermPair, report, seed: int = 0) -> Trivialization
     P = pair.P
     unit = ball_sample(pair.f.n, CALIBRATION_SAMPLES, seed)
     radius = 1.0
+    while radius > report.radii[0]:
+        radius *= SHRINK
+    start = radius
     for _ in range(200):
         X, scale, offender = _p_bounds_check(P, pair.z, radius * unit, C, k)
         if offender is None:
@@ -149,7 +153,7 @@ def calibrate_constants(pair: GermPair, report, seed: int = 0) -> Trivialization
         radius *= SHRINK
     else:
         raise CalibrationError(
-            "no radius <= 1.0 satisfies the P bounds; "
+            f"no radius <= {start} satisfies the P bounds; "
             f"last offender {offender.tolist()}")
 
     Jf, JP = pair.f.jacobian_many(X), P.jacobian_many(X)
@@ -230,10 +234,11 @@ class VectorFieldW:
         P, A = self.F.P_and_d_x(xis[rows], X[rows])
         thresh = c.C_prime * int_power(d[rows], self.F.k - 1)
         finite = np.isfinite(A).all(axis=(1, 2))
-        ok = finite & (thresh != 0.0)
-        A[~finite], thresh[~ok] = 0.0, 1.0  # placeholders in failed rows
+        A[~finite] = 0.0  # a placeholder in failed rows
         cols, M, h, num = minor_table(A)
-        w = _smoothstep(np.abs(M) / np.maximum(h, 1e-300) / thresh[:, None])
+        # where thresh underflows to 0 every nonzero minor dominates, and 0/0 weighs 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = _smoothstep(np.abs(M) / np.maximum(h, 1e-300) / thresh[:, None])
         on, total, b = w > 0.0, sum(w.T), -P
         # Cramer's rule on each column set I: w_l = sum_j num[l, j] (-P)_j / M_I
         cramer = sum(num[..., j] * b[:, None, None, j] for j in range(b.shape[1]))
@@ -245,14 +250,12 @@ class VectorFieldW:
         active, resid, norm_W = on.any(axis=1), _residuals(A, blend, P), row_norms(blend)
         off_budget = resid > LINSYS_TOL * (1.0 + row_norms(b))
         bound = c.C_dprime * d[rows] * (1.0 + FIELD_BOUND_SLACK)
-        good = ok & active & ~off_budget & ~(norm_W > bound)
+        good = finite & active & ~off_budget & ~(norm_W > bound)
         W[rows[good]] = blend[good]
         for r in np.flatnonzero(~good).tolist():
             i, x = rows[r], X[rows[r]].tolist()
             if not finite[r]:
                 errors[i] = InvalidInputError("entries must be finite")
-            elif not ok[r]:
-                errors[i] = ZeroDivisionError("float division by zero")
             elif not active[r]:
                 errors[i] = CoveringViolationError(
                     f"no active minor at xi={xis[i]}, x={x} (dist {d[i]:.3e}); "

@@ -400,8 +400,9 @@ def axis_cloud() -> np.ndarray:
 
 
 def ratio_stats_reference(f, z, k, X):
-    """(min ratio, argmin, min nu, skipped) over the rows of X, point by point."""
-    best, arg, nu_min, skipped = np.inf, None, np.inf, 0
+    """(min ratio, argmin, min nu, skipped, dist at the argmin) over the rows
+    of X, point by point."""
+    best, arg, d_arg, nu_min, skipped = np.inf, None, None, np.inf, 0
     for x in X:
         d = distance_reference(z, x)
         if d < DIST_FLOOR:
@@ -411,10 +412,10 @@ def ratio_stats_reference(f, z, k, X):
         nu_min = min(nu_min, v)
         r = v / int_power(d, k - 1)
         if r < best:
-            best, arg = r, x
+            best, arg, d_arg = r, x, d
     if arg is None:
         return None
-    return best, arg, nu_min, skipped
+    return best, arg, nu_min, skipped, d_arg
 
 
 def corollary_reference(pair, radii, samples_per_annulus, seed):
@@ -820,7 +821,7 @@ def find_violation_sequence_reference(f, z, k: int, seed: int):
         stats = _ratio_stats(f, z, k, r * shell)
         if stats is None:
             continue
-        _, arg, _, _ = stats
+        arg = stats[1]
         d_arg = z.distance(arg)
 
         def objective(x, r=r, d_arg=d_arg):

@@ -180,6 +180,13 @@ class TestAssembly:
         with pytest.raises(ConstructionError, match=message):
             assemble_F(f, pts, [0.4, 0.16, 0.06, 0.02], [0.1, 0.01, 0.001, 1e-4])
 
+    def test_distances_that_do_not_halve_rejected(self):
+        f = x2y2_germ()
+        pts, dists = diagonal_sequence()
+        dists[3] = 0.5 * dists[2]  # not below half
+        with pytest.raises(InvalidInputError, match="^sequence distances must at least halve$"):
+            assemble_F(f, pts, dists, [0.1] * 5)
+
     def test_short_prefix_rejected(self):
         f = x2y2_germ()
         pts, dists = diagonal_sequence(2)

@@ -193,6 +193,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: pair is not a common k-Z-jet: f1 - f has the term x1 in component 1\n")
 
+    def test_trivialize_where_the_condition_fails(self, tmp_path):
+        assert run_cli("--germ", GERMS / "x3.json", "--pair", GERMS / "x3.json",
+                       "--cmd", "trivialize", "--out", tmp_path) == 2
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["error"] == "condition does not hold"
+        assert doc["estimate"]["verdict"] == "fails" and "constants" not in doc
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trivialize_calibrates_where_C_was_measured(self, tmp_path, seed):
+        # P = x1^6 at k = 5: calibrating from radius 1, outside the estimator's
+        # ball of radius 0.5, gave U = 0.9 and C'' = 5,471, and a run that had
+        # not ended after 180 s
+        f1 = json.loads((GERMS / "x2.json").read_text())
+        f1["components"][0].append({"coeff": "1", "exponents": [6, 0]})
+        (tmp_path / "f1.json").write_text(json.dumps(f1))
+        assert run_cli("--germ", GERMS / "x2.json", "--pair", tmp_path / "f1.json", "--k", 5,
+                       "--cmd", "trivialize", "--seed", seed, "--out", tmp_path / "out") == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["constants"]["U_radius"] <= doc["estimate"]["radii"][0]
+        assert doc["constants"]["C_dprime"] < 2 and doc["gronwall"]["ok"]
+
     def test_missing_pair(self, tmp_path):
         assert run_cli("--germ", GERMS / "x2.json", "--cmd", "corollary",
                        "--out", tmp_path) == 1
@@ -386,6 +407,15 @@ class TestExitCodeTaxonomy:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: k=400: ")
         assert "radius 0.125 is not finite" in err
+        assert not out.exists()
+
+    def test_annulus_inside_the_dist_floor(self, tmp_path, capsys):
+        # the 30th annulus has radius 2^-30 < DIST_FLOOR, so no row is off Z
+        out = tmp_path / "out"
+        assert run_cli("--germ", GERMS / "x2.json", "--cmd", "check", "--annuli", 60,
+                       "--out", out) == 1
+        assert (capsys.readouterr().err
+                == "error: all samples at radius 9.313225746154785e-10 fell into Z\n")
         assert not out.exists()
 
     def test_corollary_without_a_regular_sample(self, tmp_path, capsys):

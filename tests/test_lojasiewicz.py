@@ -50,6 +50,15 @@ class TestEstimate:
         for a, b in zip(rep.minima, rep.minima[1:]):
             assert b / a == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inconclusive(self, seed):
+        # x1^2 + x1 x2^2, whose ratio falls like |x2| along 2 x1 = -x2^2: the
+        # minima fall below half the first, but not on every annulus
+        f = PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1, (1, 2): 1})])
+        rep = estimate_condition(f, Z_HYP, 2, RADII, 512, seed)
+        assert rep.verdict == "inconclusive"
+        assert rep.C_hat < 0.5 * rep.minima[0]
+
     def test_bad_radii_rejected(self):
         with pytest.raises(InvalidInputError):
             estimate_condition(power_germ(2), Z_HYP, 2, [0.5, 0.25, 0.125], 512, 0)
@@ -142,6 +151,15 @@ class TestViolationSequence:
         with pytest.raises(InvalidInputError):
             ViolationSequence(points=((0.1, 0), (0.06, 0)),
                               ratios=(1.0, 0.9), dists=(0.1, 0.06))
+
+    @pytest.mark.parametrize("ratios, message", [
+        ((1.0, 1.0, 0.3), "ratios must strictly decrease"),
+        ((1.0, 0.6, 0.3), "ratios must decay at least like 1/nu"),
+    ])
+    def test_ratio_rules(self, ratios, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            ViolationSequence(points=((0.1, 0), (0.04, 0), (0.01, 0)), ratios=ratios,
+                              dists=(0.1, 0.04, 0.01))
 
     @pytest.mark.parametrize("points, ratios, dists", [
         ((), (), ()),
@@ -263,7 +281,7 @@ class TestBatchedAgainstPointwise:
             assert got is None
             return
         assert type(got[0]) is float and type(got[2]) is float
-        assert (got[0], got[2], got[3]) == (want[0], want[2], want[3])
+        assert (got[0], got[2], got[3], got[4]) == (want[0], want[2], want[3], want[4])
         assert np.array_equal(got[1], want[1])
 
     @settings(max_examples=30, deadline=None)
@@ -417,6 +435,19 @@ class TestAnnulusTable:
         f, z = bundled("x3")
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             find_violation_sequence(f, z, f.k, 0)
+
+    def test_an_annulus_inside_Z_stops_every_scan(self):
+        # a cloud holding the seed's whole shell at 2^-12, the search's last
+        # radius: the search used to drop that annulus where the estimator raised
+        f, _ = bundled("x3")
+        r = 0.5 ** lojasiewicz.SEARCH_DEPTH
+        shell = r * unit_shell_sample(2, lojasiewicz.SEARCH_SAMPLES, 0)
+        z = SampledZ(n=2, points=np.vstack([[0.0, 0.0], shell]))
+        for scan in (lambda: estimate_condition(f, z, f.k, [8 * r, 4 * r, 2 * r, r], 512, 0),
+                     lambda: find_violation_sequence(f, z, f.k, 0)):
+            with pytest.raises(InvalidInputError,
+                               match=f"^all samples at radius {r} fell into Z$"):
+                scan()
 
     @pytest.mark.parametrize("name", ["x3", "x2y2", "z2"])
     @pytest.mark.parametrize("seed", range(4))

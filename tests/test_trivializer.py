@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -96,7 +97,8 @@ class TestCalibration:
         pair = make_pair({})
         rep = estimate_condition(pair.f, pair.z, 2, RADII, 512, 0)
         consts = calibrate_constants(pair, rep)
-        assert consts.U_radius == 1.0
+        # the first 0.9^j at or below RADII[0] = 0.5, by seven multiplications
+        assert consts.U_radius == 0.9 * 0.9 * 0.9 * 0.9 * 0.9 * 0.9 * 0.9 == 0.47829690000000014
         assert consts.C_dprime > 0
 
     def test_requires_holds_verdict(self):
@@ -159,7 +161,7 @@ class TestCalibrationOracle:
     def test_failure_message_equal(self):
         pair, rep = pair_with_report("x2/x2_plus_x")
         with pytest.raises(CalibrationError) as want:
-            calibrate_constants_scalar(pair, rep)
+            calibrate_constants_scalar(pair, rep, initial_radius=0.47829690000000014)
         with pytest.raises(CalibrationError) as got:
             calibrate_constants(pair, rep)
         assert str(got.value) == str(want.value)
@@ -177,6 +179,19 @@ class TestVectorField:
     def test_zero_on_Z(self, cubic_setup):
         _, _, _, vf = cubic_setup
         np.testing.assert_array_equal(vf.eval(0.7, [0.0, 0.12]), [0.0, 0.0])
+
+    def test_bound_that_underflows(self):
+        # x1^2 and x1^2 + x1^61 at k = 60: C' dist^59 is 0.0 at dist 1e-7, where
+        # W used to return a ZeroDivisionError, which the CLI does not catch.
+        # The one nonzero minor dominates, and W = -P/A = 0 as P underflows too
+        f = PolyGermMap(2, 1, 60, [Poly(2, {(2, 0): 1})])
+        f1 = PolyGermMap(2, 1, 60, [Poly(2, {(2, 0): 1, (61, 0): 1})])
+        consts = TrivializationConstants(C=2.0, C_prime=1.0, C_dprime=1.0, U_radius=0.5, r0=0.1)
+        vf = VectorFieldW(build_F(GermPair(f=f, f1=f1, z=Z_HYP)), consts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W, errors = vf.eval_many([0.5], [[1e-7, 0.1]])
+        assert errors == [None] and same_bits(W, [[0.0, 0.0]])
 
     def test_field_bound_on_samples(self, cubic_setup):
         _, _, consts, vf = cubic_setup
