@@ -61,6 +61,10 @@ class PolyGermMap:
         self.m = m
         self.k = k
         self.components = list(components)
+        # the total degree every term shares (f is homogeneous), read from the
+        # exponents alone, else None
+        degrees = {sum(e) for p in components for e in p.terms}
+        self.degree = degrees.pop() if len(degrees) == 1 else None
         self._partials = [[p.deriv(i) for i in range(n)] for p in components]
         self._values = PolyStack(n, self.components)
         self._jacobian = PolyStack(n, [d for row in self._partials for d in row])

@@ -52,6 +52,21 @@ def nu_many(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., -1]
 
 
+def norm2_many(a: np.ndarray) -> np.ndarray:
+    """Largest singular value (the operator 2-norm) of each matrix in ``a``
+    (shape (..., m, n)): the row norm when m = 1; when m = 2 the root of the
+    larger eigenvalue of the Gram matrix [[p, q], [q, r]] of the rows,
+    sqrt((p + r)/2 + sqrt(((p - r)/2)^2 + q^2)); else a stacked SVD."""
+    if a.shape[-2] == 1:
+        return row_norms(a[..., 0, :])
+    if a.shape[-2] == 2:
+        a = np.ascontiguousarray(a)
+        top, bottom = a[..., 0, :], a[..., 1, :]
+        p, q, r = np.vecdot(top, top), np.vecdot(top, bottom), np.vecdot(bottom, bottom)
+        return np.sqrt((p + r) / 2 + np.sqrt(((p - r) / 2) ** 2 + q ** 2))
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def nu(A: LinearMap) -> float:
     """Smallest singular value of A; zero iff A is not surjective."""
     return float(nu_many(A.entries))

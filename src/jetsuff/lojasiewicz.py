@@ -3,7 +3,13 @@
 The limit "as x -> 0" is operationalized on shrinking dyadic annuli: one
 fixed quasi-random pattern in the shell 1/2 <= |x| <= 1 is rescaled to each
 radius, so per-annulus statistics are exactly scale-equivariant and fully
-determined by the seed.
+determined by the seed. A germ whose terms share one total degree d, over an
+analytic Z (a cone), is evaluated on the outermost annulus only, when every
+radius is r_0 2^e: the others' dist and nu(df) are its own times 2^e and
+2^(e(d-1)), bit for bit (``_evaluations``). Each annulus is evaluated for any
+other germ, a ``samples`` Z, other radii, or values that would leave
+[2^-450, 2^450] by the deepest annulus. On such a germ the minima are the
+outermost's times 2^(e(d-k)), so "holds" rests on the infimum over one shell.
 
 Verdicts are heuristics by design: a finite sample cannot certify an
 infimum. ``holds``: all annulus minima positive and >= half the outermost,
@@ -13,13 +19,14 @@ larger k); ``fails``: monotone decay by a factor >= 2; else ``inconclusive``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidInputError
-from .germ import GermPair, ZSpec, int_power
-from .linmap import nu_many, row_norms
+from .germ import AnalyticZ, GermPair, ZSpec, int_power
+from .linmap import norm2_many, nu_many, row_norms
 from .report import Report, write_table
 from .sampling import unit_shell_sample
 
@@ -88,17 +95,13 @@ class ViolationSequence(Report):
             raise InvalidInputError("ratios must decay at least like 1/nu")
 
 
-def _off_Z(f, z: ZSpec, X: np.ndarray):
-    """The rows of X at least DIST_FLOOR from Z, their dist and nu(df), and how many were dropped."""
-    d = z.distance_many(X)
+def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray, d: np.ndarray, v: np.ndarray):
+    """(min ratio, argmin, min nu, skipped, dist at the argmin) over the rows of
+    X at least DIST_FLOOR from Z, given their dist ``d`` and nu(df) ``v``, or
+    None. f and z go unused; the benchmark's tracer reads X and skipped."""
     far = ~(d < DIST_FLOOR)
-    X, d = X[far], d[far]
-    return X, d, nu_many(f.jacobian_many(X)), len(far) - len(X)
-
-
-def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray):
-    """(min ratio, argmin, min nu, skipped, dist at the argmin) over sample rows, or None."""
-    X, d, v, skipped = _off_Z(f, z, X)
+    X, d, v = X[far], d[far], v[far]
+    skipped = len(far) - len(X)
     if not len(X):
         return None
     with np.errstate(all="ignore"):  # dist^(k-1) may underflow to 0; see _require_finite
@@ -107,21 +110,60 @@ def _ratio_stats(f, z: ZSpec, k: int, X: np.ndarray):
     return float(r[i]), X[i], float(v.min()), skipped, d[i]
 
 
-def _annuli(n: int, radii, samples_per_annulus: int, seed: int):
-    """(radius, the seed's one Sobol shell rescaled to it) for each annulus."""
+def _in_range(values, e: int) -> bool:
+    """Whether every nonzero |value|, times 2^j for each j from 0 down to e,
+    lies in [2^-450, 2^450]: normal, with normal squares, and inside LAPACK's
+    unscaled range [2^-459, 2^459], so that scaling by 2^j rounds nothing."""
+    a = np.abs(np.asarray(values, dtype=float))
+    a = a[a != 0]
+    return not len(a) or bool(a.max() <= 2.0 ** 450 and np.ldexp(a.min(), e) >= 2.0 ** -450)
+
+
+def _evaluations(f, z: ZSpec, radii, samples_per_annulus: int, seed: int):
+    """(radius, X, dist(X, Z), nu(df(X))) on each annulus in turn, X the seed's
+    one Sobol shell rescaled to the radius.
+
+    Only the outermost annulus is evaluated when f is homogeneous of degree D
+    over an AnalyticZ (a cone) and every other radius is r_0 2^e exactly: its
+    dist and nu are then the outermost's times 2^e and 2^(e(D-1)), bit for bit,
+    as long as no value the evaluation forms (coordinates, the monomials and
+    terms of df, df, dist, nu) leaves [2^-450, 2^450] or 0 down to the deepest
+    annulus. Any other germ, Z or radii, or a failed bound, evaluates each."""
     radii = [float(r) for r in radii]
     if len(radii) < 4 or any(b >= a for a, b in zip(radii, radii[1:])) or radii[-1] <= 0:
         raise InvalidInputError("need >= 4 strictly decreasing positive radii")
     if samples_per_annulus < 256:
         raise InvalidInputError("need >= 256 samples per annulus")
-    shell = unit_shell_sample(n, samples_per_annulus, seed)
-    return ((r, r * shell) for r in radii)
+    shell = unit_shell_sample(f.n, samples_per_annulus, seed)
+    r0, X0 = radii[0], radii[0] * shell
+    J0 = f.jacobian_many(X0)
+    d0, v0 = z.distance_many(X0), nu_many(J0)
+    yield r0, X0, d0, v0
+    exps = [math.frexp(r / r0)[1] - 1 for r in radii[1:]]
+    D = f.degree
+    if D is not None and isinstance(z, AnalyticZ) and all(
+            math.ldexp(r0, e) == r for e, r in zip(exps, radii[1:])):
+        e, p = exps[-1], D - 1
+        # a monomial of degree q <= p lies between a.min()^q and a.max()^q
+        a = np.abs(X0[X0 != 0])
+        c = [abs(float(v)) for q in f.components for v in q.terms.values()]
+        with np.errstate(all="ignore"):
+            ends = np.array([a.min(), a.max()]) ** p
+            terms = [min(c) * ends[0], D * max(c) * ends[1]]  # df's coefficients times monomials
+        if all(_in_range(values, j) for values, j in (
+                (X0, e), (d0, e), (ends, e * p), (terms, e * p), (J0, e * p), (v0, e * p))):
+            for r, e in zip(radii[1:], exps):
+                yield r, r * shell, np.ldexp(d0, e), np.ldexp(v0, e * p)
+            return
+    for r in radii[1:]:
+        X = r * shell
+        yield r, X, z.distance_many(X), nu_many(f.jacobian_many(X))
 
 
 def _table(f, z: ZSpec, k: int, radii, samples_per_annulus: int, seed: int):
     """The radii and ``_ratio_stats`` on each annulus, each with a row off Z."""
-    radii, stats = zip(*[(r, _ratio_stats(f, z, k, X))
-                         for r, X in _annuli(f.n, radii, samples_per_annulus, seed)])
+    radii, stats = zip(*[(r, _ratio_stats(f, z, k, X, d, v))
+                         for r, X, d, v in _evaluations(f, z, radii, samples_per_annulus, seed)])
     if None in stats:
         raise InvalidInputError(f"all samples at radius {radii[stats.index(None)]} fell into Z")
     return radii, stats
@@ -314,14 +356,13 @@ def check_corollary_hypotheses(pair: GermPair, radii, samples_per_annulus: int,
     """Empirical C, C1, C2 for the three Lipschitz-differential hypotheses."""
     P = pair.P
     C, C1, c2_annuli, skipped = np.inf, 0.0, [], 0
-    for _, X in _annuli(pair.f.n, radii, samples_per_annulus, seed):
-        X, d, v, dropped = _off_Z(pair.f, pair.z, X)
-        regular = ~(v < DIST_FLOOR)
-        X, d, v = X[regular], d[regular], v[regular]
-        skipped += dropped + len(regular) - len(X)
+    for _, X, d, v in _evaluations(pair.f, pair.z, radii, samples_per_annulus, seed):
+        keep = ~(d < DIST_FLOOR) & ~(v < DIST_FLOOR)  # off Z and where nu(df) does not vanish
+        X, d, v = X[keep], d[keep], v[keep]
+        skipped += len(keep) - len(X)
         C = min(C, (v / d).min(initial=np.inf))
         C1 = max(C1, (row_norms(P.eval_many(X)) / int_power(v, 2)).max(initial=0.0))
-        dP = np.linalg.norm(P.jacobian_many(X), ord=2, axis=(1, 2))
+        dP = norm2_many(P.jacobian_many(X))
         c2_annuli.append(float((dP / v).max(initial=0.0)))
     if C == np.inf:
         raise InvalidInputError("every sample fell into Z or where nu(df) vanishes")

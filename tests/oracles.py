@@ -28,10 +28,12 @@ table, loaded by ``np.load``, which reading only the columns in use
 replaced. ``jet_reference`` is Taylor's formula in place of ``Poly.jet``'s
 binomial expansion: the coefficients d^beta p(a) / beta! from
 ``Poly.deriv``, taken in Fraction arithmetic, so the two must agree exactly.
+``table_reference`` is the annulus table that evaluated every annulus,
+which scaling a homogeneous germ's outermost annulus replaced.
 ``same_k_Z_jet_reference`` is the sampled jet check that
-``ZSpec.jet_witness`` replaced: it shifts f and f1 to ``sample_points`` of Z
-and calls their jets equal when every float coefficient of the difference
-is within JET_TOL. The one-point oracles take polynomial values by
+``ZSpec.jet_witness`` replaced: it shifts f and f1 to ``sample_points`` of
+Z and calls their jets equal when every float coefficient of the
+difference is within JET_TOL. The one-point oracles take polynomial values by
 ``poly_eval_pointwise``, PolyStack's rule in Python floats, and integer
 powers by ``int_power``, so they still match the stacked code bit for bit.
 
@@ -57,7 +59,7 @@ from jetsuff.errors import (CalibrationError, ConstructionError, CoveringViolati
                             DomainExitError, FieldBoundError, InvalidInputError,
                             MinorIdentityError)
 from jetsuff.germ import SampledZ, int_power, jet_at
-from jetsuff.linmap import LinearMap, g_prime, minor_table, nu
+from jetsuff.linmap import LinearMap, g_prime, minor_table, nu, nu_many
 from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
                                  ViolationSequence, _ratio_stats)
 from jetsuff.poly import Poly
@@ -416,6 +418,28 @@ def ratio_stats_reference(f, z, k, X):
     if arg is None:
         return None
     return best, arg, nu_min, skipped, d_arg
+
+
+def table_reference(f, z, k, radii, samples_per_annulus, seed):
+    """``lojasiewicz._table`` with each annulus evaluated on its own: the rows
+    of its shell at least DIST_FLOOR from Z and nu(df) on those rows give the
+    radii and, per annulus, (min ratio, argmin, min nu, skipped, dist at the
+    argmin); an annulus with no row off Z raises."""
+    shell = unit_shell_sample(f.n, samples_per_annulus, seed)
+    radii, stats = [float(r) for r in radii], []
+    for r in radii:
+        X = r * shell
+        d = z.distance_many(X)
+        far = ~(d < DIST_FLOOR)
+        X, d = X[far], d[far]
+        if not len(X):
+            raise InvalidInputError(f"all samples at radius {r} fell into Z")
+        v = nu_many(f.jacobian_many(X))
+        with np.errstate(all="ignore"):
+            ratio = v / int_power(d, k - 1)
+        i = int(np.argmin(ratio))
+        stats.append((float(ratio[i]), X[i], float(v.min()), len(far) - len(X), d[i]))
+    return radii, stats
 
 
 def corollary_reference(pair, radii, samples_per_annulus, seed):
@@ -818,7 +842,8 @@ def find_violation_sequence_reference(f, z, k: int, seed: int):
     cands = []
     for j in range(SEARCH_DEPTH):
         r = 0.5 ** (j + 1)
-        stats = _ratio_stats(f, z, k, r * shell)
+        stats = _ratio_stats(f, z, k, r * shell, z.distance_many(r * shell),
+                             nu_many(f.jacobian_many(r * shell)))
         if stats is None:
             continue
         arg = stats[1]

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -61,3 +63,34 @@ def test_traced_counts_equal_across_rounds(tmp_path):
     assert r9["exit"] == r10["exit"] == 0
     assert r9["counts"]["cli.report.bytes"] > 0
     assert r9["counts"] == r10["counts"]
+
+
+# One traced check; prints its exit code and the two point counts.
+ONE_CHECK = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+import jetsuff.cli
+tracer = tracing.Tracer()
+tracing.install(tracer)
+code = jetsuff.cli.main(["--germ", sys.argv[4], "--cmd", "check", "--samples", "512",
+                         "--annuli", "4", "--seed", "1", "--out", sys.argv[3]])
+layers = tracer.layer_metrics()
+print(json.dumps([code, layers["lojasiewicz.points.evaluated"],
+                  layers["lojasiewicz.points.skipped"]]))
+"""
+
+
+@pytest.mark.parametrize("germ", [ROOT / "germs" / "x2.json",
+                                  ROOT / "perfbench" / "germs" / "z2.json"])
+def test_traced_check_counts_every_sample(tmp_path, germ):
+    # the tracer counts each annulus's rows as _ratio_stats receives them, so
+    # scaling the outermost annulus must still hand it all 4 x 512 rows
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_CHECK, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(tmp_path), str(germ)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, evaluated, skipped = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert evaluated + skipped == 4 * 512

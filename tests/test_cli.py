@@ -74,6 +74,21 @@ class TestExitCodes:
         assert min(est["minima"]) >= 0.5 * est["minima"][0]
         assert "violation_sequence" not in doc
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("germ, order", [("x2_x4", 4), ("x3_x1x4", 3)])
+    def test_non_homogeneous_germ_at_and_below_its_order(self, tmp_path, germ, order, seed):
+        # x1^2 + x2^4 over {0} and x1^3 + x1 x2^4 over {x1 = 0}: each annulus
+        # is evaluated on its own, and the condition holds from k = order
+        args = ("--germ", GERMS / f"{germ}.json", "--cmd", "check", "--seed", seed)
+        assert run_cli(*args, "--k", 2, "--out", tmp_path / "low") == 2
+        doc = json.loads((tmp_path / "low" / "report.json").read_text())
+        assert doc["estimate"]["verdict"] == "fails"
+        assert doc["violation_sequence"] is not None
+        assert run_cli(*args, "--out", tmp_path / "at") == 0
+        doc = json.loads((tmp_path / "at" / "report.json").read_text())
+        assert doc["estimate"]["k"] == order
+        assert doc["estimate"]["verdict"] == "holds"
+
     def test_exponent(self, tmp_path):
         code = run_cli("--germ", GERMS / "x2.json", "--cmd", "exponent",
                        "--out", tmp_path)

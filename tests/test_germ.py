@@ -60,6 +60,20 @@ class TestEval:
             PolyGermMap(n, m, 2, [Poly(n, {(2,) + (0,) * (n - 1): 1})] * m)
 
 
+class TestDegree:
+    @pytest.mark.parametrize("terms, n, m, degree", [
+        ([{(2, 0): 1}], 2, 1, 2),
+        ([{(2, 2): 1, (3, 1): Fraction(-1, 3), (0, 4): 0.5}], 2, 1, 4),
+        ([{(2, 0, 0): 1, (0, 2, 0): -1}, {(1, 1, 0): 2}], 3, 2, 2),
+        ([{(1, 0): 1}], 2, 1, 1),
+        ([{(2, 0): 1, (0, 4): 1}], 2, 1, None),
+        ([{(3, 0): 1}, {(1, 1): 1}], 2, 2, None),  # each homogeneous, of two degrees
+        ([{}], 2, 1, None),
+    ])
+    def test_read_from_the_exponents(self, terms, n, m, degree):
+        assert germ(terms, n=n, m=m).degree == degree
+
+
 class TestJacobian:
     def test_square(self):
         J = germ_x2().jacobian([0.1, 0.7])

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from jetsuff import lojasiewicz
+from jetsuff.cli import _radii
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
-from jetsuff.linmap import LinearMap
+from jetsuff.linmap import LinearMap, nu_many
 from jetsuff.lojasiewicz import (POLISH, LojasiewiczReport, ViolationSequence,
                                  _nelder_mead, _ratio_stats, check_corollary_hypotheses,
                                  estimate_condition, falls_like_inverse_nu,
@@ -20,7 +21,7 @@ from jetsuff.poly import Poly
 from jetsuff.report import write_json
 from jetsuff.sampling import unit_shell_sample
 from oracles import (corollary_reference, find_violation_sequence_reference,
-                     ratio_stats_reference, same_bits, sample_points)
+                     ratio_stats_reference, same_bits, sample_points, table_reference)
 
 RADII = [0.5, 0.25, 0.125, 0.0625]
 Z_HYP = AnalyticZ(n=2, form="subspace", coords=(1,))
@@ -276,7 +277,8 @@ class TestBatchedAgainstPointwise:
         X = sample_points(z, 8, seed, radius=r)
         if not only_Z:
             X = np.vstack([r * unit_shell_sample(f.n, count, seed), X])
-        got, want = _ratio_stats(f, z, k, X), ratio_stats_reference(f, z, k, X)
+        got = _ratio_stats(f, z, k, X, z.distance_many(X), nu_many(f.jacobian_many(X)))
+        want = ratio_stats_reference(f, z, k, X)
         if want is None:
             assert got is None
             return
@@ -292,8 +294,11 @@ class TestBatchedAgainstPointwise:
         radii = [r0 * 0.5 ** i for i in range(4)]
         rep = check_corollary_hypotheses(pair, radii, 256, seed)
         C, C1, c2, skipped = corollary_reference(pair, radii, 256, seed)
-        assert ((rep.C, rep.C1, rep.C2_per_annulus, rep.skipped)
-                == (C, C1, tuple(c2), skipped))
+        assert (rep.C, rep.C1, rep.skipped) == (C, C1, skipped)
+        # ||dP|| is linmap.norm2_many's closed form for m <= 2, the reference's an
+        # SVD: within 4.4 eps of each other on random matrices, 8 eps is the bound
+        assert rep.C2_per_annulus == pytest.approx(c2, rel=8 * np.finfo(float).eps, abs=0)
+        assert rep.C2 == pytest.approx(max(c2), rel=8 * np.finfo(float).eps, abs=0)
 
 
 SEARCH_CASES = ([("x3", s) for s in range(8)]
@@ -462,6 +467,101 @@ class TestAnnulusTable:
         find_violation_sequence(f, z, f.k, seed)
         rep = estimate_condition(f, z, f.k, RADII, lojasiewicz.SEARCH_SAMPLES, seed)
         assert same_bits(starts[:4], rep.argmins)
+
+
+CLI_RADII = {"check": _radii(4), "corollary": _radii(4, r0=0.25), "check --annuli 6": _radii(6),
+             "search": [0.5 ** j for j in range(1, lojasiewicz.SEARCH_DEPTH + 1)]}
+
+
+@st.composite
+def homogeneous_germs(draw):
+    """A germ on R^n (n <= 4) with m <= 3 components, every term of one total
+    degree, small integer or rational coefficients, and an analytic Z."""
+    n = draw(st.integers(1, 4))
+    m, degree = draw(st.integers(1, min(n, 3))), draw(st.integers(1, 4))
+    coeffs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 7))
+    components = []
+    for _ in range(m):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = [0] * n
+            for i in draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree)):
+                e[i] += 1
+            terms[tuple(e)] = draw(coeffs)
+        components.append(Poly(n, terms))
+    coords = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    form = draw(st.sampled_from(["subspace", "union_hyperplanes"]))
+    return PolyGermMap(n, m, 2, components), AnalyticZ(n=n, form=form, coords=tuple(coords))
+
+
+def table_and_calls(f, z, k, radii, seed):
+    """``_table``'s (radius, stats) rows, or its error, against
+    ``table_reference``'s, and the jacobian_many calls ``_table`` made."""
+    def table(scan):
+        try:
+            return list(zip(*scan(f, z, k, radii, 256, seed)))
+        except InvalidInputError as exc:
+            return str(exc)
+
+    calls = []
+    jacobian_many = PolyGermMap.jacobian_many
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PolyGermMap, "jacobian_many",
+                   lambda self, X: calls.append(1) or jacobian_many(self, X))
+        got = table(lojasiewicz._table)
+    return got, table(table_reference), len(calls)
+
+
+def same_table(got, want) -> bool:
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return len(got) == len(want) and all(
+        r == s and a[3] == b[3] and all(same_bits(a[i], b[i]) for i in (0, 1, 2, 4))
+        for (r, a), (s, b) in zip(got, want))
+
+
+def scaled_z2(c):
+    return PolyGermMap(3, 2, 2, [Poly(3, {(2, 0, 0): c, (0, 2, 0): -c}),
+                                 Poly(3, {(1, 1, 0): 2 * c})])
+
+
+# (f, z, radii) that each annulus is evaluated for
+FALLBACKS = {
+    "non-dyadic radii": lambda: (*bundled("x3"), [0.5, 0.3, 0.2, 0.1]),
+    "a samples Z": lambda: (*ANNULUS_CASES["x2 over an axis cloud"](), RADII),
+    "non-homogeneous": lambda: (PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1, (0, 4): 1})]),
+                                Z_ORIGIN, RADII),
+    # df near 2^-800: every row also falls within DIST_FLOOR of Z
+    "radii near 2^-400": lambda: (*bundled("x3"), [0.5 ** j for j in range(397, 401)]),
+    "a coefficient near 2^-440": lambda: (PolyGermMap(2, 1, 2, [Poly(2, {(3, 0): 2.0 ** -440})]),
+                                          Z_HYP, RADII),
+    # LAPACK rescales a matrix whose largest entry is below 2^-459, and the
+    # singular values of the rescaled one are not the scaled ones: a bound of
+    # 2^-500 would give this table other bits
+    "df across 2^-459": lambda: (scaled_z2(2.0 ** -445), Z_R3, CLI_RADII["search"]),
+}
+
+
+class TestOneShell:
+    """A homogeneous germ's annuli over an analytic Z are its outermost
+    annulus scaled by powers of two, bit for bit; every other case evaluates
+    each annulus."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(homogeneous_germs(), st.integers(2, 6), st.integers(0, 7),
+           st.sampled_from(sorted(CLI_RADII)))
+    def test_scaled_table_is_the_full_table(self, germ, k, seed, radii):
+        f, z = germ
+        got, want, calls = table_and_calls(f, z, k, CLI_RADII[radii], seed)
+        assert same_table(got, want)
+        assert calls == 1
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_fallbacks_evaluate_every_annulus(self, case):
+        f, z, radii = FALLBACKS[case]()
+        got, want, calls = table_and_calls(f, z, f.k, radii, 0)
+        assert same_table(got, want)
+        assert calls == len(radii)
 
 
 def drive(funs, X0):
