@@ -230,6 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = build_parser()  # one per process: in-process callers call main many times
+
+
 def run(config: ExperimentConfig, out, seq_path=None) -> int:
     """Run one command; ``out`` is created by its first output file."""
     return COMMANDS[config.command](config, Path(out), seq_path)
@@ -237,7 +240,7 @@ def run(config: ExperimentConfig, out, seq_path=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse has printed why; its exit 2 would read as a violation
         if exc.code == EXIT_OK:  # --help
             raise

@@ -9,7 +9,11 @@ radius is r_0 2^e: the others' dist and nu(df) are its own times 2^e and
 2^(e(d-1)), bit for bit (``_evaluations``). Each annulus is evaluated for any
 other germ, a ``samples`` Z, other radii, or values that would leave
 [2^-450, 2^450] by the deepest annulus. On such a germ the minima are the
-outermost's times 2^(e(d-k)), so "holds" rests on the infimum over one shell.
+outermost's times 2^(e(d-k)), so "holds" rests on the infimum over one shell,
+and the violation search polishes the outermost annulus with one Nelder-Mead
+run whose dyadic copies are the other annuli's polishes
+(``_dyadic_nelder_mead``); it polishes every annulus in lock-step
+(``_nelder_mead``) otherwise.
 
 Verdicts are heuristics by design: a finite sample cannot certify an
 infimum. ``holds``: all annulus minima positive and >= half the outermost,
@@ -119,6 +123,22 @@ def _in_range(values, e: int) -> bool:
     return not len(a) or bool(a.max() <= 2.0 ** 450 and np.ldexp(a.min(), e) >= 2.0 ** -450)
 
 
+def _df_scales(f, X, J, v, e: int) -> bool:
+    """Whether df and nu(df) at the rows of X times 2^j, for each j from 0
+    down to e, are ``J`` and ``v`` (their values at X) times 2^(j(D-1)), bit
+    for bit, f homogeneous of degree D: no coordinate, monomial or term of
+    df, entry of df or nu leaves [2^-450, 2^450] (0 aside) on the way."""
+    p = f.degree - 1
+    # a monomial of degree q <= p lies between a.min()^q and a.max()^q
+    a = np.abs(X[X != 0])
+    c = [abs(float(v)) for q in f.components for v in q.terms.values()]
+    with np.errstate(all="ignore"):
+        ends = np.array([a.min(), a.max()]) ** p
+        terms = [min(c) * ends[0], f.degree * max(c) * ends[1]]  # df's coefficients times monomials
+    return all(_in_range(values, j) for values, j in (
+        (X, e), (ends, e * p), (terms, e * p), (J, e * p), (v, e * p)))
+
+
 def _evaluations(f, z: ZSpec, radii, samples_per_annulus: int, seed: int):
     """(radius, X, dist(X, Z), nu(df(X))) on each annulus in turn, X the seed's
     one Sobol shell rescaled to the radius.
@@ -140,18 +160,10 @@ def _evaluations(f, z: ZSpec, radii, samples_per_annulus: int, seed: int):
     d0, v0 = z.distance_many(X0), nu_many(J0)
     yield r0, X0, d0, v0
     exps = [math.frexp(r / r0)[1] - 1 for r in radii[1:]]
-    D = f.degree
-    if D is not None and isinstance(z, AnalyticZ) and all(
+    if f.degree is not None and isinstance(z, AnalyticZ) and all(
             math.ldexp(r0, e) == r for e, r in zip(exps, radii[1:])):
-        e, p = exps[-1], D - 1
-        # a monomial of degree q <= p lies between a.min()^q and a.max()^q
-        a = np.abs(X0[X0 != 0])
-        c = [abs(float(v)) for q in f.components for v in q.terms.values()]
-        with np.errstate(all="ignore"):
-            ends = np.array([a.min(), a.max()]) ** p
-            terms = [min(c) * ends[0], D * max(c) * ends[1]]  # df's coefficients times monomials
-        if all(_in_range(values, j) for values, j in (
-                (X0, e), (d0, e), (ends, e * p), (terms, e * p), (J0, e * p), (v0, e * p))):
+        e, p = exps[-1], f.degree - 1
+        if _in_range(d0, e) and _df_scales(f, X0, J0, v0, e):
             for r, e in zip(radii[1:], exps):
                 yield r, r * shell, np.ldexp(d0, e), np.ldexp(v0, e * p)
             return
@@ -211,6 +223,23 @@ def fit_exponent(f, z: ZSpec, radii, samples_per_annulus: int, seed: int) -> flo
     return float(slope)
 
 
+# scipy's Nelder-Mead coefficients (not adaptive) and start-simplex steps
+RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
+NONZDELT, ZDELT = 0.05, 0.00025
+# reflection, expansion, outside and inside contraction: a*xbar + b*worst,
+# where b*worst is scipy's subtrahend negated, which is exact
+TRIAL_A = np.array([1 + RHO, 1 + RHO * CHI, 1 + PSI * RHO, 1 - PSI])[:, None]
+TRIAL_B = np.array([-RHO, -(RHO * CHI), -(PSI * RHO), PSI])[:, None]
+
+
+def _start_simplices(X0):
+    """scipy's initial simplex from each row of X0, (R, N+1, N)."""
+    R, N = X0.shape
+    sim = np.repeat(X0[:, None], N + 1, axis=1)
+    sim[:, np.arange(1, N + 1), np.arange(N)] = np.where(X0 != 0, (1 + NONZDELT) * X0, ZDELT)
+    return sim
+
+
 def _nelder_mead(objective, X0):
     """scipy's Nelder-Mead (``optimize.minimize(method="Nelder-Mead")`` with
     ``options=POLISH``, no bounds, not adaptive) from every row of X0 at once.
@@ -227,18 +256,11 @@ def _nelder_mead(objective, X0):
     (R, N+1, N), each sorted so its best vertex comes first, their values
     (R, N+1) and ``nit`` (R,); scipy's ``x`` and ``fun`` are ``S[:, 0]`` and
     ``F.min(1)``."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
     maxiter, xatol, fatol = POLISH["maxiter"], POLISH["xatol"], POLISH["fatol"]
-    # reflection, expansion, outside and inside contraction: a*xbar + b*worst,
-    # where b*worst is scipy's subtrahend negated, which is exact
-    a = np.array([1 + rho, 1 + rho * chi, 1 + psi * rho, 1 - psi])[:, None]
-    b = np.array([-rho, -(rho * chi), -(psi * rho), psi])[:, None]
     X0 = np.asarray(X0, dtype=float)
     R, N = X0.shape
     live = np.arange(R)  # the runs still iterating; sim and fsim hold their rows
-    sim = np.repeat(X0[:, None], N + 1, axis=1)
-    sim[:, np.arange(1, N + 1), np.arange(N)] = np.where(X0 != 0, (1 + nonzdelt) * X0, zdelt)
+    sim = _start_simplices(X0)
     fsim = objective(sim.reshape(-1, N), np.repeat(live, N + 1)).reshape(R, N + 1)
 
     def sort(sim, fsim):
@@ -262,7 +284,7 @@ def _nelder_mead(objective, X0):
                     return S, F, nit
                 which, rows = np.repeat(live, 4), rows[:len(live)]
         xbar = np.add.reduce(sim[:, :-1], 1) / N
-        trial = a * xbar[:, None] + b * sim[:, -1:]  # (L, 4, N)
+        trial = TRIAL_A * xbar[:, None] + TRIAL_B * sim[:, -1:]  # (L, 4, N)
         ftrial = objective(trial.reshape(-1, N), which).reshape(-1, 4)
         fxr, fxe, fxc, fxcc = ftrial.T
         # scipy's branches, each test only where the ones before it failed: with
@@ -278,11 +300,66 @@ def _nelder_mead(objective, X0):
         else:  # the shrinking runs keep their worst vertex to shrink it
             move = ~shrink
             sim[move, -1], fsim[move, -1] = trial[move, pick[move]], ftrial[move, pick[move]]
-            sim[shrink, 1:] = sim[shrink, :1] + sigma * (sim[shrink, 1:] - sim[shrink, :1])
+            sim[shrink, 1:] = sim[shrink, :1] + SIGMA * (sim[shrink, 1:] - sim[shrink, :1])
             fsim[shrink, 1:] = objective(sim[shrink, 1:].reshape(-1, N),
                                          np.repeat(live[shrink], N)).reshape(-1, N)
         sim, fsim = sort(sim, fsim)
     S[live], F[live] = sim, fsim  # the runs that reached maxiter
+    return S, F, nit
+
+
+def _dyadic_nelder_mead(objective, x0, copies: int, q: int):
+    """``_nelder_mead``'s (S, F, nit) from the rows x0 2^-j, j < copies, of an
+    objective whose value at x 2^-j is its value at x times 2^(-jq), by one
+    run of scipy's Nelder-Mead from x0 on ``objective(X)``. That run, scaled,
+    is each copy's as long as nothing under- or overflows (the caller's to
+    check) and x0 has no zero coordinate (scipy's step for one is absolute);
+    only the stop test is absolute, so copy j stops at the first iteration
+    whose simplex and value spreads, so scaled, pass xatol and fatol."""
+    maxiter, xatol, fatol = POLISH["maxiter"], POLISH["xatol"], POLISH["fatol"]
+    N = len(x0)
+    sim = _start_simplices(np.asarray(x0, dtype=float)[None])[0]
+    fsim = objective(sim)
+    for _ in range(2):  # scipy sorts twice before the first iteration
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    j = np.arange(copies)
+    S, F, nit = np.empty((copies, N + 1, N)), np.empty((copies, N + 1)), np.full(copies, maxiter)
+    # the deepest live copy has the least simplex: no copy passes xatol unless it does
+    live, deepest = np.ones(copies, dtype=bool), copies - 1
+    for it in range(1, maxiter):
+        dx = np.abs(sim[1:] - sim[0]).max()
+        if math.ldexp(dx, -deepest) <= xatol:  # scipy's fatol half only where xatol holds
+            stop = live & (np.ldexp(dx, -j) <= xatol)
+            stop &= np.ldexp(np.abs(fsim[0] - fsim[1:]).max(), -q * j) <= fatol
+            if stop.any():
+                S[stop] = np.ldexp(sim, -j[stop, None, None])
+                F[stop], nit[stop] = np.ldexp(fsim, -q * j[stop, None]), it
+                live &= ~stop
+                if not live.any():
+                    return S, F, nit
+                deepest = int(j[live][-1])
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        trial = TRIAL_A * xbar + TRIAL_B * sim[-1]
+        ftrial = objective(trial)
+        fxr, fxe, fxc, fxcc = ftrial.tolist()
+        if fxr < fsim[0]:
+            pick = 1 if fxe < fxr else 0
+        elif fxr < fsim[-2]:
+            pick = 0
+        elif fxr < fsim[-1]:
+            pick = 2 if fxc <= fxr else None
+        else:
+            pick = 3 if fxcc < fsim[-1] else None
+        if pick is None:
+            sim[1:] = sim[0] + SIGMA * (sim[1:] - sim[0])
+            fsim[1:] = objective(sim[1:])
+        else:
+            sim[-1], fsim[-1] = trial[pick], ftrial[pick]
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    S[live] = np.ldexp(sim, -j[live, None, None])  # the copies that reached maxiter
+    F[live] = np.ldexp(fsim, -q * j[live, None])
     return S, F, nit
 
 
@@ -293,11 +370,15 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     then thinned until distances halve and ratios decay at least like
     1/nu. Returns None when the ratios stay bounded below.
 
-    One ``_nelder_mead`` call polishes every annulus: its simplex is a row
-    of one array, and each stacked objective call evaluates the trial points,
-    or the shrunk vertices, of the unfinished annuli. The objective is
-    row-independent, so each polish takes the steps it would take alone and
-    returns the ratio at its point, as the table does.
+    Each annulus's polish is scipy's Nelder-Mead on that annulus alone. For f
+    homogeneous of degree D over an AnalyticZ, annulus j's is the outermost's
+    with x times 2^-j and the ratio times 2^(-j(D-k)) when its start and dist
+    there are the outermost's times 2^-j, the outermost start has no zero
+    coordinate and no trust region reaches DIST_FLOOR: one
+    ``_dyadic_nelder_mead`` run serves all, unless a value it formed would
+    leave [2^-450, 2^450] (0 aside) by the deepest annulus. Otherwise
+    ``_nelder_mead`` polishes every annulus in lock-step, each objective call
+    stacked over the unfinished annuli; the objective is row-independent.
     """
     radius, stats = _table(f, z, k, [0.5 ** j for j in range(1, SEARCH_DEPTH + 1)],
                            SEARCH_SAMPLES, seed)
@@ -306,16 +387,30 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     # trust region: stay in the annulus and keep dist comparable,
     # otherwise descent just chases dist -> 0 at every scale
     r_lo, r_hi, d_lo, d_hi = 0.45 * radius, 1.05 * radius, 0.45 * d_args, 2.0 * d_args
+    seen = []  # each call's rows, and df, nu(df) and dist^(k-1) where it took them
 
     def objective(X, which):
         norm, d = row_norms(X), z.distance_many(X)
         keep = ((r_lo[which] <= norm) & (norm <= r_hi[which]) & (d_lo[which] <= d)
                 & (d <= d_hi[which]) & ~(d < DIST_FLOOR))
         out = np.full(len(X), np.inf)
-        out[keep] = nu_many(f.jacobian_many(X[keep])) / int_power(d[keep], k - 1)
+        J, dk = f.jacobian_many(X[keep]), int_power(d[keep], k - 1)
+        v = nu_many(J)
+        out[keep] = v / dk
+        seen.append((X, J, v, dk))
         return out
 
-    S, F, _ = _nelder_mead(objective, args)
+    j = np.arange(len(radius))
+    one_run = (f.degree is not None and isinstance(z, AnalyticZ) and np.all(args[0] != 0)
+               and np.array_equal(np.ldexp(args[0], -j[:, None]), args)
+               and np.array_equal(np.ldexp(d_args[0], -j), d_args) and d_lo[-1] >= DIST_FLOOR)
+    if one_run:
+        S, F, _ = _dyadic_nelder_mead(lambda X: objective(X, 0), args[0], len(j), f.degree - k)
+        X, J, v, dk = (np.concatenate(c) for c in zip(*seen))
+        e = -int(j[-1])  # the deepest annulus's
+        one_run = _df_scales(f, X, J, v, e) and _in_range(dk, e * (k - 1))
+    if not one_run:
+        S, F, _ = _nelder_mead(objective, args)
     f_nm = F.min(axis=1)
     better = np.isfinite(f_nm) & (f_nm < minima)
     x = np.where(better[:, None], S[:, 0], args)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
                      FieldBoundError, InvalidInputError)
 from .germ import GermPair, SampledZ, int_power, monomial_text, same_k_Z_jet, scalar_powers
-from .linmap import g_prime_many, minor_table, row_norms
+from .linmap import g_prime_many, minor_table, norm2_many, row_norms
 from .poly import PolyStack
 from .report import Report, write_table
 from .sampling import ball_sample
@@ -185,7 +185,7 @@ def _p_bounds_check(P, z, X, C, k):
         rows, d = rows[far], d[far]
         dk, dk1 = int_power(d, k), int_power(d, k - 1)
         norm_P = row_norms(P.eval_many(rows))
-        norm_dP = np.linalg.norm(P.jacobian_many(rows), ord=2, axis=(1, 2))
+        norm_dP = norm2_many(P.jacobian_many(rows))
         bad = (norm_P > C / 3 * dk) | (norm_dP > C / 3 * dk1)
         if bad.any():
             return None, None, rows[np.argmax(bad)]

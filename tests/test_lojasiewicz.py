@@ -361,27 +361,33 @@ class TestSearchAgainstReference:
 
     @pytest.mark.parametrize("name", ["x3", "z2", "x3 over an axis cloud"])
     def test_objective_row_independent(self, monkeypatch, name):
-        # a row's value alone is its value among the 4R rows of each trial call
+        # a row's value alone is its value among the 4 rows (one run, for the
+        # homogeneous germs over an analytic Z) or the 4R rows (lock-step) of
+        # each trial call
         calls = []
-        nelder_mead = lojasiewicz._nelder_mead
+        polish = "_nelder_mead" if "cloud" in name else "_dyadic_nelder_mead"
+        run = getattr(lojasiewicz, polish)
 
-        def recording(objective, X0):
-            def recorded(X, which):
+        def recording(objective, *args):
+            def recorded(X, *which):
                 calls.append((objective, X, which))
-                return objective(X, which)
-            return nelder_mead(recorded, X0)
-        monkeypatch.setattr(lojasiewicz, "_nelder_mead", recording)
+                return objective(X, *which)
+            return run(recorded, *args)
+        monkeypatch.setattr(lojasiewicz, polish, recording)
         f, z = search_germ(name)
         find_violation_sequence(f, z, f.k, 0)
-        trials = [call for call in calls[1:]
-                  if np.all(np.bincount(call[2])[call[2]] == 4)]  # not a shrink
+
+        def trial(X, which):  # not the start or a shrink
+            return np.all(np.bincount(which[0])[which[0]] == 4) if which else len(X) == 4
+        trials = [call for call in calls[1:] if trial(*call[1:])]
         objective, X, which = trials[0]
         # the first trial rows again, some moved out of their annulus
         trials.append((objective, X * np.resize([1.0, 3.0, 0.3, 1.0], len(X))[:, None], which))
         values = []
         for objective, X, which in trials:
-            together = objective(X, which)
-            alone = [objective(X[i:i + 1], which[i:i + 1])[0] for i in range(len(X))]
+            together = objective(X, *which)
+            alone = [objective(X[i:i + 1], *(w[i:i + 1] for w in which))[0]
+                     for i in range(len(X))]
             assert same_bits(together, alone)
             values.extend(alone)
         # rows inside the trust region and outside it
@@ -457,16 +463,18 @@ class TestAnnulusTable:
     @pytest.mark.parametrize("name", ["x3", "x2y2", "z2"])
     @pytest.mark.parametrize("seed", range(4))
     def test_search_starts_from_the_estimate_argmins(self, monkeypatch, name, seed):
-        # the search's first four annuli are the estimate's, from one table
+        # the search's first four annuli are the estimate's, from one table;
+        # its one run starts from the first, the others its dyadic copies
         starts = []
-        nelder_mead = lojasiewicz._nelder_mead
-        monkeypatch.setattr(lojasiewicz, "_nelder_mead",
-                            lambda objective, X0: starts.extend(X0)
-                            or nelder_mead(objective, X0))
+        run = lojasiewicz._dyadic_nelder_mead
+        monkeypatch.setattr(lojasiewicz, "_dyadic_nelder_mead",
+                            lambda objective, x0, *args: starts.append(x0)
+                            or run(objective, x0, *args))
         f, z = search_germ(name)
         find_violation_sequence(f, z, f.k, seed)
         rep = estimate_condition(f, z, f.k, RADII, lojasiewicz.SEARCH_SAMPLES, seed)
-        assert same_bits(starts[:4], rep.argmins)
+        assert len(starts) == 1 and same_bits(starts[0], rep.argmins[0])
+        assert same_bits(np.ldexp(starts[0], -np.arange(4)[:, None]), rep.argmins)
 
 
 CLI_RADII = {"check": _radii(4), "corollary": _radii(4, r0=0.25), "check --annuli 6": _radii(6),
@@ -562,6 +570,110 @@ class TestOneShell:
         got, want, calls = table_and_calls(f, z, f.k, radii, 0)
         assert same_table(got, want)
         assert calls == len(radii)
+
+
+def polishes(f, z, k, seed):
+    """``find_violation_sequence``'s dict (or its error), and the name, result
+    and objective row counts of each Nelder-Mead call it made, in order."""
+    calls = []
+
+    def recording(name):
+        run = getattr(lojasiewicz, name)
+
+        def recorded(objective, *args):
+            rows = []
+            out = run(lambda X, *which: rows.append(len(X)) or objective(X, *which), *args)
+            calls.append((name, out, rows))
+            return out
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_dyadic_nelder_mead", "_nelder_mead"):
+            mp.setattr(lojasiewicz, name, recording(name))
+        try:
+            seq = find_violation_sequence(f, z, k, seed)
+        except InvalidInputError as exc:
+            return str(exc), calls
+    return seq and seq.to_dict(), calls
+
+
+def lock_step(f, z, k, seed):
+    """``polishes`` of f with its degree unknown, so the table evaluates each
+    annulus and the search polishes each in lock-step."""
+    g = PolyGermMap(f.n, f.m, f.k, f.components)
+    g.degree = None
+    seq, calls = polishes(g, z, k, seed)
+    assert [name for name, _, _ in calls] in ([], ["_nelder_mead"])
+    return seq, calls
+
+
+def same_polish(got, want) -> bool:
+    return all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def on_x1_axis(n, count, seed):
+    """The seed's shell turned onto the x1 axis: the rows (|x|, 0)."""
+    return np.linalg.norm(unit_shell_sample(n, count, seed), axis=1)[:, None] * [1.0, 0.0]
+
+
+def floor_in_the_last_trust_region():
+    """x3 at k = 2 with DIST_FLOOR half the dist of the last annulus's argmin,
+    the least dist on that annulus: the table keeps its argmins, and the
+    last trust region reaches down to 0.45 times that dist."""
+    f, z = bundled("x3")
+    _, stats = lojasiewicz._table(f, z, 2, CLI_RADII["search"], lojasiewicz.SEARCH_SAMPLES, 0)
+    return f, z, 2, {"DIST_FLOOR": stats[-1][4] / 2}
+
+
+# (f, z, k, and the attributes of lojasiewicz to replace) whose search
+# polishes every annulus in lock-step, after a one run for those marked
+SEARCH_FALLBACKS = {
+    "a zero coordinate in the start": lambda: (*bundled("x3"), 2,
+                                               {"unit_shell_sample": on_x1_axis}),
+    "DIST_FLOOR inside a trust region": lambda: floor_in_the_last_trust_region(),
+    "non-homogeneous": lambda: (*bundled("x2_x4"), 2, {}),
+    "a samples Z": lambda: (*search_germ("x3 over an axis cloud"), 2, {}),
+    # one run: df at its rows falls below 2^-450 by the deepest annulus
+    "one run, a coefficient near 2^-440": lambda: (
+        PolyGermMap(2, 1, 2, [Poly(2, {(3, 0): 2.0 ** -440})]), Z_HYP, 2, {}),
+}
+
+
+class TestOneRun:
+    """A homogeneous germ's search over an analytic Z polishes its outermost
+    annulus with one Nelder-Mead run and scales it to the others, with the
+    lock-step polish's bits; every other case polishes in lock-step."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(homogeneous_germs(), st.integers(2, 6), st.integers(0, 7))
+    def test_one_run_is_the_lock_step(self, germ, k, seed):
+        f, z = germ
+        got, calls = polishes(f, z, k, seed)
+        want, lock = lock_step(f, z, k, seed)
+        assert got == want
+        if calls:
+            assert same_polish(calls[-1][1], lock[0][1])  # S, F and nit of all 12 annuli
+
+    def test_x3_takes_one_run(self):
+        f, z = bundled("x3")
+        _, calls = polishes(f, z, f.k, 0)
+        (name, (S, F, nit), rows), = calls
+        assert name == "_dyadic_nelder_mead" and max(rows) <= 4
+        assert S.shape == (lojasiewicz.SEARCH_DEPTH, 3, 2)
+        assert list(np.diff(nit)) == [-1] * (lojasiewicz.SEARCH_DEPTH - 1)  # the Baseline's steps
+
+    @pytest.mark.parametrize("case", sorted(SEARCH_FALLBACKS))
+    def test_fallbacks_polish_in_lock_step(self, monkeypatch, case):
+        f, z, k, patch = SEARCH_FALLBACKS[case]()
+        for name, value in patch.items():
+            monkeypatch.setattr(lojasiewicz, name, value)
+        got, calls = polishes(f, z, k, 0)
+        want, lock = lock_step(f, z, k, 0)
+        names = [name for name, _, _ in calls]
+        assert names == ["_dyadic_nelder_mead"] * case.startswith("one run") + ["_nelder_mead"]
+        assert got == want
+        assert same_polish(calls[-1][1], lock[0][1])
+        assert max(calls[-1][2]) > 4  # stacked over the annuli
 
 
 def drive(funs, X0):
