@@ -13,7 +13,8 @@ outermost's times 2^(e(d-k)), so "holds" rests on the infimum over one shell,
 and the violation search polishes the outermost annulus with one Nelder-Mead
 run whose dyadic copies are the other annuli's polishes
 (``_dyadic_nelder_mead``); it polishes every annulus in lock-step
-(``_nelder_mead``) otherwise.
+(``_nelder_mead``) otherwise. Both loops take scipy's start simplex from
+``_start`` and its choice of trial point or shrink from ``_pick``.
 
 Verdicts are heuristics by design: a finite sample cannot certify an
 infimum. ``holds``: all annulus minima positive and >= half the outermost,
@@ -232,12 +233,39 @@ TRIAL_A = np.array([1 + RHO, 1 + RHO * CHI, 1 + PSI * RHO, 1 - PSI])[:, None]
 TRIAL_B = np.array([-RHO, -(RHO * CHI), -(PSI * RHO), PSI])[:, None]
 
 
-def _start_simplices(X0):
-    """scipy's initial simplex from each row of X0, (R, N+1, N)."""
+def _sort(sim, fsim):
+    """The simplices sim (R, N+1, N) and their values fsim (R, N+1), each
+    row in the order of scipy's ``argsort`` of its values."""
+    ind = fsim.argsort(axis=1)
+    rows = np.arange(len(ind))[:, None]
+    return sim[rows, ind], fsim[rows, ind]
+
+
+def _start(objective, X0):
+    """scipy's start simplex from each row of X0 (R, N), its values from one
+    ``objective`` call on the R(N+1) vertices, and scipy's two sorts."""
     R, N = X0.shape
     sim = np.repeat(X0[:, None], N + 1, axis=1)
     sim[:, np.arange(1, N + 1), np.arange(N)] = np.where(X0 != 0, (1 + NONZDELT) * X0, ZDELT)
-    return sim
+    fsim = objective(sim.reshape(-1, N)).reshape(R, N + 1)
+    for _ in range(2):  # scipy sorts twice before the first iteration
+        sim, fsim = _sort(sim, fsim)
+    return sim, fsim
+
+
+def _pick(fxr, fxe, fxc, fxcc, fsim):
+    """scipy's trial point, from the values of the reflection, expansion and
+    outside and inside contraction and a sorted simplex's values fsim: its
+    index 0-3 among the four, or None to shrink. Each test runs only where
+    the ones before it failed, as in scipy: with a nan vertex in the simplex,
+    fxr < fsim[0] does not imply fxr < fsim[-2]."""
+    if fxr < fsim[0]:
+        return 1 if fxe < fxr else 0
+    if fxr < fsim[-2]:
+        return 0
+    if fxr < fsim[-1]:
+        return 2 if fxc <= fxr else None
+    return 3 if fxcc < fsim[-1] else None
 
 
 def _nelder_mead(objective, X0):
@@ -245,65 +273,43 @@ def _nelder_mead(objective, X0):
     ``options=POLISH``, no bounds, not adaptive) from every row of X0 at once.
 
     ``objective(X, which)`` returns the values at the rows of X, row i a point
-    of the run from ``X0[which[i]]``, each row on its own. The simplices and
-    their values are arrays over the live runs, which are all at one
-    iteration, and each phase is a row mask, so every run takes scipy's steps
-    with scipy's arithmetic, bit for bit. An iteration makes one stacked call
-    for all four of scipy's trial points of every live run (reflection,
-    expansion, outside and inside contraction, each ``a*xbar + b*worst`` with
-    scipy's weights and operand order), keeps the one scipy's rules pick, and
-    makes one more call for the shrinks, if any. Returns the final simplices
-    (R, N+1, N), each sorted so its best vertex comes first, their values
+    of the run from ``X0[which[i]]``, each row on its own. The live runs'
+    simplices and values are arrays, all at one iteration, and each run takes
+    scipy's steps with scipy's arithmetic, bit for bit: an iteration makes one
+    stacked call for the four trial points of every live run (each
+    ``a*xbar + b*worst`` with scipy's weights and operand order), moves each
+    run that does not shrink to the point ``_pick`` chooses with one gather,
+    and makes one more call for the shrinks, if any. Returns the final
+    simplices (R, N+1, N), each sorted best vertex first, their values
     (R, N+1) and ``nit`` (R,); scipy's ``x`` and ``fun`` are ``S[:, 0]`` and
     ``F.min(1)``."""
     maxiter, xatol, fatol = POLISH["maxiter"], POLISH["xatol"], POLISH["fatol"]
     X0 = np.asarray(X0, dtype=float)
     R, N = X0.shape
     live = np.arange(R)  # the runs still iterating; sim and fsim hold their rows
-    sim = _start_simplices(X0)
-    fsim = objective(sim.reshape(-1, N), np.repeat(live, N + 1)).reshape(R, N + 1)
-
-    def sort(sim, fsim):
-        ind = fsim.argsort(axis=1)
-        rows = np.arange(len(ind))[:, None]
-        return sim[rows, ind], fsim[rows, ind]
-
-    for _ in range(2):  # scipy sorts twice before the first iteration
-        sim, fsim = sort(sim, fsim)
+    sim, fsim = _start(lambda X: objective(X, np.repeat(live, N + 1)), X0)
     S, F, nit = np.empty_like(sim), np.empty_like(fsim), np.full(R, maxiter)
-    which, rows = np.repeat(live, 4), np.arange(R)  # rebuilt only when runs stop
     for it in range(1, maxiter):
-        # scipy's convergence test, its fatol half only where xatol holds
-        stop = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+        stop = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+                & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
         if stop.any():
-            stop[stop] = np.abs(fsim[stop, :1] - fsim[stop, 1:]).max(axis=1) <= fatol
-            if stop.any():
-                S[live[stop]], F[live[stop]], nit[live[stop]] = sim[stop], fsim[stop], it
-                live, sim, fsim = live[~stop], sim[~stop], fsim[~stop]
-                if not len(live):
-                    return S, F, nit
-                which, rows = np.repeat(live, 4), rows[:len(live)]
+            S[live[stop]], F[live[stop]], nit[live[stop]] = sim[stop], fsim[stop], it
+            live, sim, fsim = live[~stop], sim[~stop], fsim[~stop]
+            if not len(live):
+                return S, F, nit
         xbar = np.add.reduce(sim[:, :-1], 1) / N
         trial = TRIAL_A * xbar[:, None] + TRIAL_B * sim[:, -1:]  # (L, 4, N)
-        ftrial = objective(trial.reshape(-1, N), which).reshape(-1, 4)
-        fxr, fxe, fxc, fxcc = ftrial.T
-        # scipy's branches, each test only where the ones before it failed: with
-        # a nan vertex in the simplex, fxr < f[0] does not imply fxr < f[-2]
-        expand = fxr < fsim[:, 0]
-        reflect = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
-        inside = ~expand & ~reflect & ~outside
-        pick = 1 * (expand & (fxe < fxr)) + 2 * outside + 3 * inside
-        shrink = outside & ~(fxc <= fxr) | inside & ~(fxcc < fsim[:, -1])
-        if not shrink.any():
-            sim[:, -1], fsim[:, -1] = trial[rows, pick], ftrial[rows, pick]
-        else:  # the shrinking runs keep their worst vertex to shrink it
-            move = ~shrink
-            sim[move, -1], fsim[move, -1] = trial[move, pick[move]], ftrial[move, pick[move]]
+        ftrial = objective(trial.reshape(-1, N), np.repeat(live, 4)).reshape(-1, 4)
+        pick = [_pick(*t, f) for t, f in zip(ftrial.tolist(), fsim.tolist())]
+        move = np.array([i for i, p in enumerate(pick) if p is not None], dtype=int)
+        to = np.array([p for p in pick if p is not None], dtype=int)
+        sim[move, -1], fsim[move, -1] = trial[move, to], ftrial[move, to]
+        if len(move) < len(live):  # the others shrink toward their best vertex
+            shrink = [i for i, p in enumerate(pick) if p is None]
             sim[shrink, 1:] = sim[shrink, :1] + SIGMA * (sim[shrink, 1:] - sim[shrink, :1])
             fsim[shrink, 1:] = objective(sim[shrink, 1:].reshape(-1, N),
                                          np.repeat(live[shrink], N)).reshape(-1, N)
-        sim, fsim = sort(sim, fsim)
+        sim, fsim = _sort(sim, fsim)
     S[live], F[live] = sim, fsim  # the runs that reached maxiter
     return S, F, nit
 
@@ -315,14 +321,11 @@ def _dyadic_nelder_mead(objective, x0, copies: int, q: int):
     is each copy's as long as nothing under- or overflows (the caller's to
     check) and x0 has no zero coordinate (scipy's step for one is absolute);
     only the stop test is absolute, so copy j stops at the first iteration
-    whose simplex and value spreads, so scaled, pass xatol and fatol."""
+    whose simplex and value spreads, so scaled, pass xatol and fatol. Its
+    steps are ``_nelder_mead``'s at R = 1, with one ``_pick`` and no gather."""
     maxiter, xatol, fatol = POLISH["maxiter"], POLISH["xatol"], POLISH["fatol"]
     N = len(x0)
-    sim = _start_simplices(np.asarray(x0, dtype=float)[None])[0]
-    fsim = objective(sim)
-    for _ in range(2):  # scipy sorts twice before the first iteration
-        ind = np.argsort(fsim)
-        sim, fsim = sim[ind], fsim[ind]
+    (sim,), (fsim,) = _start(objective, np.asarray(x0, dtype=float)[None])
     j = np.arange(copies)
     S, F, nit = np.empty((copies, N + 1, N)), np.empty((copies, N + 1)), np.full(copies, maxiter)
     # the deepest live copy has the least simplex: no copy passes xatol unless it does
@@ -342,21 +345,13 @@ def _dyadic_nelder_mead(objective, x0, copies: int, q: int):
         xbar = np.add.reduce(sim[:-1], 0) / N
         trial = TRIAL_A * xbar + TRIAL_B * sim[-1]
         ftrial = objective(trial)
-        fxr, fxe, fxc, fxcc = ftrial.tolist()
-        if fxr < fsim[0]:
-            pick = 1 if fxe < fxr else 0
-        elif fxr < fsim[-2]:
-            pick = 0
-        elif fxr < fsim[-1]:
-            pick = 2 if fxc <= fxr else None
-        else:
-            pick = 3 if fxcc < fsim[-1] else None
+        pick = _pick(*ftrial.tolist(), fsim.tolist())
         if pick is None:
             sim[1:] = sim[0] + SIGMA * (sim[1:] - sim[0])
             fsim[1:] = objective(sim[1:])
         else:
             sim[-1], fsim[-1] = trial[pick], ftrial[pick]
-        ind = np.argsort(fsim)
+        ind = np.argsort(fsim)  # scipy's one-simplex sort: _sort's bits, cheaper at R = 1
         sim, fsim = sim[ind], fsim[ind]
     S[live] = np.ldexp(sim, -j[live, None, None])  # the copies that reached maxiter
     F[live] = np.ldexp(fsim, -q * j[live, None])

@@ -31,6 +31,7 @@ SAFETY, MIN_FACTOR, MAX_FACTOR, EPS = 0.9, 0.2, 10, np.finfo(float).eps
 # and the factor by which the working ball shrinks from radius 1
 CALIBRATION_SAMPLES, XI_COUNT, SHRINK = 2048, 17, 0.9
 CHECKPOINTS = 17  # isotopy times on [0, 1]
+ON_Z = 1e-14  # W = 0 this close to Z, so flow_many keeps a row that starts there fixed
 
 
 class RK45:
@@ -230,7 +231,7 @@ class VectorFieldW:
         xis, X = np.asarray(xis, dtype=float), np.asarray(X, dtype=float)
         W, errors, c = np.zeros(X.shape), [None] * len(X), self.constants
         d = self.z.distance_many(X)
-        rows = np.flatnonzero(~(d <= 1e-14))  # W = 0 on Z
+        rows = np.flatnonzero(~(d <= ON_Z))  # W = 0 on Z
         P, A = self.F.P_and_d_x(xis[rows], X[rows])
         thresh = c.C_prime * int_power(d[rows], self.F.k - 1)
         finite = np.isfinite(A).all(axis=(1, 2))
@@ -308,10 +309,10 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
     arithmetic. Every step attempt costs every row 6 W calls, so all live
     rows are at one stage: t, h, y and the stages live in arrays, each stage
     is one ``eval_many`` call, and accept, reject, finish and fail are masks.
-    ``t_span[0]`` is one start time or one per row (N,); a row on Z or
-    starting at ``t_span[1]`` stays put. Returns the states (N, T, n), W calls
-    per row (N,) and per row the error ``flow`` raises, or None; a failing
-    row stops there and keeps x0 as its states."""
+    ``t_span[0]`` is one start time or one per row (N,); a row within ON_Z
+    of Z or starting at ``t_span[1]`` stays put. Returns the states
+    (N, T, n), W calls per row (N,) and per row the error ``flow`` raises,
+    or None; a failing row stops there and keeps x0 as its states."""
     if not 0.0 < tol < np.inf:
         raise InvalidInputError("tol must be finite and positive")
     X0 = np.asarray(X0, dtype=float)
@@ -324,7 +325,7 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
     rtol, atol = max(tol, 100 * EPS), tol  # scipy raises rtol to 100 eps
     n, bound = X0.shape[1], vf.constants.U_radius * (1 + 1e-9)
     r = SimpleNamespace()  # one array entry per live row; keep drops rows from all
-    r.p = np.flatnonzero(~(vf.z.distance_many(X0) <= 1e-14) & (starts != t1))
+    r.p = np.flatnonzero(~(vf.z.distance_many(X0) <= ON_Z) & (starts != t1))
     r.t, r.y = starts[r.p], X0[r.p]
     r.direction, r.interval = np.sign(t1 - r.t), np.abs(t1 - r.t)
     r.t_eval = np.linspace(r.t, t1, checkpoints, axis=1)

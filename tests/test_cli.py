@@ -234,6 +234,44 @@ class TestExitCodes:
                        "--out", tmp_path) == 1
 
 
+# every bundled scalar germ at its file's k, and three that fail at k = 2
+SCALAR_GERMS = ([(path.stem, None) for path in sorted(GERMS.glob("*.json"))
+                 if path.stem != "x2y2_diagonal_seq"]
+                + [(name, 2) for name in ("x2_x4", "x3_x1x4", "x2y2")])
+FAILING = {("x3", None), ("x4", None), ("x2_x4", 2), ("x3_x1x4", 2), ("x2y2", 2)}
+# the (k-1)-jet at 0 does not vanish at the file's k, which construct refuses
+JET_AT_0 = {("x2_plus_x", None), ("x2_x4", None)}
+
+
+class TestNegativeSide:
+    """check and construct agree on every bundled scalar germ: where check
+    says "fails", construct certifies the sequence it finds; where it says
+    "holds", construct finds none, and a sequence of check's own argmins
+    fails construct's checks."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("germ, k", SCALAR_GERMS)
+    def test_construct_agrees_with_check(self, tmp_path, germ, k, seed):
+        args = ["--germ", GERMS / f"{germ}.json", "--seed", seed, *(("--k", k) if k else ())]
+        check = run_cli(*args, "--cmd", "check", "--annuli", 6, "--out", tmp_path / "check")
+        estimate = json.loads((tmp_path / "check" / "report.json").read_text())["estimate"]
+        construct = run_cli(*args, "--cmd", "construct", "--out", tmp_path / "search")
+        if (germ, k) in FAILING:
+            assert estimate["verdict"] == "fails" and (check, construct) == (2, 0)
+            return
+        assert estimate["verdict"] == "holds" and (check, construct) == (0, 2)
+        # argmins 0, 2 and 4, whose distances more than halve; the 4 default
+        # argmins' halve exactly, which assemble_F rejects (exit 1)
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({"points": [estimate["argmins"][i] for i in (0, 2, 4)]}))
+        code = run_cli(*args, "--cmd", "construct", "--seq", seq, "--out", tmp_path / "seq")
+        if (germ, k) in JET_AT_0:
+            assert code == 1 and not (tmp_path / "seq").exists()
+            return
+        assert code == 2
+        assert not json.loads((tmp_path / "seq" / "report.json").read_text())["construction"]["ok"]
+
+
 class TestExitCodeTaxonomy:
     """0: the property holds; 1: bad input; 2: the property failed."""
 

@@ -14,7 +14,8 @@ from jetsuff.errors import InvalidInputError
 from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
 from jetsuff.linmap import LinearMap, nu_many
 from jetsuff.lojasiewicz import (POLISH, LojasiewiczReport, ViolationSequence,
-                                 _nelder_mead, _ratio_stats, check_corollary_hypotheses,
+                                 _dyadic_nelder_mead, _nelder_mead, _ratio_stats,
+                                 check_corollary_hypotheses,
                                  estimate_condition, falls_like_inverse_nu,
                                  find_violation_sequence, fit_exponent)
 from jetsuff.poly import Poly
@@ -676,10 +677,12 @@ class TestOneRun:
         assert max(calls[-1][2]) > 4  # stacked over the annuli
 
 
-def drive(funs, X0):
-    """One ``_nelder_mead`` call from the rows of X0, row i's points valued by
-    the scalar ``funs[i]``: per row its result, under scipy's names, and the
-    ``which`` of every objective call."""
+def drive(funs, X0, one_run=False):
+    """One ``_nelder_mead`` call from the rows of X0, or with ``one_run`` one
+    ``_dyadic_nelder_mead`` call from each row (one copy, q = 0: the run
+    itself), row i's points valued by the scalar ``funs[i]``: per row its
+    result, under scipy's names, and the ``which`` of every objective call
+    (all i in a call of the one run from row i)."""
     X0 = np.array(X0, dtype=float)
     calls = []
 
@@ -687,7 +690,12 @@ def drive(funs, X0):
         calls.append(which.copy())
         return np.array([funs[i](x.copy()) for x, i in zip(X, which)], dtype=float)
 
-    S, F, nit = _nelder_mead(objective, X0)
+    if one_run:
+        S, F, nit = map(np.concatenate, zip(*[
+            _dyadic_nelder_mead(lambda X, i=i: objective(X, np.full(len(X), i)), x0, 1, 0)
+            for i, x0 in enumerate(X0)]))
+    else:
+        S, F, nit = _nelder_mead(objective, X0)
     return [SimpleNamespace(x=S[i, 0], fun=F[i].min(), nit=nit[i],
                             final_simplex=(S[i], F[i])) for i in range(len(X0))], calls
 
@@ -700,28 +708,30 @@ def ball_objective(center):
 
 def assert_same_as_scipy(fun, x0, run=None):
     """``run`` (a result, the calls of its ``drive`` and its row there) is
-    scipy's on x0 alone; without one, x0 runs alone. Returns the result and
-    its number of shrinks.
+    scipy's on x0 alone; without one, x0 runs alone, in lock-step and as the
+    one run, and both are checked. Returns the (last) result and its number
+    of shrinks.
 
-    scipy asks for one or two points per iteration; ``_nelder_mead`` asks
-    for all four trial points in one call, so only the count differs: N + 1
-    for the start simplex, 4 per later iteration and N per shrink."""
+    scipy asks for one or two points per iteration; ``_nelder_mead`` and
+    ``_dyadic_nelder_mead`` ask for all four trial points in one call, so
+    only the count differs: N + 1 for the start simplex, 4 per later
+    iteration and N per shrink."""
     want = optimize.minimize(fun, x0, method="Nelder-Mead", options=POLISH)
-    if run is None:
-        (got,), calls = drive([fun], [x0])
-        run = got, calls, 0
-    got, calls, row = run
-    assert np.array_equal(got.x, want.x)
-    assert got.fun == want.fun
-    assert got.nit == want.nit
-    assert np.array_equal(got.final_simplex[0], want.final_simplex[0])
-    assert np.array_equal(got.final_simplex[1], want.final_simplex[1])
-    nfev = sum(int(np.count_nonzero(w == row)) for w in calls)
-    shrinks = sum(row in w for w in calls) - got.nit  # beyond start and trial calls
-    N = len(x0)
-    assert nfev == N + 1 + 4 * (got.nit - 1) + N * shrinks
-    # scipy's count: the same start and shrinks, and one or two points per iteration
-    assert 0 <= want.nfev - (N + 1) - N * shrinks - (got.nit - 1) <= got.nit - 1
+    runs = [run] if run is not None else [
+        (got[0], calls, 0) for got, calls in (drive([fun], [x0], one_run)
+                                              for one_run in (False, True))]
+    for got, calls, row in runs:
+        assert np.array_equal(got.x, want.x)
+        assert got.fun == want.fun
+        assert got.nit == want.nit
+        assert np.array_equal(got.final_simplex[0], want.final_simplex[0])
+        assert np.array_equal(got.final_simplex[1], want.final_simplex[1])
+        nfev = sum(int(np.count_nonzero(w == row)) for w in calls)
+        shrinks = sum(row in w for w in calls) - got.nit  # beyond start and trial calls
+        N = len(x0)
+        assert nfev == N + 1 + 4 * (got.nit - 1) + N * shrinks
+        # scipy's count: the same start and shrinks, and one or two points per iteration
+        assert 0 <= want.nfev - (N + 1) - N * shrinks - (got.nit - 1) <= got.nit - 1
     return got, shrinks
 
 
@@ -734,8 +744,9 @@ MIXED_BATCH = [(optimize.rosen, [-1.2, 1.0]),
 
 
 class TestNelderMeadReplay:
-    """``_nelder_mead`` is scipy's Nelder-Mead step for step, so a scipy
-    release that changes it fails here instead of changing the sequences."""
+    """``_nelder_mead`` and the one run of ``_dyadic_nelder_mead`` are scipy's
+    Nelder-Mead step for step, so a scipy release that changes it fails here
+    instead of changing the sequences."""
 
     @pytest.mark.parametrize("fun, x0", [
         (optimize.rosen, [-1.2, 1.0]),
@@ -759,16 +770,18 @@ class TestNelderMeadReplay:
         assert shrinks > 0
 
     def test_mixed_batch(self):
-        # one call whose rows are in different phases at each iteration
-        with np.errstate(invalid="ignore"):  # inf - inf in the fatol test, as in scipy
-            runs, calls = drive([fun for fun, _ in MIXED_BATCH],
-                                [x0 for _, x0 in MIXED_BATCH])
-            results = [assert_same_as_scipy(fun, x0, (got, calls, row))
-                       for row, ((fun, x0), got) in enumerate(zip(MIXED_BATCH, runs))]
-        (maxed, _), (_, shrinks) = results[3], results[4]
-        assert maxed.nit == POLISH["maxiter"]
-        assert shrinks > 0
-        assert np.isinf(runs[5].fun)
+        # one lock-step call whose rows are in different phases at each
+        # iteration, then one run from each row
+        for one_run in (False, True):
+            with np.errstate(invalid="ignore"):  # inf - inf in the fatol test, as in scipy
+                runs, calls = drive([fun for fun, _ in MIXED_BATCH],
+                                    [x0 for _, x0 in MIXED_BATCH], one_run)
+                results = [assert_same_as_scipy(fun, x0, (got, calls, row))
+                           for row, ((fun, x0), got) in enumerate(zip(MIXED_BATCH, runs))]
+            (maxed, _), (_, shrinks) = results[3], results[4]
+            assert maxed.nit == POLISH["maxiter"]
+            assert shrinks > 0
+            assert np.isinf(runs[5].fun)
 
     def test_at_most_two_calls_per_iteration(self):
         # after the start simplex, each iteration is one call with the four
