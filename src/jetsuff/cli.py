@@ -38,8 +38,8 @@ EXIT_VIOLATION = 2
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The parsed options that report.json records; ``build_parser`` holds
-    their defaults. ``--out`` and ``--seq`` are passed to ``run`` beside it,
-    so that a report does not depend on the directory it is written to."""
+    their defaults. ``main`` passes ``--out`` and ``--seq`` to the command
+    beside it, so that a report does not depend on the directory it is written to."""
 
     command: str
     germ: str
@@ -56,8 +56,6 @@ class ExperimentConfig:
             raise InvalidInputError("tolerances must be finite and positive")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
-        if self.command not in COMMANDS:
-            raise InvalidInputError(f"unknown command {self.command!r}")
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
@@ -68,14 +66,20 @@ def _radii(count: int, r0: float = 0.5) -> list[float]:
     return [r0 * 0.5 ** i for i in range(count)]
 
 
+def _germ(path, config: ExperimentConfig):
+    """The germ in ``path``, at jet order ``--k`` when given, and its Z block."""
+    f, z = load_germ(path)
+    if config.k is not None:
+        f = type(f)(f.n, f.m, config.k, f.components)
+    return f, z
+
+
 def _load(config: ExperimentConfig):
-    f, z = load_germ(config.germ)
+    f, z = _germ(config.germ, config)
     if config.z is not None:
         z = zspec_from_json(read_json(config.z), f.n)
     if z is None:
         raise InvalidInputError("no ZSpec: provide one in the germ file or via --z")
-    if config.k is not None:
-        f = type(f)(f.n, f.m, config.k, f.components)
     return f, z
 
 
@@ -119,10 +123,7 @@ def _load_pair(config: ExperimentConfig) -> GermPair:
     if config.pair is None:
         raise InvalidInputError("this command needs --pair")
     f, z = _load(config)
-    f1, _ = load_germ(config.pair)
-    if config.k is not None:
-        f1 = type(f1)(f1.n, f1.m, config.k, f1.components)
-    return GermPair(f=f, f1=f1, z=z)
+    return GermPair(f=f, f1=_germ(config.pair, config)[0], z=z)
 
 
 def _cmd_trivialize(config: ExperimentConfig, outdir: Path, seq_path) -> int:
@@ -233,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()  # one per process: in-process callers call main many times
 
 
-def run(config: ExperimentConfig, out, seq_path=None) -> int:
-    """Run one command; ``out`` is created by its first output file."""
-    return COMMANDS[config.command](config, Path(out), seq_path)
-
-
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -248,7 +244,7 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig(**{f.name: getattr(args, f.name)
                                      for f in fields(ExperimentConfig)})
-        return run(config, args.out, seq_path=args.seq)
+        return COMMANDS[config.command](config, Path(args.out), args.seq)
     except (InvalidInputError, CalibrationError, ConstructionError,
             ConvergenceError, MinorIdentityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,16 +23,9 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linmap import LinearMap, row_norms
-from .poly import Poly, PolyStack
+from .poly import Poly, PolyStack, _point
 
 MEMBERSHIP_TOL = 1e-12
-
-
-def _point(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise InvalidInputError(f"point dimension {x.shape} != ({n},)")
-    return x
 
 
 def _rows(X, n: int) -> np.ndarray:
@@ -163,12 +156,12 @@ class AnalyticZ(ZSpec):
     def __post_init__(self):
         if self.form not in ("subspace", "union_hyperplanes"):
             raise InvalidInputError(f"unknown analytic form {self.form!r}")
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in self.coords or ()):
+            raise InvalidInputError(f"coordinates must be integers, got {self.coords!r}")
         coords = tuple(sorted(self.coords or ()))
         if (not coords or any(not 1 <= c <= self.n for c in coords)
                 or len(set(coords)) != len(coords)):
             raise InvalidInputError(f"bad coordinate list {self.coords!r}")
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in coords):
-            raise InvalidInputError(f"coordinates must be integers, got {self.coords!r}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_cols", np.array(coords) - 1)
 
@@ -368,8 +361,7 @@ def json_numbers(value, what: str) -> np.ndarray:
     except OverflowError:
         raise InvalidInputError(f"{what} must lie in the float range") from None
     for v in np.asarray(value, dtype=object).flat:
-        if type(v) not in (int, float):
-            raise InvalidInputError(f"{what} must be numbers, got {v!r}")
+        _json_scalar(v, what, "numbers")
     return out
 
 
@@ -379,7 +371,11 @@ def zspec_from_json(doc: dict, n: int) -> ZSpec:
     variant = doc.get("variant")
     try:
         if variant == "analytic":
-            return AnalyticZ(n=n, form=doc["form"], coords=tuple(doc["coords"]))
+            form, coords = doc["form"], doc["coords"]
+            if isinstance(coords, (str, dict)):  # tuple() would read its characters or keys
+                raise InvalidInputError(f"malformed Z document: coords as {type(coords).__name__} "
+                                        "not supported; use a list")
+            return AnalyticZ(n=n, form=form, coords=tuple(coords))
         if variant == "samples":
             return SampledZ(n=n, points=json_numbers(doc["points"], "sample cloud points"))
     except InvalidInputError:  # a ValueError that already names the fault

@@ -151,7 +151,7 @@ def _evaluations(f, z: ZSpec, radii, samples_per_annulus: int, seed: int):
     terms of df, df, dist, nu) leaves [2^-450, 2^450] or 0 down to the deepest
     annulus. Any other germ, Z or radii, or a failed bound, evaluates each."""
     radii = [float(r) for r in radii]
-    if len(radii) < 4 or any(b >= a for a, b in zip(radii, radii[1:])) or radii[-1] <= 0:
+    if len(radii) < 4 or not all(math.inf > a > b > 0 for a, b in zip(radii, radii[1:])):
         raise InvalidInputError("need >= 4 strictly decreasing positive radii")
     if samples_per_annulus < 256:
         raise InvalidInputError("need >= 256 samples per annulus")

@@ -18,6 +18,13 @@ from .errors import InvalidInputError
 Exponents = tuple[int, ...]
 
 
+def _point(x, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise InvalidInputError(f"point dimension {x.shape} != ({n},)")
+    return x
+
+
 def _as_coeff(c):
     if isinstance(c, Fraction):
         return c
@@ -32,20 +39,18 @@ class Poly:
     def __init__(self, n: int, terms: dict[Exponents, object] | None = None):
         if n < 1:
             raise InvalidInputError("need at least one variable")
-        clean: dict[Exponents, object] = {}
+        self.n, self.terms = n, {}
+        # keys that pass the integer check are distinct tuples: no two terms merge
         for e, c in (terms or {}).items():
             ints = tuple(int(k) for k in e)
             # int() alone would read 2.5 as 2 and True as 1
             if any(isinstance(k, (bool, np.bool_)) or k != i for k, i in zip(e, ints)):
                 raise InvalidInputError(f"exponents must be integers, got {tuple(e)!r}")
-            e = ints
-            if len(e) != n or any(not 0 <= k < 2 ** 63 for k in e):  # 63 squares at most
-                raise InvalidInputError(f"bad exponent tuple {e} for n={n}")
+            if len(ints) != n or any(not 0 <= k < 2 ** 63 for k in ints):  # 63 squares at most
+                raise InvalidInputError(f"bad exponent tuple {ints} for n={n}")
             c = _as_coeff(c)
             if c != 0:
-                clean[e] = clean.get(e, 0) + c if e in clean else c
-        self.n = n
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+                self.terms[ints] = c
 
     # ------------------------------------------------------------------ algebra
 
@@ -109,10 +114,7 @@ class Poly:
     # ------------------------------------------------------------------ evaluation
 
     def eval(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InvalidInputError(f"point dimension {x.shape} != ({self.n},)")
-        return float(self.eval_many(x[None, :])[0])
+        return float(self.eval_many(_point(x, self.n)[None, :])[0])
 
     def eval_many(self, X: np.ndarray) -> np.ndarray:
         """Values at the rows of ``X`` (shape (N, n)), shape (N,)."""

@@ -28,17 +28,9 @@ def write_table(path, header, rows):
         w.writerows(rows)
 
 
-def _plain(value):
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 class Report:
     """Mixin for frozen dataclass reports: ``to_dict`` gives every field as
-    JSON-ready dicts and lists."""
+    dicts, lists and tuples, which ``write_json`` writes as JSON arrays."""
 
     def to_dict(self) -> dict:
-        return _plain(asdict(self))
+        return asdict(self)

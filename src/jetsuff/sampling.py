@@ -75,6 +75,8 @@ def _sobol(d: int, count: int, seed: int) -> np.ndarray:
     for bit, m = max(1, ceil(log2(count))) (a power-of-two block keeps the
     Sobol balance): the same draws for the random shift and the LMS scramble,
     and the points in scipy's Gray-code order."""
+    if count < 1:
+        raise InvalidInputError(f"need at least one Sobol point per pattern, not {count}")
     if count > 2 ** SOBOL_BITS:  # the sequence has no more distinct points
         raise InvalidInputError(f"at most 2^{SOBOL_BITS} Sobol points per pattern, "
                                 f"not {count}")
@@ -112,24 +114,27 @@ def _gaussian_directions(u: np.ndarray) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _radial(n: int, count: int, seed: int, inner: float):
+    """One Sobol pattern in R^n: unit directions, and radii with n-th powers even on [inner, 1]."""
+    if n < 1:
+        raise InvalidInputError(f"need at least one dimension, not {n}")
+    u = _sobol(n + 1, count, seed)
+    return _gaussian_directions(u[:, :n]), (inner + u[:, n] * (1.0 - inner)) ** (1.0 / n)
+
+
 def unit_shell_sample(n: int, count: int, seed: int) -> np.ndarray:
     """Quasi-uniform points in the shell 1/2 <= |x| <= 1 of R^n.
 
     One fixed pattern per (n, count, seed); callers scale it per annulus so
     that annulus statistics are exactly scale-equivariant.
     """
-    u = _sobol(n + 1, count, seed)
-    dirs = _gaussian_directions(u[:, :n])
-    lo, hi = 0.5 ** n, 1.0
-    r = (lo + u[:, n] * (hi - lo)) ** (1.0 / n)
+    dirs, r = _radial(n, count, seed, 0.5 ** n)
     return dirs * r[:, None]
 
 
 def ball_sample(n: int, count: int, seed: int, radius: float = 1.0) -> np.ndarray:
     """Quasi-uniform points in the ball of given radius."""
-    u = _sobol(n + 1, count, seed)
-    dirs = _gaussian_directions(u[:, :n])
-    r = u[:, n] ** (1.0 / n)
+    dirs, r = _radial(n, count, seed, 0.0)  # 0.0 + u * 1.0 is u, bit for bit
     return radius * dirs * r[:, None]
 
 

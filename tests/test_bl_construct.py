@@ -111,6 +111,11 @@ class TestChooseLambdas:
         with pytest.raises(InvalidInputError):
             choose_lambdas(x2y2_germ(), [[0.0, 1.0]], Z_AXES.distance_many([[0.0, 1.0]]))
 
+    def test_rejects_a_distance_per_point_mismatch(self):
+        pts, dists = diagonal_sequence()
+        with pytest.raises(InvalidInputError, match="^sequence lengths disagree$"):
+            choose_lambdas(x2y2_germ(), pts, dists[:-1])
+
 
 @pytest.fixture(scope="module")
 def pf():
@@ -186,6 +191,20 @@ class TestAssembly:
         dists[3] = 0.5 * dists[2]  # not below half
         with pytest.raises(InvalidInputError, match="^sequence distances must at least halve$"):
             assemble_F(f, pts, dists, [0.1] * 5)
+
+    @pytest.mark.parametrize("drop", ["centers", "dists", "lambdas"])
+    def test_sequence_lengths_must_agree(self, drop):
+        pts, dists = diagonal_sequence()
+        args = {"centers": pts, "dists": dists, "lambdas": [0.1] * 5}
+        args[drop] = args[drop][:-1]
+        with pytest.raises(InvalidInputError, match="^sequence lengths disagree$"):
+            PerturbationF(x2y2_germ(), **args)
+
+    def test_map_germ_rejected(self):
+        f = PolyGermMap(2, 2, 2, [Poly(2, {(2, 0): 1}), Poly(2, {(0, 2): 1})])
+        pts, dists = diagonal_sequence()
+        with pytest.raises(InvalidInputError, match="^construction applies to scalar germs$"):
+            PerturbationF(f, pts, dists, [0.1] * 5)
 
     def test_short_prefix_rejected(self):
         f = x2y2_germ()

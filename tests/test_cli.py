@@ -233,6 +233,16 @@ class TestExitCodes:
         assert run_cli("--germ", GERMS / "x2.json", "--cmd", "corollary",
                        "--out", tmp_path) == 1
 
+    def test_germ_without_z_and_no_z_flag(self, tmp_path, capsys):
+        germ = json.loads((GERMS / "x2.json").read_text())
+        del germ["z"]
+        path = tmp_path / "germ.json"
+        path.write_text(json.dumps(germ))
+        assert run_cli("--germ", path, "--cmd", "check", "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "error: no ZSpec: provide one in the germ file or via --z\n")
+        assert not (tmp_path / "out").exists()
+
 
 # every bundled scalar germ at its file's k, and three that fail at k = 2
 SCALAR_GERMS = ([(path.stem, None) for path in sorted(GERMS.glob("*.json"))

@@ -372,9 +372,10 @@ class TestBadZ:
             germ_module.zspec_from_json(
                 {"variant": "analytic", "form": "subspace", "coords": [1, 1]}, 2)
 
-    @pytest.mark.parametrize("coords", [[1.5], [True], [1.0], [2, True]])
+    @pytest.mark.parametrize("coords", [[1.5], [True], [1.0], [2, True], ["1"], [None], [1, "a"]])
     def test_non_integer_coords_rejected(self, coords):
-        # [1.5] used to pass and fail later in np.take; [true] read as x1
+        # [1.5] used to pass and fail later in np.take; [true] read as x1;
+        # ["1"] and [null] failed the range test's comparison, [1, "a"] the sort's
         with pytest.raises(InvalidInputError, match="coordinates must be integers"):
             germ_module.zspec_from_json(
                 {"variant": "analytic", "form": "subspace", "coords": coords}, 2)

@@ -10,7 +10,7 @@ from scipy import optimize
 
 from jetsuff import lojasiewicz
 from jetsuff.cli import _radii
-from jetsuff.errors import InvalidInputError
+from jetsuff.errors import ConvergenceError, InvalidInputError
 from jetsuff.germ import AnalyticZ, GermPair, PolyGermMap, SampledZ, load_germ
 from jetsuff.linmap import LinearMap, nu_many
 from jetsuff.lojasiewicz import (POLISH, LojasiewiczReport, ViolationSequence,
@@ -113,6 +113,12 @@ class TestFitExponent:
         f = PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1, (0, 2): 1})])
         theta = fit_exponent(f, Z_ORIGIN, RADII, 512, 0)
         assert theta == pytest.approx(1.0, abs=0.05)
+
+    def test_vanishing_nu_has_no_slope(self):
+        # nu = 2e-20 |x1| stays below 1e-14 on every annulus
+        f = PolyGermMap(2, 1, 2, [Poly(2, {(2, 0): 1e-20})])
+        with pytest.raises(ConvergenceError, match="^nu vanished on every annulus"):
+            fit_exponent(f, Z_HYP, RADII, 512, 0)
 
 
 class TestFallsLikeInverseNu:
@@ -426,6 +432,10 @@ class TestAnnulusTable:
         (RADII[:3], 512, "need >= 4 strictly decreasing positive radii"),
         (RADII[::-1], 512, "need >= 4 strictly decreasing positive radii"),
         (RADII, 128, "need >= 256 samples per annulus"),
+        # nan fails every comparison and inf every difference; both used to
+        # pass, and fail later as non-finite Jacobian entries
+        ([0.5, 0.25, float("nan"), 0.0625], 512, "need >= 4 strictly decreasing positive radii"),
+        ([float("inf"), 0.25, 0.125, 0.0625], 512, "need >= 4 strictly decreasing positive radii"),
     ])
     def test_every_scan_checks_its_radii(self, radii, count, message):
         f, z = bundled("x2")

@@ -11,7 +11,8 @@ import pytest
 from scipy.stats import norm, qmc
 
 from jetsuff.errors import InvalidInputError
-from jetsuff.sampling import _directions, _gaussian_directions, _normal_quantile, _sobol
+from jetsuff.sampling import (_directions, _gaussian_directions, _normal_quantile, _sobol,
+                              ball_sample, unit_shell_sample)
 from oracles import directions_reference, gaussian_directions_reference
 
 SEEDS = range(40)
@@ -79,3 +80,14 @@ def test_direction_numbers_are_cached_read_only():
         assert _directions(d) is got
         with pytest.raises(ValueError):
             got[0, 0] = 0
+
+
+@pytest.mark.parametrize("draw, n, count, message", [
+    # these used to raise ZeroDivisionError and "math domain error"
+    (ball_sample, 0, 10, "need at least one dimension, not 0"),
+    (unit_shell_sample, 2, 0, "need at least one Sobol point per pattern, not 0"),
+    (ball_sample, 2, -3, "need at least one Sobol point per pattern, not -3"),
+])
+def test_empty_draws_refused(draw, n, count, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        draw(n, count, 0)

@@ -215,6 +215,26 @@ class TestVectorField:
                 resid = F.P_and_d_x([xi], [x])[1][0] @ w + F.P.eval(x)
                 assert np.linalg.norm(resid) <= 1e-9 * (1 + np.linalg.norm(F.P.eval(x)))
 
+    def test_infinite_jacobian_entries(self, cubic_setup):
+        # d_xF = 2 x1 + 3 xi x1^2 overflows far from the origin
+        _, _, _, vf = cubic_setup
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError,
+                                                       match="^entries must be finite$"):
+            vf.eval(1.0, [1e200, 0.0])
+
+    def test_linear_system_residual_out_of_budget(self):
+        # P = x1^3 (1 + x2): at xi = 1e-310 and x = (1/2, 0) the minor
+        # xi x1^3 is subnormal, counts because C' dist underflows to 0, and
+        # -P over it overflows, so A W misses -P by inf
+        pair = make_pair({(3, 0): Fraction(1), (3, 1): Fraction(1)})
+        consts = TrivializationConstants(C=2.0, C_prime=5e-324, C_dprime=1.0,
+                                         U_radius=0.5, r0=0.1)
+        vf = VectorFieldW(build_F(pair), consts)
+        message = r"^linear system residual inf out of budget at x=\[0.5, 0.0\]$"
+        with np.errstate(over="ignore", under="ignore"), pytest.raises(
+                InvalidInputError, match=message):
+            vf.eval(1e-310, [0.5, 0.0])
+
     def test_field_bound_violation_is_a_property_failure(self, cubic_setup):
         pair, _, consts, _ = cubic_setup
         tiny = TrivializationConstants(
