@@ -6,7 +6,9 @@ class InvalidInputError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative procedure failed to reach its target tolerance."""
+    """A numerical failure on well-formed input: an iterative procedure missed
+    its target tolerance, or a computed quantity overflowed or missed its
+    residual budget."""
 
 
 class CalibrationError(RuntimeError):

@@ -82,7 +82,11 @@ def _minor_plan(m: int, n: int):
     drop = [[where[I[:l] + I[l + 1:]] for l in range(m)] for I in sets]
     rows = [[r for r in range(m) if r != j] for j in range(m)]
     sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
-    plan = (np.array(sets), np.array(subsets), np.array(drop), np.array(rows), sign)
+    # flat indices into a row-major m x n matrix: block[s, r, c] of a[r, I[c]];
+    # for m = 2, num[s, l, j] is a[1 - j, I[1 - l]], block[s, 1 - j, 1 - l], signed
+    block = np.array([[[r * n + c for c in I] for r in range(m)] for I in sets])
+    plan = (np.array(sets), np.array(subsets), np.array(drop), np.array(rows), sign,
+            block, block[:, ::-1, ::-1].transpose(0, 2, 1).copy())
     for a in plan:
         a.setflags(write=False)
     return plan
@@ -99,19 +103,21 @@ def minor_table(a: np.ndarray):
     ``num[..., s, l, j] = (-1)^(l+j) det(a without row j, I without column l)``,
     so that w_l = sum_j num[s, l, j] b_j / M[s] solves a[:, I] w = b by
     Cramer's rule. Every (m-1)-subminor is computed once per matrix; 1 x 1
-    blocks are the entries themselves. Each matrix of a stack gets the same
-    arithmetic as on its own, so stacked results equal per-matrix ones bit
-    for bit.
+    blocks are the entries themselves (one signed gather). Each matrix of a
+    stack gets the same arithmetic as on its own, so stacked results equal
+    per-matrix ones bit for bit.
     """
     *batch, m, n = a.shape
-    cols, subsets, drop, rows, sign = _minor_plan(m, n)
+    cols, subsets, drop, rows, sign, block, entry = _minor_plan(m, n)
     if m == 1:
         return cols, a[..., 0, :], np.ones((*batch, n)), np.ones((*batch, n, 1, 1))
-    M = np.linalg.det(np.moveaxis(a[..., cols], -3, -2))
-    # (..., j, J, m-1, m-1): a without row j, restricted to the columns of J
-    blocks = a[..., rows[:, None, :, None], subsets[None, :, None, :]]
-    sub = blocks[..., 0, 0] if m == 2 else np.linalg.det(blocks)
-    num = sign * np.moveaxis(sub[..., drop], -3, -1)
+    flat = a.reshape(*batch, m * n)
+    M = np.linalg.det(flat.take(block, axis=-1))
+    if m == 2:
+        num = sign * flat.take(entry, axis=-1)
+    else:  # det of (..., j, J, m-1, m-1): a without row j, on the columns of J
+        sub = np.linalg.det(a[..., rows[:, None, :, None], subsets[None, :, None, :]])
+        num = sign * np.moveaxis(sub[..., drop], -3, -1)
     return cols, M, np.abs(num).max(axis=(-2, -1)), num
 
 

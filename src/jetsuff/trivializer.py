@@ -15,8 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (CalibrationError, CoveringViolationError, DomainExitError,
-                     FieldBoundError, InvalidInputError)
+from .errors import (CalibrationError, ConvergenceError, CoveringViolationError,
+                     DomainExitError, FieldBoundError, InvalidInputError)
 from .germ import GermPair, SampledZ, int_power, monomial_text, same_k_Z_jet, scalar_powers
 from .linmap import g_prime_many, minor_table, norm2_many, row_norms
 from .poly import PolyStack
@@ -197,12 +197,11 @@ def _p_bounds_check(P, z, X, C, k):
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
     """C^2 ramp, entry by entry: 0 for s <= 1/2, 1 for s >= 1, quintic in
-    between, its powers by ``int_power`` (each entry's bits as alone)."""
-    out = np.where(s >= 1.0, 1.0, 0.0)
-    mid = (s > 0.5) & (s < 1.0)
-    u = 2.0 * (s[mid] - 0.5)
-    out[mid] = int_power(u, 3) * (10.0 - 15.0 * u + 6.0 * int_power(u, 2))
-    return out
+    between. s is clamped to [1/2, 1] (nan to 1/2), where the quintic is 0 and
+    1 exactly; u^2 = u u and u^3 = u u^2 are ``int_power``'s products."""
+    u = 2.0 * (np.minimum(np.fmax(s, 0.5), 1.0) - 0.5)
+    u2 = u * u
+    return u * u2 * (10.0 - 15.0 * u + 6.0 * u2)
 
 
 def _residuals(A: np.ndarray, W: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -214,9 +213,11 @@ class VectorFieldW:
     """Cramer-rule field blended over dominating minors; 0 on Z."""
 
     def __init__(self, F: DeformationF, constants: TrivializationConstants):
-        self.F = F
-        self.constants = constants
-        self.z = F.pair.z
+        self.F, self.constants, self.z = F, constants, F.pair.z
+        # spread[:, c]: where minor_table's flattened (set, column) pairs hold
+        # column c, in set order; each column lies in as many sets
+        cols = minor_table(np.zeros((0, F.m, F.n)))[0].ravel()
+        self._spread = np.argsort(cols, kind="stable").reshape(F.n, -1).T
 
     def eval(self, xi: float, x) -> np.ndarray:
         W, (error,) = self.eval_many([xi], np.asarray(x, dtype=float)[None, :])
@@ -227,11 +228,14 @@ class VectorFieldW:
     def eval_many(self, xis, X) -> tuple[np.ndarray, list]:
         """W(xi_i, x_i) at the rows of X (N, n), and per row the error ``eval``
         raises there, or None. Each row gets one point's arithmetic: sums from
-        +0.0 in order, checks of finite entries, active minor, residual, bound."""
+        +0.0 in order, checks of finite entries, active minor, residual, bound.
+        With every row off Z there is no row gather; with every row also good,
+        the blend is W itself, with no scatter and no error loop."""
         xis, X = np.asarray(xis, dtype=float), np.asarray(X, dtype=float)
-        W, errors, c = np.zeros(X.shape), [None] * len(X), self.constants
+        errors, c = [None] * len(X), self.constants
         d = self.z.distance_many(X)
-        rows = np.flatnonzero(~(d <= ON_Z))  # W = 0 on Z
+        everywhere = not (d <= ON_Z).any()  # W = 0 on Z
+        rows = slice(None) if everywhere else ~(d <= ON_Z)
         P, A = self.F.P_and_d_x(xis[rows], X[rows])
         thresh = c.C_prime * int_power(d[rows], self.F.k - 1)
         finite = np.isfinite(A).all(axis=(1, 2))
@@ -241,28 +245,30 @@ class VectorFieldW:
         with np.errstate(divide="ignore", invalid="ignore"):
             w = _smoothstep(np.abs(M) / np.maximum(h, 1e-300) / thresh[:, None])
         on, total, b = w > 0.0, sum(w.T), -P
-        # Cramer's rule on each column set I: w_l = sum_j num[l, j] (-P)_j / M_I
+        # Cramer's rule on each column set I: w_l = sum_j num[l, j] (-P)_j / M_I,
+        # where M_I != 0 as w > 0; every other set weighs +0.0
         cramer = sum(num[..., j] * b[:, None, None, j] for j in range(b.shape[1]))
-        cramer = np.divide(cramer, M[..., None], out=np.zeros_like(cramer), where=on[..., None])
-        terms = np.divide(w, total[:, None], out=np.zeros_like(w), where=on)[..., None] * cramer
-        blend = np.zeros((len(rows), X.shape[1]))
-        for s, I in enumerate(cols):  # an inactive set adds +0.0, which changes no entry
-            blend[:, I] += terms[:, s]
+        cramer = np.where(on[..., None], cramer / np.where(on, M, 1.0)[..., None], 0.0)
+        terms = (w / np.where(total > 0.0, total, 1.0)[:, None])[..., None] * cramer
+        blend = sum(terms.reshape(len(A), cols.size).take(self._spread, axis=1).swapaxes(0, 1))
         active, resid, norm_W = on.any(axis=1), _residuals(A, blend, P), row_norms(blend)
         off_budget = resid > LINSYS_TOL * (1.0 + row_norms(b))
         bound = c.C_dprime * d[rows] * (1.0 + FIELD_BOUND_SLACK)
         good = finite & active & ~off_budget & ~(norm_W > bound)
-        W[rows[good]] = blend[good]
+        if everywhere and good.all():
+            return blend, errors
+        W, at = np.zeros(X.shape), np.flatnonzero(~(d <= ON_Z))
+        W[at[good]] = blend[good]
         for r in np.flatnonzero(~good).tolist():
-            i, x = rows[r], X[rows[r]].tolist()
+            i, x = at[r], X[at[r]].tolist()
             if not finite[r]:
-                errors[i] = InvalidInputError("entries must be finite")
+                errors[i] = ConvergenceError("entries must be finite")
             elif not active[r]:
                 errors[i] = CoveringViolationError(
                     f"no active minor at xi={xis[i]}, x={x} (dist {d[i]:.3e}); "
                     "the minor lower bound fails here")
             elif off_budget[r]:
-                errors[i] = InvalidInputError(
+                errors[i] = ConvergenceError(
                     f"linear system residual {resid[r]:.3e} out of budget at x={x}")
             else:
                 errors[i] = FieldBoundError(
@@ -309,10 +315,12 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
     arithmetic. Every step attempt costs every row 6 W calls, so all live
     rows are at one stage: t, h, y and the stages live in arrays, each stage
     is one ``eval_many`` call, and accept, reject, finish and fail are masks.
-    ``t_span[0]`` is one start time or one per row (N,); a row within ON_Z
-    of Z or starting at ``t_span[1]`` stays put. Returns the states
-    (N, T, n), W calls per row (N,) and per row the error ``flow`` raises,
-    or None; a failing row stops there and keeps x0 as its states."""
+    A stage whose rows all get W takes it as returned, with no row check,
+    and the finish and min-step checks run only on steps where some row
+    needs them. ``t_span[0]`` is one start time or one per row (N,); a row
+    within ON_Z of Z or starting at ``t_span[1]`` stays put. Returns the
+    states (N, T, n), W calls per row (N,) and per row the error ``flow``
+    raises, or None; a failing row stops there and keeps x0 as its states."""
     if not 0.0 < tol < np.inf:
         raise InvalidInputError("tol must be finite and positive")
     X0 = np.asarray(X0, dtype=float)
@@ -344,6 +352,8 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
         """W at the live rows; a row whose W fails stops with its error."""
         W, errs = vf.eval_many(t, Y) if len(Y) else (Y, [])
         nfev[r.p] += 1
+        if errs.count(None) == len(errs):
+            return W
         ok = np.array([e is None for e in errs], dtype=bool)
         stop(~ok, [e for e in errs if e is not None])
         return W[ok]
@@ -367,17 +377,19 @@ def flow_many(vf: VectorFieldW, X0, t_span=(0.0, 1.0), tol: float = 1e-9,
     r.rejected, r.emitted = np.zeros(len(r.p), dtype=bool), np.zeros(len(r.p), dtype=int)
     while True:
         done = r.direction * (r.t - t1) >= 0
-        out = np.zeros_like(done)
-        out[done] = np.any(np.linalg.norm(states[r.p[done]], axis=-1) > bound, axis=1)
-        stop(out, [DomainExitError("trajectory left the calibrated ball") for _ in r.p[out]])
-        keep(~done[~out])  # the rows that finished inside the ball
+        if done.any():
+            out = np.zeros_like(done)
+            out[done] = np.any(np.linalg.norm(states[r.p[done]], axis=-1) > bound, axis=1)
+            stop(out, [DomainExitError("trajectory left the calibrated ball") for _ in r.p[out]])
+            keep(~done[~out])  # the rows that finished inside the ball
         # a new step starts where the last attempt was accepted
         min_step = 10 * np.abs(np.nextafter(r.t, r.direction * np.inf) - r.t)
         r.h_abs = np.where(r.rejected, r.h_abs, np.where(
             r.h_abs > max_step, max_step, np.maximum(r.h_abs, min_step)))
         tiny = r.h_abs < min_step
-        stop(tiny, [DomainExitError("integration failed: Required step size is less than "
-                                    "spacing between numbers.") for _ in r.p[tiny]])
+        if tiny.any():
+            stop(tiny, [DomainExitError("integration failed: Required step size is less "
+                                        "than spacing between numbers.") for _ in r.p[tiny]])
         if not len(r.p):
             return states, nfev, errors
         t_new = r.t + r.h_abs * r.direction

@@ -5,10 +5,12 @@ decomposition: it estimates inf |A^T phi| over unit phi by brute force on a
 quasi-uniform sample, with a derivative-free polish in spherical angles for
 m = 3. ``calibrate_constants_scalar`` is the point-by-point calibration
 that the stacked ``trivializer.calibrate_constants`` replaced.
-``W_reference``, ``flow_reference`` and ``isotopy_reference`` are the
-one-point field, the one-trajectory ``solve_ivp`` flow and the point-by-point
-isotopy loop that ``VectorFieldW.eval_many`` and the lock-step
-``trivializer.flow_many`` replaced; ``write_isotopy_csv_reference`` is the
+``minor_table_reference`` is the minor table whose m = 2 numerators were
+gathered block by block. ``W_reference``, ``flow_reference`` and
+``isotopy_reference`` are the one-point field, the one-trajectory
+``solve_ivp`` flow and the point-by-point isotopy loop that
+``VectorFieldW.eval_many`` and the lock-step ``trivializer.flow_many``
+replaced; ``write_isotopy_csv_reference`` is the
 numpy-scalar CSV writer that ``IsotopyResult.write_csv`` replaced.
 ``BumpReference``, ``PerturbationReference``, ``hessian_reference``,
 ``choose_lambdas_reference`` and ``verify_construction_reference`` are the
@@ -55,11 +57,11 @@ from scipy.special import ndtri
 
 from jetsuff.bl_construct import (GAP_REL, MAX_RETRIES, RHO_IN, RHO_OUT,
                                   SAMPLES_PER_BALL, ConstructionReport)
-from jetsuff.errors import (CalibrationError, ConstructionError, CoveringViolationError,
-                            DomainExitError, FieldBoundError, InvalidInputError,
-                            MinorIdentityError)
+from jetsuff.errors import (CalibrationError, ConstructionError, ConvergenceError,
+                            CoveringViolationError, DomainExitError, FieldBoundError,
+                            InvalidInputError, MinorIdentityError)
 from jetsuff.germ import SampledZ, int_power, jet_at
-from jetsuff.linmap import LinearMap, g_prime, minor_table, nu, nu_many
+from jetsuff.linmap import LinearMap, g_prime, nu, nu_many
 from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
                                  ViolationSequence, _ratio_stats)
 from jetsuff.poly import Poly
@@ -491,13 +493,35 @@ def gronwall_reference(result, constants, z, eps: float = 0.05):
 
 
 def _smoothstep_reference(s: float) -> float:
-    """C^2 ramp: 0 for s <= 1/2, 1 for s >= 1, quintic in between."""
-    if s <= 0.5:
+    """C^2 ramp: 0 for s <= 1/2 (and nan), 1 for s >= 1, quintic in between."""
+    if not s > 0.5:
         return 0.0
     if s >= 1.0:
         return 1.0
     u = 2.0 * (s - 0.5)
     return int_power(u, 3) * (10.0 - 15.0 * u + 6.0 * int_power(u, 2))
+
+
+def minor_table_reference(a: np.ndarray):
+    """``linmap.minor_table`` before its m = 2 numerators became one gather
+    of the entries: the index plan built here, M from the column sets moved
+    into place, and every (m-1)-subminor block gathered by fancy indexing."""
+    *batch, m, n = a.shape
+    sets = list(itertools.combinations(range(n), m))
+    subsets = list(itertools.combinations(range(n), m - 1))
+    where = {J: s for s, J in enumerate(subsets)}
+    drop = np.array([[where[I[:l] + I[l + 1:]] for l in range(m)] for I in sets])
+    rows = np.array([[r for r in range(m) if r != j] for j in range(m)], dtype=int)
+    sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    cols, subsets = np.array(sets), np.array(subsets, dtype=int)
+    if m == 1:
+        return cols, a[..., 0, :], np.ones((*batch, n)), np.ones((*batch, n, 1, 1))
+    M = np.linalg.det(np.moveaxis(a[..., cols], -3, -2))
+    # (..., j, J, m-1, m-1): a without row j, restricted to the columns of J
+    blocks = a[..., rows[:, None, :, None], subsets[None, :, None, :]]
+    sub = blocks[..., 0, 0] if m == 2 else np.linalg.det(blocks)
+    num = sign * np.moveaxis(sub[..., drop], -3, -1)
+    return cols, M, np.abs(num).max(axis=(-2, -1)), num
 
 
 def W_reference(vf, xi: float, x) -> np.ndarray:
@@ -512,10 +536,10 @@ def W_reference(vf, xi: float, x) -> np.ndarray:
     Jf, JP = v[F.m:].reshape(2, F.m, F.n)
     A = Jf + xi * JP
     if not np.all(np.isfinite(A)):
-        raise InvalidInputError("entries must be finite")
+        raise ConvergenceError("entries must be finite")
     negP = -v[:F.m]
     thresh = vf.constants.C_prime * int_power(d, F.k - 1)
-    cols, M_I, h_I, num = minor_table(A)
+    cols, M_I, h_I, num = minor_table_reference(A)
     b = negP.tolist()
     active = []  # (weight, field) per column set whose minor dominates
     for I, M, h, rows in zip(cols.tolist(), M_I.tolist(), h_I.tolist(), num.tolist()):
@@ -533,7 +557,7 @@ def W_reference(vf, xi: float, x) -> np.ndarray:
     W = sum((w / total) * f for w, f in active)
     resid = np.linalg.norm(A @ W + (-negP))
     if resid > LINSYS_TOL * (1.0 + np.linalg.norm(negP)):
-        raise InvalidInputError(
+        raise ConvergenceError(
             f"linear system residual {resid:.3e} out of budget at x={x.tolist()}")
     bound = vf.constants.C_dprime * d * (1.0 + FIELD_BOUND_SLACK)
     if np.linalg.norm(W) > bound:

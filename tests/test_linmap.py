@@ -8,8 +8,8 @@ from jetsuff import linmap
 from jetsuff.errors import InvalidInputError, MinorIdentityError
 from jetsuff.linmap import (LinearMap, equivalence_constants_sample, g_prime,
                             g_prime_many, minor_table, norm2_many, nu, nu_many, realify)
-from oracles import (equivalence_constants_reference, minors_reference,
-                     nu_bruteforce, nu_reference)
+from oracles import (equivalence_constants_reference, minor_table_reference,
+                     minors_reference, nu_bruteforce, nu_reference)
 
 
 class TestNu:
@@ -116,6 +116,21 @@ class TestMinors:
             assert np.array_equal(cols, cols_a)
             for got, want in zip((M_a, h_a, num_a), per_matrix):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 3), (2, 4), (3, 5), (3, 6)])
+    def test_matches_reference_bit_for_bit(self, m, n):
+        # zeros of both signs, subnormals, infinities and nan among the entries;
+        # raw bytes, so nan payloads and the signs of zeros count too
+        rng = np.random.default_rng(10 * m + n)
+        A = rng.standard_normal((400, m, n))
+        special = rng.random(A.shape) < 0.2
+        A[special] = rng.choice([0.0, -0.0, 5e-324, -4e-320, 1e-310, np.inf, -np.inf, np.nan],
+                                size=special.sum())
+        A[0], A[1] = 0.0, 1e-310
+        with np.errstate(all="ignore"):
+            for a in (A, A[2]):
+                for got, want in zip(minor_table(a), minor_table_reference(a)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_nonzero_minor_with_vanishing_subminors_raises(self, monkeypatch):
         monkeypatch.setattr(linmap, "minor_table", lambda a: (
