@@ -77,7 +77,7 @@ class PolyGermMap:
     def jacobian_many(self, X) -> np.ndarray:
         """Jacobians at the rows of ``X`` (shape (N, n)), shape (N, m, n)."""
         J = self._jacobian.eval_many(_rows(X, self.n)).reshape(-1, self.m, self.n)
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise InvalidInputError("Jacobian entries must be finite")
         return J
 
@@ -166,7 +166,7 @@ class AnalyticZ(ZSpec):
         object.__setattr__(self, "_cols", np.array(coords) - 1)
 
     def distance_many(self, X) -> np.ndarray:
-        S = np.take(_rows(X, self.n), self._cols, axis=1)
+        S = _rows(X, self.n).take(self._cols, axis=1)
         if self.form == "subspace":
             return row_norms(S)
         return np.abs(S).min(axis=1)
@@ -299,14 +299,14 @@ class SampledZ(ZSpec):
 
 
 def int_power(x, p: int) -> np.ndarray:
-    """``x ** p`` entry by entry (integer p >= 0) with a PolyStack column's bits, no pow:
-    the left-to-right product of the squares x, x^2, x^4, ... the bits of p select."""
+    """``x ** p`` entry by entry (integer p >= 0) with a PolyStack column's bits, no pow, in a
+    fresh array: the left-to-right product of the squares x, x^2, x^4, ... the bits of p select."""
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)  # 1 * x is x, bit for bit
-    while p:
-        out, p = out * x if p & 1 else out, p >> 1
-        x = x * x if p else x
-    return out
+    out = x * 1.0 if p & 1 else None  # 1 * x is x, bit for bit
+    while p := p >> 1:
+        x = x * x
+        out = (x if out is None else out * x) if p & 1 else out
+    return np.ones_like(x) if out is None else out
 
 
 def scalar_powers(values, p: float) -> np.ndarray:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -351,11 +352,29 @@ def _dyadic_nelder_mead(objective, x0, copies: int, q: int):
             fsim[1:] = objective(sim[1:])
         else:
             sim[-1], fsim[-1] = trial[pick], ftrial[pick]
-        ind = np.argsort(fsim)  # scipy's one-simplex sort: _sort's bits, cheaper at R = 1
-        sim, fsim = sim[ind], fsim[ind]
+        ind = fsim.argsort()  # scipy's one-simplex sort: _sort's bits, cheaper at R = 1
+        sim, fsim = sim.take(ind, 0), fsim.take(ind)
     S[live] = np.ldexp(sim, -j[live, None, None])  # the copies that reached maxiter
     F[live] = np.ldexp(fsim, -q * j[live, None])
     return S, F, nit
+
+
+def _search_objective(f, z: ZSpec, k: int, seen: list, X, r_lo, r_hi, d_lo, d_hi):
+    """The search's nu(df)/dist^(k-1) at each row of X with r_lo <= |x| <= r_hi and
+    d_lo <= dist(x, Z) <= d_hi (bounds per row or for all), else inf, row by row;
+    appends the rows, and df, nu(df) and dist^(k-1) where it took them, to ``seen``."""
+    norm, d = row_norms(X), z.distance_many(X)
+    keep = ((r_lo <= norm) & (norm <= r_hi) & (d_lo <= d) & (d <= d_hi)).nonzero()[0]
+    every = len(keep) == len(X)  # then no gathers and no inf fill
+    J = f.jacobian_many(X if every else X.take(keep, 0))
+    dk = int_power(d if every else d.take(keep), k - 1)
+    v = nu_many(J)
+    seen.append((X, J, v, dk))
+    if every:
+        return v / dk
+    out = np.full(len(X), np.inf)
+    out[keep] = v / dk
+    return out
 
 
 def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
@@ -382,30 +401,21 @@ def find_violation_sequence(f, z: ZSpec, k: int, seed: int):
     # trust region: stay in the annulus and keep dist comparable,
     # otherwise descent just chases dist -> 0 at every scale
     r_lo, r_hi, d_lo, d_hi = 0.45 * radius, 1.05 * radius, 0.45 * d_args, 2.0 * d_args
+    bounds = np.array([r_lo, r_hi, np.maximum(d_lo, DIST_FLOOR), d_hi])  # DIST_FLOOR: off Z
     seen = []  # each call's rows, and df, nu(df) and dist^(k-1) where it took them
-
-    def objective(X, which):
-        norm, d = row_norms(X), z.distance_many(X)
-        keep = ((r_lo[which] <= norm) & (norm <= r_hi[which]) & (d_lo[which] <= d)
-                & (d <= d_hi[which]) & ~(d < DIST_FLOOR))
-        out = np.full(len(X), np.inf)
-        J, dk = f.jacobian_many(X[keep]), int_power(d[keep], k - 1)
-        v = nu_many(J)
-        out[keep] = v / dk
-        seen.append((X, J, v, dk))
-        return out
-
+    objective = partial(_search_objective, f, z, k, seen)
     j = np.arange(len(radius))
     one_run = (f.degree is not None and isinstance(z, AnalyticZ) and np.all(args[0] != 0)
                and np.array_equal(np.ldexp(args[0], -j[:, None]), args)
                and np.array_equal(np.ldexp(d_args[0], -j), d_args) and d_lo[-1] >= DIST_FLOOR)
-    if one_run:
-        S, F, _ = _dyadic_nelder_mead(lambda X: objective(X, 0), args[0], len(j), f.degree - k)
+    if one_run:  # with Python-float bounds, cheaper to compare with
+        first = bounds[:, 0].tolist()
+        S, F, _ = _dyadic_nelder_mead(lambda X: objective(X, *first), args[0], len(j), f.degree - k)
         X, J, v, dk = (np.concatenate(c) for c in zip(*seen))
         e = -int(j[-1])  # the deepest annulus's
         one_run = _df_scales(f, X, J, v, e) and _in_range(dk, e * (k - 1))
     if not one_run:
-        S, F, _ = _nelder_mead(objective, args)
+        S, F, _ = _nelder_mead(lambda X, which: objective(X, *bounds[:, which]), args)
     f_nm = F.min(axis=1)
     better = np.isfinite(f_nm) & (f_nm < minima)
     x = np.where(better[:, None], S[:, 0], args)

@@ -138,7 +138,7 @@ class PolyStack:
         # step b squares block b - 1's span of the variables with top > b; `live` masks the rest
         self.bits, self.steps = max(1, top.max()), [
             (slice(b * n - n + lo, b * n - n + hi), slice(b * n + lo, b * n + hi),
-             (m := top[lo:hi, None] > b).all() or m) for b in range(1, top.max())
+             bool((m := top[lo:hi, None] > b).all()) or m) for b in range(1, top.max())
             for v in [np.flatnonzero(top > b)] for lo, hi in [(v[0], v[-1] + 1)]]
         terms = [[([b * n + i for i, k in enumerate(e) for b in range(k.bit_length()) if k >> b & 1],
                    float(c)) for e, c in p.terms.items()] for p in polys]
@@ -157,8 +157,10 @@ class PolyStack:
         table[:n], table[-1] = X.T, 1.0
         for src, dst, live in self.steps:
             np.multiply(table[src], table[src], out=table[dst], where=live)
-        terms = table[self.factors[0]]
+        terms = table.take(self.factors[0], axis=0)
         for f in self.factors[1:]:
-            terms *= table[f]
-        terms = np.multiply(terms, self.coeffs, out=terms).reshape(*self.shape, len(X))
-        return np.ascontiguousarray(sum(terms, 0.0).T)  # left to right from +0.0
+            terms *= table.take(f, axis=0)
+        total, *rest = np.multiply(terms, self.coeffs, out=terms).reshape(*self.shape, len(X))
+        for t in (0.0, *rest):  # left to right from +0.0, in place
+            total += t
+        return total.T.copy()

@@ -16,13 +16,16 @@ numpy-scalar CSV writer that ``IsotopyResult.write_csv`` replaced.
 ``choose_lambdas_reference`` and ``verify_construction_reference`` are the
 one-point negative side, and
 ``find_violation_sequence_reference`` is the violation search whose ratio
-went through a ``LinearMap`` and ``nu`` at every Nelder-Mead evaluation.
+went through a ``LinearMap`` and ``nu`` at every Nelder-Mead evaluation, and
+``search_objective_reference`` the stacked search objective before its one
+lower dist bound, which tested DIST_FLOOR apart and gathered on every call.
 ``gaussian_directions_reference`` is the Gaussian map through scipy's
 ``ndtri``, which the standard library's AS241 quantile replaced; it is met
 within a stated ulp bound rather than bit for bit. So is
 ``norm_distance_reference`` beyond n = 7: the least of numpy's norms over a
 sampled cloud, which the root of the least left-to-right sum of squares
-replaced (up to n = 7 they have the same bits). ``poly_eval_reference`` is
+replaced (up to n = 7 they have the same bits). ``int_power_reference`` is
+``int_power``'s product started from ones. ``poly_eval_reference`` is
 the pow formula that ``PolyStack``'s repeated squares replaced;
 ``pow_formula_gap`` meets it within the two formulas' rounding bounds.
 ``directions_reference`` takes the Sobol direction numbers from the whole
@@ -61,7 +64,7 @@ from jetsuff.errors import (CalibrationError, ConstructionError, ConvergenceErro
                             CoveringViolationError, DomainExitError, FieldBoundError,
                             InvalidInputError, MinorIdentityError)
 from jetsuff.germ import SampledZ, int_power, jet_at
-from jetsuff.linmap import LinearMap, g_prime, nu, nu_many
+from jetsuff.linmap import LinearMap, g_prime, nu, nu_many, row_norms
 from jetsuff.lojasiewicz import (DIST_FLOOR, SEARCH_DEPTH, SEARCH_SAMPLES,
                                  ViolationSequence, _ratio_stats)
 from jetsuff.poly import Poly
@@ -222,6 +225,16 @@ def calibrate_constants_scalar(pair, report, initial_radius: float = 1.0,
     return TrivializationConstants(
         C=float(C), C_prime=float(C_prime), C_dprime=float(C_dprime),
         U_radius=float(radius), r0=float(radius * np.exp(-C_dprime)))
+
+
+def int_power_reference(x, p: int) -> np.ndarray:
+    """x^p as the left-to-right product, from ones, of the squares the bits of p select."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    while p:
+        out, p = out * x if p & 1 else out, p >> 1
+        x = x * x if p else x
+    return out
 
 
 def poly_eval_reference(p, x) -> float:
@@ -910,3 +923,23 @@ def find_violation_sequence_reference(f, z, k: int, seed: int):
                 ratios=tuple(float(rats[i]) for i in sel),
                 dists=tuple(float(dists[i]) for i in sel))
     return None
+
+
+def search_objective_reference(f, z, k: int, radius, d_args, floor: float, seen: list):
+    """The search objective ``objective(X, which)`` as the lock-step and the
+    one run (``which`` = 0) called it, with ``floor`` as DIST_FLOOR: the
+    trust region from the annulus radii and argmin dists, a separate
+    DIST_FLOOR test, and gathers and an inf fill on every call."""
+    r_lo, r_hi, d_lo, d_hi = 0.45 * radius, 1.05 * radius, 0.45 * d_args, 2.0 * d_args
+
+    def objective(X, which):
+        norm, d = row_norms(X), z.distance_many(X)
+        keep = ((r_lo[which] <= norm) & (norm <= r_hi[which]) & (d_lo[which] <= d)
+                & (d <= d_hi[which]) & ~(d < floor))
+        out = np.full(len(X), np.inf)
+        J, dk = f.jacobian_many(X[keep]), int_power(d[keep], k - 1)
+        v = nu_many(J)
+        out[keep] = v / dk
+        seen.append((X, J, v, dk))
+        return out
+    return objective

@@ -22,7 +22,8 @@ from jetsuff.poly import Poly
 from jetsuff.report import write_json
 from jetsuff.sampling import unit_shell_sample
 from oracles import (corollary_reference, find_violation_sequence_reference,
-                     ratio_stats_reference, same_bits, sample_points, table_reference)
+                     ratio_stats_reference, same_bits, sample_points,
+                     search_objective_reference, table_reference)
 
 RADII = [0.5, 0.25, 0.125, 0.0625]
 Z_HYP = AnalyticZ(n=2, form="subspace", coords=(1,))
@@ -685,6 +686,70 @@ class TestOneRun:
         assert got == want
         assert same_polish(calls[-1][1], lock[0][1])
         assert max(calls[-1][2]) > 4  # stacked over the annuli
+
+
+def raw(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+class TestSearchObjective:
+    """The search objective's one lower dist bound, max(0.45 dist, DIST_FLOOR),
+    and its path for calls that keep every row, against the objective before
+    them (``search_objective_reference``): values and seen rows, as raw
+    bytes, through the objective each loop is handed. x3 over {x1 = 0} at
+    k = 2, where dist(x, Z) is |x1| exactly."""
+
+    @pytest.mark.parametrize("loop", ["_dyadic_nelder_mead", "_nelder_mead"])
+    def test_same_bytes_as_before(self, monkeypatch, loop):
+        f, z = bundled("x3")
+        radius, stats = lojasiewicz._table(f, z, 2, CLI_RADII["search"],
+                                           lojasiewicz.SEARCH_SAMPLES, 0)
+        args, d_args = np.array([s[1] for s in stats]), np.array([s[4] for s in stats])
+        floor, last = lojasiewicz.DIST_FLOOR, len(radius) - 1
+        if loop == "_nelder_mead":  # the last band's 0.45 dist < DIST_FLOOR: lock-step
+            floor = d_args[last] / 2
+            monkeypatch.setattr(lojasiewicz, "DIST_FLOOR", floor)
+        got = {}
+        run, value = getattr(lojasiewicz, loop), lojasiewicz._search_objective
+
+        def recording(objective, *rest):
+            got["objective"] = objective
+            return run(objective, *rest)
+
+        def seen_by(f, z, k, seen, *rest):
+            got["seen"] = seen
+            return value(f, z, k, seen, *rest)
+        monkeypatch.setattr(lojasiewicz, loop, recording)
+        monkeypatch.setattr(lojasiewicz, "_search_objective", seen_by)
+        find_violation_sequence(f, z, 2, 0)
+        objective, seen, want_seen = got["objective"], got["seen"], []
+        want = search_objective_reference(f, z, 2, np.array(radius), d_args, floor, want_seen)
+
+        def rows(i, dists):  # argmin i with |x1| moved to each dist
+            return np.array([[np.copysign(t, args[i][0]), args[i][1]] for t in dists])
+        annuli = [0] if loop == "_dyadic_nelder_mead" else [0, last]
+        edge = [floor, np.nextafter(floor, 0), np.nextafter(floor, 1)]
+        kept = {i: [d_args[i], 1.5 * d_args[i]] for i in annuli}
+        if loop == "_nelder_mead":
+            kept[last] += [floor, edge[2]]
+        mixed = {i: kept[i] + edge + [c * d_args[i] for c in (0.47, 0.44, 2.1, np.nan)]
+                 + [t for c, out in ((0.45, 0), (2.0, 1)) for t in
+                    (c * d_args[i], np.nextafter(c * d_args[i], out))]  # the band's ends
+                 for i in annuli}
+        values = {}
+        for name, dists in (("kept", kept), ("mixed", mixed), ("none", {0: [np.nan, 0.0]})):
+            X = np.vstack([rows(i, t) for i, t in dists.items()])
+            which = np.repeat(list(dists), [len(t) for t in dists.values()])
+            values[name] = (objective(X) if loop == "_dyadic_nelder_mead"
+                            else objective(X, which))
+            assert raw(values[name]) == raw(want(X, 0 if len(annuli) == 1 else which))
+            assert [raw(a) for a in seen[-1]] == [raw(a) for a in want_seen[-1]]
+        assert np.isfinite(values["kept"]).all() and np.isinf(values["none"]).all()
+        assert 0 < np.isfinite(values["mixed"]).sum() < len(values["mixed"])
+        if loop == "_nelder_mead":  # the last band's least dist is DIST_FLOOR, not 0.45 dist
+            edge_and_low = values["mixed"][-len(mixed[last]):][len(kept[last]):][:5]
+            assert np.isfinite(edge_and_low).tolist() == [True, False, True, False, False]
 
 
 def drive(funs, X0, one_run=False):

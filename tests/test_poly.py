@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from jetsuff.errors import InvalidInputError
 from jetsuff.germ import int_power
 from jetsuff.poly import Poly, PolyStack
-from oracles import gamma, jet_reference, poly_eval_pointwise, poly_eval_reference, same_bits
+from oracles import (gamma, int_power_reference, jet_reference, poly_eval_pointwise,
+                     poly_eval_reference, same_bits)
 
 
 def eval_exact(p, x):
@@ -225,6 +226,16 @@ def test_int_power_is_the_stack_column(x):
         for p in range(71):
             # a column is 0.0 + 1 * x^p, equal to x^p up to the sign of a zero
             assert np.array_equal(int_power(x, p), table[:, p], equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.one_of(st.just(()), st.tuples(st.integers(0, 9))),
+              elements=st.floats()), st.integers(0, 70))
+def test_int_power_is_the_product_from_ones_in_a_fresh_array(x, p):
+    with np.errstate(all="ignore"):
+        got, want = int_power(x, p), int_power_reference(x, p)
+    assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert not np.shares_memory(got, x)
 
 
 @settings(max_examples=200, deadline=None)
